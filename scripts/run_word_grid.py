@@ -40,7 +40,7 @@ def run_variant(words, weights, args, spaces, out_dir):
     save_segmented(gold.lines, out_dir / f"gold-{tag}.txt")
 
     spec = parse_grid_spec(args.grid)
-    records = run_grid(train, test, gold, spec, args.n_max, jobs=args.jobs)
+    records = run_grid(train, test, gold, spec, args.n_max)
     config = {"experiment": f"synthetic-words-{tag}", **vars(args)}
     write_trials_csv(records, out_dir / f"trials-{tag}.csv", config)
     summary = summarize(records)
@@ -71,7 +71,6 @@ def main():
     parser.add_argument("--test-lines", type=int, default=300)
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--grid", default=DEFAULT_GRID)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-dir", default="out/word-grid")
     args = parser.parse_args()
 

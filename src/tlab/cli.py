@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .corpus import (
 from .lab import (
     DEFAULT_GRID,
     MODE_LONG,
+    _round9,
     parse_grid_spec,
     run_grid,
     run_morph_grid,
@@ -62,14 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _round9(value):
-    return None if value is None else float(f"{value:.9g}")
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="n-gram order")
     parser.add_argument("--peak", type=float, required=True, help="peak threshold in [0,1]")
@@ -101,7 +93,7 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 def cmd_tokenize(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     corpus = load_text(args.input)
-    segs = segment_corpus(model, corpus, _params_from(args), jobs=args.jobs)
+    segs = segment_corpus(model, corpus, _params_from(args))
     token_lines = [s.tokens for s in segs]
     if args.out:
         save_segmented(token_lines, args.out)
@@ -164,7 +156,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     gold = load_gold(args.gold)
     test, gold = _sampled(test, gold, args.sample_test, args.seed)
     spec = parse_grid_spec(args.grid)
-    records = run_grid(train, test, gold, spec, args.n_max, jobs=args.jobs)
+    records = run_grid(train, test, gold, spec, args.n_max)
     config = _config_dict(args)
     write_trials_csv(records, args.out_csv, config, timings=args.timings)
     if args.out_summary:
@@ -200,7 +192,7 @@ def cmd_morph_grid(args: argparse.Namespace) -> int:
     lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
     inventory = _inventory_from(args)
     spec = parse_grid_spec(args.grid)
-    records = run_morph_grid(lexicon, inventory, spec, args.n_max, jobs=args.jobs)
+    records = run_morph_grid(lexicon, inventory, spec, args.n_max)
     config = _config_dict(args)
     write_trials_csv(records, args.out_csv, config, timings=args.timings)
     if args.out_summary:
@@ -212,7 +204,6 @@ def cmd_morph_grid(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tlab", description="Unsupervised text segmentation laboratory")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--jobs", type=int, default=_default_jobs(), help="worker count for batch paths")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("build-model", help="count n-gram transitions of a corpus")

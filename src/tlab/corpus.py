@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -89,20 +90,27 @@ def save_text(corpus: TextCorpus, path: str | Path) -> None:
     Path(path).write_bytes(body.encode("utf-8"))
 
 
+# \s matches exactly the scalars for which str.isspace() holds
+_NEEDS_ESCAPE_RE = re.compile(r"[\s\\]")
+_ESCAPE_RE = re.compile(r"\\([\\s])")
+
+
 def escape_token(token: str) -> str:
-    """Replace each whitespace scalar with the two-character sequence ``\\s``."""
-    return "".join("\\s" if ch.isspace() else ch for ch in token)
+    """Write a backslash as ``\\\\`` and each whitespace scalar as ``\\s``."""
+    return _NEEDS_ESCAPE_RE.sub(lambda m: "\\\\" if m.group() == "\\" else "\\s", token)
 
 
 def unescape_token(text: str) -> str:
-    return text.replace("\\s", " ")
+    """Read ``\\\\`` and ``\\s`` left to right; any other backslash is literal."""
+    return _ESCAPE_RE.sub(lambda m: " " if m.group(1) == "s" else "\\", text)
 
 
 def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> None:
     """Write segmentations in gold format: space-separated tokens, one line each.
 
-    Whitespace inside tokens is escaped so the file stays parseable; note the
-    escape is lossy for non-space whitespace (everything reads back as U+0020).
+    Inside tokens a backslash is written ``\\\\`` and whitespace ``\\s``, so
+    the file stays parseable and backslashes read back exactly; the escape is
+    lossy for non-space whitespace (everything reads back as U+0020).
     """
     out = []
     for tokens in token_lines:
@@ -112,7 +120,7 @@ def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> No
 
 
 def load_segmented(path: str | Path) -> GoldSegmentation:
-    """Read a file produced by :func:`save_segmented`, undoing ``\\s`` escapes."""
+    """Read a file produced by :func:`save_segmented`, undoing its escapes."""
     gold = load_gold(path)
     lines = tuple(tuple(unescape_token(t) for t in tokens) for tokens in gold.lines)
     return GoldSegmentation(lines, gold.dropped)

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -158,32 +157,19 @@ def _sort_key(params: SegmenterParams) -> tuple:
     return (params.n, params.peak_threshold, params.prune_threshold, MODE_SHORT[params.direction_mode])
 
 
-def _run_combos(
-    evaluate: Callable[[float, str], TrialRecord],
-    peaks: Sequence[float],
-    modes: Sequence[str],
-    jobs: int,
-) -> list[TrialRecord]:
-    combos = [(peak, mode) for peak in peaks for mode in modes]
-    if jobs > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda c: evaluate(*c), combos))
-    return [evaluate(*c) for c in combos]
-
-
 def run_grid(
     train: TextCorpus,
     test: TextCorpus,
     gold: GoldSegmentation,
     spec: GridSpec,
     n_max: int,
-    jobs: int = 1,
 ) -> list[TrialRecord]:
     """Evaluate every grid point on a shared raw model.
 
-    One raw model per corpus role (full train and the two interleaved halves
-    for cross-split F1) is built once and pruned per prune value; freedom
-    profiles are shared across the peak/mode axes, which cannot change them.
+    The two interleaved train halves (for cross-split F1) are counted once,
+    the full-train model is their sum, and all three are pruned per prune
+    value; freedom profiles are shared across the peak/mode axes, which
+    cannot change them.
     Failed trials are recorded with an error marker instead of aborting.
     """
     if n_max < max(spec.n_values):
@@ -200,7 +186,8 @@ def run_grid(
         gold_bounds.append(bounds)
 
     part_a, part_b = split_even_odd(train)
-    raw_models = (build_model(train, n_max), build_model(part_a, n_max), build_model(part_b, n_max))
+    raw_a, raw_b = build_model(part_a, n_max), build_model(part_b, n_max)
+    raw_models = (raw_a + raw_b, raw_a, raw_b)
 
     ns = sorted(set(spec.n_values))
     peaks = sorted(set(spec.peak_values))
@@ -218,23 +205,28 @@ def run_grid(
                 ]
                 for m in (model, model_a, model_b)
             ]
-
-            def evaluate(peak: float, mode: str, n: int = n, t: int = prune_threshold, profiles=profiles) -> TrialRecord:
-                params = SegmenterParams(n, peak, t, mode)
-                start = time.perf_counter()
-                try:
-                    report, reciprocal = _word_trial(
-                        params, test.lines, prefixes, gold_bounds, profiles
-                    )
-                    error = None
-                except Exception as exc:  # noqa: BLE001 - recorded per trial
-                    report, reciprocal, error = None, None, f"{type(exc).__name__}: {exc}"
-                wall = int((time.perf_counter() - start) * 1000)
-                return TrialRecord(params, report, reciprocal, wall, error)
-
-            records.extend(_run_combos(evaluate, peaks, modes, jobs))
+            for peak in peaks:
+                for mode in modes:
+                    params = SegmenterParams(n, peak, prune_threshold, mode)
+                    records.append(_timed_trial(
+                        _word_trial, params, test.lines, prefixes, gold_bounds, profiles
+                    ))
     records.sort(key=lambda r: _sort_key(r.params))
     return records
+
+
+def _timed_trial(
+    score: Callable[..., tuple[MetricsReport, float]], params: SegmenterParams, *args
+) -> TrialRecord:
+    """Score one grid point, recording its wall time and any error instead of raising."""
+    start = time.perf_counter()
+    try:
+        report, reciprocal = score(params, *args)
+        error = None
+    except Exception as exc:  # noqa: BLE001 - recorded per trial
+        report, reciprocal, error = None, None, f"{type(exc).__name__}: {exc}"
+    wall = int((time.perf_counter() - start) * 1000)
+    return TrialRecord(params, report, reciprocal, wall, error)
 
 
 def _word_trial(params, lines, prefixes, gold_bounds, profiles):
@@ -268,9 +260,9 @@ def _word_trial(params, lines, prefixes, gold_bounds, profiles):
     stats = TokenStats(piece_counts, total_tokens, total_chars)
     s_value = anti_entropy(stats)
     c_value = compression_factor(stats)
-    csf1 = (
-        f1_score(BoundaryCounts(atp, afp, afn)) + f1_score(BoundaryCounts(atp, afn, afp))
-    ) / 2
+    # F1(A->B) equals F1(B->A): swapping fp and fn swaps precision and
+    # recall, which 2*p*r/(p+r) reads the same to the last bit
+    csf1 = f1_score(BoundaryCounts(atp, afp, afn))
     avg3, avg2, product = derived_metrics(s_value, c_value, csf1)
     report = MetricsReport(f1, s_value, c_value, csf1, avg3, avg2, product)
     return report, 1.0 / c_value
@@ -281,7 +273,6 @@ def run_morph_grid(
     inventory: AffixInventory,
     spec: GridSpec,
     n_max: int,
-    jobs: int = 1,
 ) -> list[TrialRecord]:
     """Grid search scored by frequency-weighted morph F1; csf1/avg3 not applicable."""
     if n_max < max(spec.n_values):
@@ -297,28 +288,22 @@ def run_morph_grid(
     for prune_threshold in prunes:
         pruned = prune(raw, prune_threshold)
         for n in ns:
-
-            def evaluate(peak: float, mode: str, n: int = n, t: int = prune_threshold) -> TrialRecord:
-                params = SegmenterParams(n, peak, t, mode)
-                start = time.perf_counter()
-                try:
-                    f1, s_value, c_value = weighted_morph_f1(
-                        pruned, lexicon, inventory, replace(params, prune_threshold=0)
-                    )
-                    report = MetricsReport(
-                        f1, s_value, c_value, None, None,
-                        (s_value + c_value) / 2, s_value * c_value,
-                    )
-                    reciprocal: float | None = 1.0 / c_value
-                    error = None
-                except Exception as exc:  # noqa: BLE001 - recorded per trial
-                    report, reciprocal, error = None, None, f"{type(exc).__name__}: {exc}"
-                wall = int((time.perf_counter() - start) * 1000)
-                return TrialRecord(params, report, reciprocal, wall, error)
-
-            records.extend(_run_combos(evaluate, peaks, modes, jobs))
+            for peak in peaks:
+                for mode in modes:
+                    params = SegmenterParams(n, peak, prune_threshold, mode)
+                    records.append(_timed_trial(_morph_trial, params, pruned, lexicon, inventory))
     records.sort(key=lambda r: _sort_key(r.params))
     return records
+
+
+def _morph_trial(params, pruned, lexicon, inventory):
+    f1, s_value, c_value = weighted_morph_f1(
+        pruned, lexicon, inventory, replace(params, prune_threshold=0)
+    )
+    report = MetricsReport(
+        f1, s_value, c_value, None, None, (s_value + c_value) / 2, s_value * c_value
+    )
+    return report, 1.0 / c_value
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:

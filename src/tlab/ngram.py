@@ -1,18 +1,18 @@
-"""Direction-indexed character n-gram transition count models."""
+"""Character n-gram transition models: one table of window counts per order."""
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .corpus import DataError, TextCorpus
 
 FORMAT_HEADER = "tlab-model v1"
 
-_DIRECTIONS = ("forward", "backward")
-_NEEDS_ESCAPE = ("\t", "\n", "\r")
+_CONTROL = ("\t", "\n", "\r")
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
 
 
@@ -20,36 +20,36 @@ class ModelFormatError(DataError):
     """Model file is malformed or carries an unsupported format version."""
 
 
-# edge tables: order -> gram -> continuation character -> count
-EdgeTable = dict[int, dict[str, dict[str, int]]]
-
-
 @dataclass
 class TransitionModel:
-    """Counts of (n-gram, adjacent character) incidences in both directions.
+    """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
-    ``forward[n][gram][ch]`` counts occurrences of ``gram`` immediately
-    followed by ``ch``; ``backward[n][gram][ch]`` counts ``gram`` immediately
-    preceded by ``ch``. Treat instances as immutable once built.
-
-    ``trained_chars`` is weighted bookkeeping only and is excluded from
-    equality, as is the lazy per-order max-out-degree cache.
+    ``windows[n][w]`` sums the line weights of the occurrences of ``w``. A
+    window is both a forward edge (``w[:-1]`` followed by ``w[-1]``) and a
+    backward edge (``w[1:]`` preceded by ``w[0]``), so the successor and
+    predecessor varieties of every gram are read off the same table.
+    ``degrees[n, direction]`` maps each gram to that out-degree and
+    ``max_degrees[n, direction]`` holds the order's maximum; both are derived
+    at construction and excluded from equality. Treat instances as immutable.
     """
 
     n_max: int
-    forward: EdgeTable
-    backward: EdgeTable
-    trained_chars: int = field(default=0, compare=False)
-    _max_freedom: dict[tuple[int, str], int] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    windows: dict[int, Counter[str]]
+    degrees: dict[tuple[int, str], Counter[str]] = field(init=False, compare=False, repr=False)
+    max_degrees: dict[tuple[int, str], int] = field(init=False, compare=False, repr=False)
 
-    def table(self, direction: str) -> EdgeTable:
-        if direction == "forward":
-            return self.forward
-        if direction == "backward":
-            return self.backward
-        raise ValueError(f"unknown direction {direction!r}")
+    def __post_init__(self) -> None:
+        self.degrees = {}
+        for n, counts in self.windows.items():
+            self.degrees[n, "forward"] = Counter(w[:-1] for w in counts)
+            self.degrees[n, "backward"] = Counter(w[1:] for w in counts)
+        self.max_degrees = {key: max(d.values(), default=0) for key, d in self.degrees.items()}
+
+    def __add__(self, other: TransitionModel) -> TransitionModel:
+        """The model of the two corpora concatenated; both must share ``n_max``."""
+        return TransitionModel(
+            self.n_max, {n: c + other.windows[n] for n, c in self.windows.items()}
+        )
 
 
 def build_model(
@@ -58,7 +58,7 @@ def build_model(
     """Count every in-line window of n characters plus one adjacent character.
 
     Windows never cross line boundaries and whitespace is an ordinary
-    character. Each incidence adds the line's weight (default 1).
+    character. Each occurrence adds the line's weight (default 1).
     """
     if n_max < 1:
         raise DataError(f"n_max must be >= 1, got {n_max}")
@@ -70,34 +70,21 @@ def build_model(
         if any(w < 1 for w in line_weights):
             raise DataError("line weights must be positive integers")
 
-    forward: EdgeTable = {n: {} for n in range(1, n_max + 1)}
-    backward: EdgeTable = {n: {} for n in range(1, n_max + 1)}
-    trained = 0
+    windows: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
     weights = line_weights if line_weights is not None else (1,) * len(corpus.lines)
     for line, w in zip(corpus.lines, weights):
-        length = len(line)
-        trained += w * length
-        for n in range(1, min(n_max, length - 1) + 1):
-            fwd_n = forward[n]
-            bwd_n = backward[n]
-            for i in range(n, length):
-                gram = line[i - n : i]
-                edges = fwd_n.get(gram)
-                if edges is None:
-                    edges = fwd_n[gram] = {}
-                ch = line[i]
-                edges[ch] = edges.get(ch, 0) + w
-                gram = line[i - n + 1 : i + 1]
-                edges = bwd_n.get(gram)
-                if edges is None:
-                    edges = bwd_n[gram] = {}
-                ch = line[i - n]
-                edges[ch] = edges.get(ch, 0) + w
-    return TransitionModel(n_max, forward, backward, trained)
+        for n in range(1, min(n_max, len(line) - 1) + 1):
+            grams = (line[i : i + n + 1] for i in range(len(line) - n))
+            if w == 1:
+                windows[n].update(grams)
+            else:
+                for gram in grams:
+                    windows[n][gram] += w
+    return TransitionModel(n_max, windows)
 
 
 def prune(model: TransitionModel, min_count: int) -> TransitionModel:
-    """Drop every edge with count < ``min_count`` and any gram left edgeless.
+    """Drop every window with count < ``min_count``, and with it its edges.
 
     ``min_count`` of 0 returns the input model unchanged.
     """
@@ -105,17 +92,13 @@ def prune(model: TransitionModel, min_count: int) -> TransitionModel:
         raise DataError(f"prune threshold must be >= 0, got {min_count}")
     if min_count == 0:
         return model
-    forward: EdgeTable = {}
-    backward: EdgeTable = {}
-    for src, dst in ((model.forward, forward), (model.backward, backward)):
-        for n, grams in src.items():
-            kept_n: dict[str, dict[str, int]] = {}
-            for gram, edges in grams.items():
-                kept = {ch: c for ch, c in edges.items() if c >= min_count}
-                if kept:
-                    kept_n[gram] = kept
-            dst[n] = kept_n
-    return TransitionModel(model.n_max, forward, backward, model.trained_chars)
+    return TransitionModel(
+        model.n_max,
+        {
+            n: Counter({w: c for w, c in counts.items() if c >= min_count})
+            for n, counts in model.windows.items()
+        },
+    )
 
 
 def freedom(model: TransitionModel, gram: str, direction: str) -> int:
@@ -123,63 +106,52 @@ def freedom(model: TransitionModel, gram: str, direction: str) -> int:
     n = len(gram)
     if n < 1 or n > model.n_max:
         raise DataError(f"gram order {n} outside model range 1..{model.n_max}")
-    edges = model.table(direction)[n].get(gram)
-    return len(edges) if edges else 0
+    return model.degrees[n, direction].get(gram, 0)
 
 
 def max_freedom(model: TransitionModel, n: int, direction: str) -> int:
     """Largest out-degree over all grams of order ``n``; 0 for an empty order."""
     if n < 1 or n > model.n_max:
         raise DataError(f"order {n} outside model range 1..{model.n_max}")
-    key = (n, direction)
-    cached = model._max_freedom.get(key)
-    if cached is None:
-        grams = model.table(direction)[n]
-        cached = max((len(edges) for edges in grams.values()), default=0)
-        model._max_freedom[key] = cached
-    return cached
+    return model.max_degrees[n, direction]
 
 
 def _escape(text: str) -> str:
-    if any(c in text for c in _NEEDS_ESCAPE):
+    # a leading "x" marks a hex escape, so it is escaped itself
+    if text.startswith("x") or any(c in text for c in _CONTROL):
         return "x" + text.encode("utf-8").hex()
     return text
 
 
 def _unescape(fieldtext: str) -> str:
-    # inverse of _escape: only fields whose decoded form contains a
-    # tab/LF/CR can have been escaped, everything else is literal
     if fieldtext.startswith("x") and len(fieldtext) > 1:
-        hexpart = fieldtext[1:]
-        if len(hexpart) % 2 == 0:
-            try:
-                decoded = bytes.fromhex(hexpart).decode("utf-8")
-            except ValueError:
-                return fieldtext
-            if any(c in decoded for c in _NEEDS_ESCAPE):
-                return decoded
+        try:
+            return bytes.fromhex(fieldtext[1:]).decode("utf-8")
+        except ValueError:
+            pass
     return fieldtext
 
 
-def _iter_records(model: TransitionModel) -> Iterator[tuple[str, int, str, str, int]]:
-    for tag, table in (("b", model.backward), ("f", model.forward)):
-        for n in sorted(table):
-            grams = table[n]
-            for gram in sorted(grams):
-                edges = grams[gram]
-                for ch in sorted(edges):
-                    yield tag, n, gram, ch, edges[ch]
-
-
 def save_model(model: TransitionModel, path: str | Path) -> None:
-    """Write the canonical sorted text form; identical models save byte-identically."""
+    """Write the canonical sorted text form; identical models save byte-identically.
+
+    Every window becomes a ``b`` record (gram, preceding char) and an ``f``
+    record (gram, following char), all ``b`` records first, each sorted by
+    order, gram and char.
+    """
     out = [f"{FORMAT_HEADER} n_max={model.n_max}"]
-    for tag, n, gram, ch, count in _iter_records(model):
-        out.append(f"{tag}\t{n}\t{_escape(gram)}\t{_escape(ch)}\t{count}")
+    for n, counts in sorted(model.windows.items()):
+        # for equal-length strings this is the order of (w[1:], w[0])
+        for w in sorted(counts, key=lambda w: w[1:] + w[0]):
+            out.append(f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}")
+    for n, counts in sorted(model.windows.items()):
+        for w in sorted(counts):
+            out.append(f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}")
     Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))
 
 
 def load_model(path: str | Path) -> TransitionModel:
+    """Read a model file; its ``b`` records must mirror its ``f`` records exactly."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -196,18 +168,14 @@ def load_model(path: str | Path) -> TransitionModel:
     n_max = int(header.group(1))
     if n_max < 1:
         raise ModelFormatError(f"{path}: n_max must be >= 1")
-    forward: EdgeTable = {n: {} for n in range(1, n_max + 1)}
-    backward: EdgeTable = {n: {} for n in range(1, n_max + 1)}
+    forward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
+    backward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
     for lineno, record in enumerate(lines[1:], start=2):
         parts = record.split("\t")
         if len(parts) != 5:
             raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
         tag, n_text, gram_text, ch_text, count_text = parts
-        if tag == "f":
-            table = forward
-        elif tag == "b":
-            table = backward
-        else:
+        if tag not in ("f", "b"):
             raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
         try:
             n = int(n_text)
@@ -222,5 +190,10 @@ def load_model(path: str | Path) -> TransitionModel:
         ch = _unescape(ch_text)
         if len(gram) != n or len(ch) != 1:
             raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
-        table[n].setdefault(gram, {})[ch] = count
-    return TransitionModel(n_max, forward, backward, 0)
+        if tag == "f":
+            forward[n][gram + ch] = count
+        else:
+            backward[n][ch + gram] = count
+    if backward != forward:
+        raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
+    return TransitionModel(n_max, forward)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -89,22 +88,14 @@ def profile(model: TransitionModel, line: str, n: int, direction: str) -> Freedo
     maxf = max_freedom(model, n, direction)
     if maxf == 0:
         return FreedomProfile((0.0,) * (length - 1), direction)
-    grams = model.table(direction)[n]
+    degree = model.degrees[n, direction].get
     values = []
     if direction == "forward":
         for i in range(1, length):
-            if i < n:
-                values.append(0.0)
-            else:
-                edges = grams.get(line[i - n : i])
-                values.append(len(edges) / maxf if edges else 0.0)
+            values.append(degree(line[i - n : i], 0) / maxf if i >= n else 0.0)
     else:
         for i in range(1, length):
-            if i + n > length:
-                values.append(0.0)
-            else:
-                edges = grams.get(line[i : i + n])
-                values.append(len(edges) / maxf if edges else 0.0)
+            values.append(degree(line[i : i + n], 0) / maxf if i + n <= length else 0.0)
     return FreedomProfile(tuple(values), direction)
 
 
@@ -153,7 +144,6 @@ def segment_corpus(
     model: TransitionModel,
     corpus: TextCorpus,
     params: SegmenterParams,
-    jobs: int = 1,
 ) -> list[Segmentation]:
     """Segment every line, preserving order; line errors are aggregated."""
     if params.n > model.n_max:
@@ -161,21 +151,15 @@ def segment_corpus(
     pruned = prune(model, params.prune_threshold)
     line_params = replace(params, prune_threshold=0)
 
-    def one(line: str) -> Segmentation | Exception:
+    results = []
+    failures = []
+    for i, line in enumerate(corpus.lines):
         try:
-            return segment(pruned, line, line_params)
+            results.append(segment(pruned, line, line_params))
         except Exception as exc:  # noqa: BLE001 - aggregated below
-            return exc
-
-    if jobs > 1 and len(corpus.lines) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, corpus.lines))
-    else:
-        results = [one(line) for line in corpus.lines]
-
-    failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
+            failures.append((i, exc))
     if failures:
         detail = "; ".join(f"line {i + 1}: {exc}" for i, exc in failures[:5])
         more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
         raise DataError(f"segmentation failed on {len(failures)} lines: {detail}{more}")
-    return results  # type: ignore[return-value]
+    return results

@@ -252,7 +252,7 @@ def test_a7_property_suites():
         for direction in ("forward", "backward"):
             for n in (1, 2, 3):
                 assert max_freedom(pruned, n, direction) <= max_freedom(model, n, direction)
-                for gram in model.table(direction)[n]:
+                for gram in model.degrees[n, direction]:
                     assert freedom(pruned, gram, direction) <= freedom(model, gram, direction)
 
     @settings(max_examples=100, deadline=None)

@@ -58,6 +58,32 @@ def test_build_tokenize_round_trip(word_data, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_model_with_literal_hex_like_gram_loads(tmp_path, capsys):
+    corpus_path = tmp_path / "x.txt"
+    corpus_path.write_text("ab x0a cd\n")
+    model_path = tmp_path / "m.tsv"
+    assert main(["build-model", "--in", str(corpus_path), "--n-max", "3",
+                 "--out", str(model_path)]) == 0
+    assert main(["tokenize", "--model", str(model_path), "--n", "3", "--peak", "0.5",
+                 str(corpus_path)]) == 0
+    capsys.readouterr()
+
+
+def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
+    corpus_path = tmp_path / "win.txt"
+    corpus_path.write_text("C:\\sdir x\nC:\\sdir\n")
+    model_path = tmp_path / "m.tsv"
+    pred_path = tmp_path / "pred.txt"
+    assert main(["build-model", "--in", str(corpus_path), "--n-max", "2",
+                 "--out", str(model_path)]) == 0
+    assert main(["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5",
+                 str(corpus_path), "--out", str(pred_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(pred_path), "--gold", str(corpus_path),
+                 "--metrics", "f1"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["f1"] is not None
+
+
 def test_evaluate_emits_single_line_json(word_data, tmp_path, capsys):
     model_path = tmp_path / "m.tsv"
     pred_path = tmp_path / "pred.txt"

@@ -133,3 +133,21 @@ class TestRoundTrips:
         assert path.read_text() == "a \\s b\\sc\nxy\n"
         back = load_segmented(path)
         assert back.lines == (("a", " ", "b c"), ("xy",))
+
+    def test_segmented_backslash_escape(self, tmp_path):
+        path = tmp_path / "seg.txt"
+        save_segmented([("C:\\sdir", "a\\")], path)
+        assert path.read_text() == "C:\\\\sdir a\\\\\n"
+        assert load_segmented(path).lines == (("C:\\sdir", "a\\"),)
+
+    @given(st.lists(st.lists(st.text(alphabet="\\s a\t\u3000", min_size=1, max_size=6),
+                             min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_segmented_round_trip_with_backslashes(self, tmp_path_factory, token_lines):
+        path = tmp_path_factory.mktemp("seg") / "seg.txt"
+        save_segmented(token_lines, path)
+        # exact, except that any whitespace scalar reads back as U+0020
+        expected = tuple(
+            tuple("".join(" " if ch.isspace() else ch for ch in t) for t in tokens)
+            for tokens in token_lines
+        )
+        assert load_segmented(path).lines == expected

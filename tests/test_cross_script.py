@@ -46,7 +46,7 @@ def test_astral_scalars_are_single_positions():
     # surrogate-free handling: an astral emoji counts as one scalar
     line = "a\U0001f600b"
     model = build_model(TextCorpus((line,), "t"), 1)
-    assert model.forward[1]["a"] == {"\U0001f600": 1}
+    assert model.windows[1] == {"a\U0001f600": 1, "\U0001f600b": 1}
     seg = segment(model, line, SegmenterParams(1, 0.0, 0, "union"))
     assert "".join(seg.tokens) == line
     assert all(len(t) >= 1 for t in seg.tokens)

@@ -49,7 +49,7 @@ class TestLexiconIO:
 class TestBuildMorphModel:
     def test_frequency_weighting(self):
         m = build_morph_model(FreqLexicon({"ab": 5}), 1)
-        assert m.forward[1]["a"]["b"] == 5
+        assert m.windows[1]["ab"] == 5
 
     def test_freedom_counts_words(self):
         m = build_morph_model(FreqLexicon({"ab": 1, "ac": 1}), 1)
@@ -60,8 +60,8 @@ class TestBuildMorphModel:
         m1 = build_morph_model(FreqLexicon(lex), 2)
         m2 = build_morph_model(FreqLexicon({w: 2 * c for w, c in lex.items()}), 2)
         for n in (1, 2):
-            for gram, edges in m1.forward[n].items():
-                assert m2.forward[n][gram] == {ch: 2 * c for ch, c in edges.items()}
+            assert m2.windows[n] == {w: 2 * c for w, c in m1.windows[n].items()}
+            for gram in m1.degrees[n, "forward"]:
                 assert freedom(m1, gram, "forward") == freedom(m2, gram, "forward")
 
     def test_empty_lexicon_rejected(self):

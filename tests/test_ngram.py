@@ -15,7 +15,7 @@ from tlab.ngram import (
     save_model,
 )
 
-from bruteforce import bf_freedom, bf_max_freedom
+from bruteforce import bf_freedom, bf_max_freedom, window_counts
 from strategies import corpora_with_weights, small_lines
 
 
@@ -26,31 +26,32 @@ def model_of(lines, n_max=2, weights=None):
 class TestBuildModel:
     def test_single_bigram_line(self):
         m = model_of(["ab"], 1)
-        assert m.forward[1] == {"a": {"b": 1}}
-        assert m.backward[1] == {"b": {"a": 1}}
+        assert m.windows[1] == {"ab": 1}
+        assert m.degrees[1, "forward"] == {"a": 1}
+        assert m.degrees[1, "backward"] == {"b": 1}
 
     def test_line_weight(self):
         m = model_of(["ab"], 1, weights=[5])
-        assert m.forward[1]["a"]["b"] == 5
+        assert m.windows[1]["ab"] == 5
 
     def test_two_line_enumeration(self):
         # derived by enumerating every window of "abc" and "abd"
         m = model_of(["abc", "abd"], 2)
-        assert m.forward[1]["b"] == {"c": 1, "d": 1}
-        assert m.forward[2]["ab"] == {"c": 1, "d": 1}
-        assert m.forward[1]["a"] == {"b": 2}
-        assert m.backward[1]["b"] == {"a": 2}
-        assert m.backward[2] == {"bc": {"a": 1}, "bd": {"a": 1}}
+        assert m.windows[1] == {"ab": 2, "bc": 1, "bd": 1}
+        assert m.windows[2] == {"abc": 1, "abd": 1}
+        assert m.degrees[1, "forward"] == {"a": 1, "b": 2}
+        assert m.degrees[1, "backward"] == {"b": 1, "c": 1, "d": 1}
+        assert m.degrees[2, "backward"] == {"bc": 1, "bd": 1}
         assert freedom(m, "ab", "forward") == 2
 
     def test_windows_do_not_cross_lines(self):
         m = model_of(["ab", "cd"], 1)
-        assert "b" not in m.forward[1]  # "b" has no in-line successor
+        assert m.windows[1] == {"ab": 1, "cd": 1}  # "b" has no in-line successor
+        assert "b" not in m.degrees[1, "forward"]
 
     def test_whitespace_is_ordinary(self):
         m = model_of(["a b"], 1)
-        assert m.forward[1]["a"] == {" ": 1}
-        assert m.forward[1][" "] == {"b": 1}
+        assert m.windows[1] == {"a ": 1, " b": 1}
 
     def test_bad_args(self):
         with pytest.raises(Exception):
@@ -67,10 +68,10 @@ class TestBuildModel:
         m = model_of(lines, n_max, weights=weights)
         for n in range(1, n_max + 1):
             expected = sum(w * max(0, len(l) - n) for l, w in zip(lines, weights))
-            fwd_total = sum(c for edges in m.forward[n].values() for c in edges.values())
-            bwd_total = sum(c for edges in m.backward[n].values() for c in edges.values())
-            assert fwd_total == expected
-            assert bwd_total == expected
+            assert sum(m.windows[n].values()) == expected
+            # every distinct window is one edge in each direction
+            assert sum(m.degrees[n, "forward"].values()) == len(m.windows[n])
+            assert sum(m.degrees[n, "backward"].values()) == len(m.windows[n])
 
     @given(small_lines(), st.integers(min_value=0, max_value=2**32))
     def test_line_order_independent(self, lines, seed):
@@ -83,10 +84,25 @@ class TestBuildModel:
         lines, weights = lines_weights
         m = model_of(lines, 2, weights=weights)
         for n in (1, 2):
+            forward_pairs = window_counts(lines, weights, n, "forward")
+            assert m.windows[n] == {g + ch: c for (g, ch), c in forward_pairs.items()}
             for direction in ("forward", "backward"):
-                for gram in m.table(direction)[n]:
+                for gram in m.degrees[n, direction]:
                     assert freedom(m, gram, direction) == bf_freedom(lines, weights, gram, direction)
                 assert max_freedom(m, n, direction) == bf_max_freedom(lines, weights, n, direction)
+
+
+class TestAddition:
+    @given(corpora_with_weights(), st.integers(min_value=0, max_value=8))
+    def test_sum_of_parts_is_model_of_whole(self, lines_weights, cut):
+        lines, weights = lines_weights
+        cut = min(cut, len(lines))
+        whole = model_of(lines, 3, weights=weights)
+        parts = model_of(lines[:cut], 3, weights=weights[:cut]) + model_of(
+            lines[cut:], 3, weights=weights[cut:]
+        )
+        assert parts == whole
+        assert parts.max_degrees == whole.max_degrees
 
 
 class TestPrune:
@@ -96,14 +112,16 @@ class TestPrune:
 
     def test_drops_low_edges(self):
         m = model_of(["ab", "ab", "ab", "ac"], 1)
-        assert m.forward[1]["a"] == {"b": 3, "c": 1}
+        assert m.windows[1] == {"ab": 3, "ac": 1}
         pruned = prune(m, 2)
-        assert pruned.forward[1]["a"] == {"b": 3}
+        assert pruned.windows[1] == {"ab": 3}
+        assert freedom(pruned, "a", "forward") == 1
 
     def test_drops_edgeless_grams(self):
         m = model_of(["abc", "abd"], 1)
         pruned = prune(m, 2)
-        assert "b" not in pruned.forward[1]
+        assert pruned.windows[1] == {"ab": 2}
+        assert "b" not in pruned.degrees[1, "forward"]
         assert freedom(pruned, "b", "forward") == 0
 
     @given(corpora_with_weights(), st.integers(min_value=0, max_value=6))
@@ -114,7 +132,7 @@ class TestPrune:
         assert prune(pruned, threshold) == pruned
         for n in (1, 2):
             for direction in ("forward", "backward"):
-                for gram in m.table(direction)[n]:
+                for gram in m.degrees[n, direction]:
                     assert freedom(pruned, gram, direction) <= freedom(m, gram, direction)
 
 
@@ -144,7 +162,7 @@ class TestFreedom:
         for direction in ("forward", "backward"):
             for n in (1, 2):
                 top = max_freedom(m, n, direction)
-                for gram in m.table(direction)[n]:
+                for gram in m.degrees[n, direction]:
                     assert freedom(m, gram, direction) <= top
 
 
@@ -188,7 +206,25 @@ class TestPersistence:
         assert "\t".join(["f", "2", "x6109", "b", "1"]) in text  # "a\t" as hex
         assert load_model(path) == m
 
-    @given(small_lines(alphabet="ab\t\n ", max_lines=6, max_len=6))
+    def test_literal_hex_like_grams_escaped(self, tmp_path):
+        m = model_of(["ab x0a cd"], 3)
+        path = tmp_path / "x.tsv"
+        save_model(m, path)
+        text = path.read_text()
+        assert "\t".join(["f", "3", "x783061", " ", "1"]) in text  # "x0a" as hex
+        assert "\t".join(["f", "1", " ", "x78", "1"]) in text  # "x" as hex
+        assert load_model(path) == m
+
+    def test_unmirrored_backward_records_rejected(self, tmp_path):
+        path = tmp_path / "half.tsv"
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t2\n")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\n")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @given(small_lines(alphabet="ab\t\n x0", max_lines=6, max_len=6))
     def test_round_trip_with_escapes(self, tmp_path_factory, lines):
         m = model_of(lines, 2)
         path = tmp_path_factory.mktemp("esc") / "m.tsv"

@@ -197,13 +197,6 @@ class TestSegmentCorpus:
         assert len(segs) == 1000
         assert all(s.line == l for s, l in zip(segs, corpus.lines))
 
-    def test_jobs_match_serial(self):
-        m = model_of(["ab", "ac", "ad"], 2)
-        corpus = TextCorpus(("ab", "ac", "abab", "dcba"), "t")
-        serial = segment_corpus(m, corpus, params(), jobs=1)
-        threaded = segment_corpus(m, corpus, params(), jobs=4)
-        assert serial == threaded
-
 
 class TestSegmentationType:
     def test_cuts_and_tokens_derivable(self):
