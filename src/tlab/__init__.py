@@ -63,11 +63,11 @@ from .ngram import (
     save_model,
 )
 from .segmenter import (
-    FreedomProfile,
     Segmentation,
     SegmenterParams,
     detect_boundaries,
     profile,
+    scores,
     segment,
     segment_corpus,
 )

@@ -70,14 +70,17 @@ def load_text(path: str | Path, source_id: str | None = None) -> TextCorpus:
 
 
 def load_gold(path: str | Path) -> GoldSegmentation:
-    """Read a reference segmentation: tokens separated by whitespace runs.
+    """Read a reference or tokenized segmentation: tokens separated by whitespace runs.
 
-    Lines with zero tokens are dropped and counted in ``dropped``.
+    Inside tokens ``\\\\`` and ``\\s`` are undone as :func:`save_segmented`
+    writes them. Lines with zero tokens are dropped and counted in ``dropped``.
     """
     lines: list[tuple[str, ...]] = []
     dropped = 0
     for raw in _split_lines(_decode(path)):
         tokens = tuple(raw.split())
+        if "\\" in raw:
+            tokens = tuple(unescape_token(t) for t in tokens)
         if tokens:
             lines.append(tokens)
         else:
@@ -120,10 +123,8 @@ def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> No
 
 
 def load_segmented(path: str | Path) -> GoldSegmentation:
-    """Read a file produced by :func:`save_segmented`, undoing its escapes."""
-    gold = load_gold(path)
-    lines = tuple(tuple(unescape_token(t) for t in tokens) for tokens in gold.lines)
-    return GoldSegmentation(lines, gold.dropped)
+    """Read a file produced by :func:`save_segmented`; the same reader as :func:`load_gold`."""
+    return load_gold(path)
 
 
 def split_even_odd(corpus: TextCorpus) -> SplitPair:

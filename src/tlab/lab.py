@@ -6,7 +6,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,9 +23,9 @@ from .metrics import (
     project_cuts,
     stripped_boundaries,
 )
-from .morphology import AffixInventory, FreqLexicon, build_morph_model, weighted_morph_f1
+from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts, thresholded_morph_f1
 from .ngram import build_model, prune
-from .segmenter import MODES, SegmenterParams, detect_boundaries, profile
+from .segmenter import MODES, SegmenterParams, detect_boundaries, scores
 
 MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
 MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
@@ -168,8 +168,7 @@ def run_grid(
 
     The two interleaved train halves (for cross-split F1) are counted once,
     the full-train model is their sum, and all three are pruned per prune
-    value; freedom profiles are shared across the peak/mode axes, which
-    cannot change them.
+    value; every peak value of a (prune, n, mode) cell shares its gap scores.
     Failed trials are recorded with an error marker instead of aborting.
     """
     if n_max < max(spec.n_values):
@@ -187,30 +186,28 @@ def run_grid(
 
     part_a, part_b = split_even_odd(train)
     raw_a, raw_b = build_model(part_a, n_max), build_model(part_b, n_max)
-    raw_models = (raw_a + raw_b, raw_a, raw_b)
+    return _sweep(
+        spec, (raw_a + raw_b, raw_a, raw_b), test.lines, _word_trial, test.lines, prefixes, gold_bounds
+    )
 
-    ns = sorted(set(spec.n_values))
+
+def _sweep(spec: GridSpec, raw_models, lines, trial, *args) -> list[TrialRecord]:
+    """Record ``trial(params, line_scores, *args)`` at every grid point, sorted.
+
+    The raw models are pruned once per prune value, and ``line_scores`` (the
+    gap scores of every line under each model) are computed once per
+    (prune, n, mode) cell, whose peak values only threshold them.
+    """
     peaks = sorted(set(spec.peak_values))
-    prunes = sorted(set(spec.prune_values))
-    modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)
-
     records: list[TrialRecord] = []
-    for prune_threshold in prunes:
-        model, model_a, model_b = (prune(m, prune_threshold) for m in raw_models)
-        for n in ns:
-            profiles = [
-                [
-                    (profile(m, line, n, "forward"), profile(m, line, n, "backward"))
-                    for line in test.lines
-                ]
-                for m in (model, model_a, model_b)
-            ]
-            for peak in peaks:
-                for mode in modes:
+    for prune_threshold in sorted(set(spec.prune_values)):
+        models = [prune(m, prune_threshold) for m in raw_models]
+        for n in sorted(set(spec.n_values)):
+            for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):
+                line_scores = [[scores(m, line, n, mode) for line in lines] for m in models]
+                for peak in peaks:
                     params = SegmenterParams(n, peak, prune_threshold, mode)
-                    records.append(_timed_trial(
-                        _word_trial, params, test.lines, prefixes, gold_bounds, profiles
-                    ))
+                    records.append(_timed_trial(trial, params, line_scores, *args))
     records.sort(key=lambda r: _sort_key(r.params))
     return records
 
@@ -229,15 +226,15 @@ def _timed_trial(
     return TrialRecord(params, report, reciprocal, wall, error)
 
 
-def _word_trial(params, lines, prefixes, gold_bounds, profiles):
-    main, half_a, half_b = profiles
+def _word_trial(params, line_scores, lines, prefixes, gold_bounds):
+    threshold = params.peak_threshold
     tp = fp = fn = 0
     atp = afp = afn = 0
     piece_counts: dict[str, int] = {}
     total_tokens = 0
     total_chars = 0
-    for line, prefix, gold_b, pm, pa, pb in zip(lines, prefixes, gold_bounds, main, half_a, half_b):
-        cuts = detect_boundaries(pm[0], pm[1], params)
+    for line, prefix, gold_b, sm, sa, sb in zip(lines, prefixes, gold_bounds, *line_scores):
+        cuts = detect_boundaries(sm, threshold)
         predicted = project_cuts(prefix, cuts)
         tp += len(predicted & gold_b)
         fp += len(predicted - gold_b)
@@ -251,8 +248,8 @@ def _word_trial(params, lines, prefixes, gold_bounds, profiles):
             piece_counts[token] = piece_counts.get(token, 0) + 1
             total_tokens += 1
             total_chars += len(token)
-        bounds_a = project_cuts(prefix, detect_boundaries(pa[0], pa[1], params))
-        bounds_b = project_cuts(prefix, detect_boundaries(pb[0], pb[1], params))
+        bounds_a = project_cuts(prefix, detect_boundaries(sa, threshold))
+        bounds_b = project_cuts(prefix, detect_boundaries(sb, threshold))
         atp += len(bounds_a & bounds_b)
         afp += len(bounds_a - bounds_b)
         afn += len(bounds_b - bounds_a)
@@ -274,31 +271,20 @@ def run_morph_grid(
     spec: GridSpec,
     n_max: int,
 ) -> list[TrialRecord]:
-    """Grid search scored by frequency-weighted morph F1; csf1/avg3 not applicable."""
+    """Grid search scored by frequency-weighted morph F1; csf1/avg3 not applicable.
+
+    The greedy reference cuts are parsed once for the whole grid.
+    """
     if n_max < max(spec.n_values):
         raise DataError(f"n_max {n_max} is below the largest grid order {max(spec.n_values)}")
     raw = build_morph_model(lexicon, n_max)
-
-    ns = sorted(set(spec.n_values))
-    peaks = sorted(set(spec.peak_values))
-    prunes = sorted(set(spec.prune_values))
-    modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)
-
-    records: list[TrialRecord] = []
-    for prune_threshold in prunes:
-        pruned = prune(raw, prune_threshold)
-        for n in ns:
-            for peak in peaks:
-                for mode in modes:
-                    params = SegmenterParams(n, peak, prune_threshold, mode)
-                    records.append(_timed_trial(_morph_trial, params, pruned, lexicon, inventory))
-    records.sort(key=lambda r: _sort_key(r.params))
-    return records
+    references = reference_cuts(lexicon, inventory)
+    return _sweep(spec, (raw,), lexicon.entries, _morph_trial, lexicon, references)
 
 
-def _morph_trial(params, pruned, lexicon, inventory):
-    f1, s_value, c_value = weighted_morph_f1(
-        pruned, lexicon, inventory, replace(params, prune_threshold=0)
+def _morph_trial(params, line_scores, lexicon, references):
+    f1, s_value, c_value = thresholded_morph_f1(
+        lexicon, references, line_scores[0], params.peak_threshold
     )
     report = MetricsReport(
         f1, s_value, c_value, None, None, (s_value + c_value) / 2, s_value * c_value

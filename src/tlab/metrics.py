@@ -82,22 +82,27 @@ def stripped_boundaries(tokens: Sequence[str]) -> tuple[str, frozenset[int]]:
     return stream, project_cuts(prefix, cuts)
 
 
-def boundary_counts(
-    pred: Sequence[Sequence[str]], ref: Sequence[Sequence[str]]
-) -> BoundaryCounts:
-    """Micro-aggregated boundary tallies of two token-per-line sequences."""
+def _tally(pred, ref, units) -> BoundaryCounts:
+    """Micro-aggregated tallies of the ``(stream, unit set)`` that ``units`` gives each line."""
     if len(pred) != len(ref):
         raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
     tp = fp = fn = 0
     for i, (pt, rt) in enumerate(zip(pred, ref)):
-        p_stream, p_bounds = stripped_boundaries(pt)
-        r_stream, r_bounds = stripped_boundaries(rt)
+        p_stream, p_units = units(pt)
+        r_stream, r_units = units(rt)
         if p_stream != r_stream:
             raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-        tp += len(p_bounds & r_bounds)
-        fp += len(p_bounds - r_bounds)
-        fn += len(r_bounds - p_bounds)
+        tp += len(p_units & r_units)
+        fp += len(p_units - r_units)
+        fn += len(r_units - p_units)
     return BoundaryCounts(tp, fp, fn)
+
+
+def boundary_counts(
+    pred: Sequence[Sequence[str]], ref: Sequence[Sequence[str]]
+) -> BoundaryCounts:
+    """Micro-aggregated boundary tallies of two token-per-line sequences."""
+    return _tally(pred, ref, stripped_boundaries)
 
 
 def f1_score(counts: BoundaryCounts) -> float:
@@ -139,20 +144,7 @@ def token_span_counts(
 
     Stricter than boundary comparison; kept for sensitivity analysis only.
     """
-    if len(pred) != len(ref):
-        raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
-    tp = fp = fn = 0
-    for i, (pt, rt) in enumerate(zip(pred, ref)):
-        p_stream, _ = stripped_boundaries(pt)
-        r_stream, _ = stripped_boundaries(rt)
-        if p_stream != r_stream:
-            raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-        p_spans = token_spans(pt)
-        r_spans = token_spans(rt)
-        tp += len(p_spans & r_spans)
-        fp += len(p_spans - r_spans)
-        fn += len(r_spans - p_spans)
-    return BoundaryCounts(tp, fp, fn)
+    return _tally(pred, ref, lambda tokens: (stripped_boundaries(tokens)[0], token_spans(tokens)))
 
 
 def token_span_f1(
@@ -213,9 +205,12 @@ def cross_split_f1(
     """
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
+    if params.n > n_max:
+        raise DataError(f"order {params.n} exceeds model n_max {n_max}")
+    # only order n is read, and its counts do not depend on the orders above it
     part_a, part_b = split_even_odd(train)
-    model_a = build_model(part_a, n_max)
-    model_b = build_model(part_b, n_max)
+    model_a = build_model(part_a, params.n)
+    model_b = build_model(part_b, params.n)
     seg_a = [s.tokens for s in segment_corpus(model_a, test, params)]
     seg_b = [s.tokens for s in segment_corpus(model_b, test, params)]
     return f1_score(boundary_counts(seg_a, seg_b))

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .metrics import (
+    BoundaryCounts,
     TokenStats,
     anti_entropy,
-    boundary_counts,
     compression_factor,
     f1_score,
 )
 from .ngram import TransitionModel, build_model, prune
-from .segmenter import SegmenterParams, segment
+from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores, segment
 
 
 @dataclass
@@ -147,35 +147,60 @@ def morph_segment(model: TransitionModel, word: str, params: SegmenterParams) ->
     return MorphParse(segment(model, word, params).tokens)
 
 
+def reference_cuts(lexicon: FreqLexicon, inventory: AffixInventory) -> list[frozenset[int]]:
+    """Cut positions of every word's greedy parse, in lexicon order."""
+    return [
+        frozenset(Segmentation.from_tokens(greedy_parse(word, inventory).pieces).boundaries)
+        for word in lexicon.entries
+    ]
+
+
+def thresholded_morph_f1(
+    lexicon: FreqLexicon,
+    references: Sequence[frozenset[int]],
+    word_scores: Sequence[Sequence[float]],
+    threshold: float,
+) -> tuple[float, float, float]:
+    """Cut each word where its gap score reaches ``threshold`` and score the cuts.
+
+    Per-word boundary F1 against the reference cuts (words hold no
+    whitespace, so cut sets compare directly) is averaged with word-frequency
+    weights; anti-entropy and compression factor accumulate every word's
+    pieces with multiplicity equal to its frequency.
+    """
+    f1_weighted = 0.0
+    total_weight = 0
+    piece_counts: dict[str, int] = {}
+    total_tokens = 0
+    total_chars = 0
+    for (word, freq), reference, gap_scores in zip(lexicon.entries.items(), references, word_scores):
+        cuts = detect_boundaries(gap_scores, threshold)
+        hits = len(reference.intersection(cuts))
+        f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
+        total_weight += freq
+        prev = 0
+        for cut in (*cuts, len(word)):
+            piece = word[prev:cut]
+            prev = cut
+            piece_counts[piece] = piece_counts.get(piece, 0) + freq
+        total_tokens += freq * (len(cuts) + 1)
+        total_chars += freq * len(word)
+    stats = TokenStats(piece_counts, total_tokens, total_chars)
+    return f1_weighted / total_weight, anti_entropy(stats), compression_factor(stats)
+
+
 def weighted_morph_f1(
     model: TransitionModel,
     lexicon: FreqLexicon,
     inventory: AffixInventory,
     params: SegmenterParams,
 ) -> tuple[float, float, float]:
-    """Score freedom-peak parses against the greedy reference over a lexicon.
-
-    Per-word boundary F1 values are averaged with word-frequency weights;
-    anti-entropy and compression factor accumulate every word's pieces with
-    multiplicity equal to its frequency.
-    """
+    """Frequency-weighted F1, anti-entropy and compression factor of freedom-peak
+    parses against the greedy reference (see :func:`thresholded_morph_f1`)."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
     pruned = prune(model, params.prune_threshold)
-    word_params = replace(params, prune_threshold=0)
-    f1_weighted = 0.0
-    total_weight = 0
-    piece_counts: dict[str, int] = {}
-    total_tokens = 0
-    total_chars = 0
-    for word, freq in lexicon.entries.items():
-        predicted = segment(pruned, word, word_params).tokens
-        reference = greedy_parse(word, inventory).pieces
-        f1_weighted += freq * f1_score(boundary_counts([predicted], [reference]))
-        total_weight += freq
-        for piece in predicted:
-            piece_counts[piece] = piece_counts.get(piece, 0) + freq
-        total_tokens += freq * len(predicted)
-        total_chars += freq * len(word)
-    stats = TokenStats(piece_counts, total_tokens, total_chars)
-    return f1_weighted / total_weight, anti_entropy(stats), compression_factor(stats)
+    word_scores = [scores(pruned, word, params.n, params.direction_mode) for word in lexicon.entries]
+    return thresholded_morph_f1(
+        lexicon, reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
+    )

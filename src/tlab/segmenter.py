@@ -1,8 +1,8 @@
-"""Transition-freedom profiles and peak-detection segmentation."""
+"""Transition-freedom profiles, gap scores, and score-then-threshold segmentation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
@@ -29,14 +29,6 @@ class SegmenterParams:
             raise DataError(f"prune threshold must be >= 0, got {self.prune_threshold}")
         if self.direction_mode not in MODES:
             raise DataError(f"direction mode must be one of {MODES}, got {self.direction_mode!r}")
-
-
-@dataclass(frozen=True)
-class FreedomProfile:
-    """Normalized freedom values at candidate boundary positions 1..len-1."""
-
-    values: tuple[float, ...]
-    direction: str
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class Segmentation:
         return "".join(self.tokens)
 
 
-def profile(model: TransitionModel, line: str, n: int, direction: str) -> FreedomProfile:
+def profile(model: TransitionModel, line: str, n: int, direction: str) -> tuple[float, ...]:
     """Freedom at every gap of ``line``, scaled by the order's max freedom.
 
     Position i scores the n-gram ending at scalar i-1 (forward) or starting
@@ -84,60 +76,52 @@ def profile(model: TransitionModel, line: str, n: int, direction: str) -> Freedo
     """
     length = len(line)
     if length < 2:
-        return FreedomProfile((), direction)
+        return ()
     maxf = max_freedom(model, n, direction)
     if maxf == 0:
-        return FreedomProfile((0.0,) * (length - 1), direction)
+        return (0.0,) * (length - 1)
     degree = model.degrees[n, direction].get
-    values = []
     if direction == "forward":
-        for i in range(1, length):
-            values.append(degree(line[i - n : i], 0) / maxf if i >= n else 0.0)
-    else:
-        for i in range(1, length):
-            values.append(degree(line[i : i + n], 0) / maxf if i + n <= length else 0.0)
-    return FreedomProfile(tuple(values), direction)
+        return tuple([degree(line[i - n : i], 0) / maxf if i >= n else 0.0 for i in range(1, length)])
+    return tuple([degree(line[i : i + n], 0) / maxf if i + n <= length else 0.0 for i in range(1, length)])
 
 
-def detect_boundaries(
-    p_fwd: FreedomProfile, p_bwd: FreedomProfile, params: SegmenterParams
-) -> tuple[int, ...]:
-    """Positions whose rising derivative reaches the peak threshold.
+def scores(model: TransitionModel, line: str, n: int, mode: str) -> list[float]:
+    """The boundary score of every gap of ``line``; a gap is cut iff its score reaches the peak.
 
-    Forward reads left to right (virtual 0 before the line), backward right
-    to left (virtual 0 after it); a position is a boundary when any selected
-    direction fires. A threshold of 0 accepts every non-negative derivative.
+    Forward scores the rise from the previous gap (virtual 0 before the
+    line), backward the drop to the next gap (virtual 0 after it), and union
+    the larger of the two, so that it fires whenever either direction does.
     """
-    fwd = p_fwd.values
-    bwd = p_bwd.values
-    if len(fwd) != len(bwd):
-        raise DataError(f"profile length mismatch: {len(fwd)} vs {len(bwd)}")
-    use_f = params.direction_mode in ("forward", "union")
-    use_b = params.direction_mode in ("backward", "union")
-    threshold = params.peak_threshold
-    last = len(fwd) - 1
-    cuts = []
-    for k in range(len(fwd)):
-        hit = use_f and fwd[k] - (fwd[k - 1] if k > 0 else 0.0) >= threshold
-        if not hit and use_b:
-            hit = bwd[k] - (bwd[k + 1] if k < last else 0.0) >= threshold
-        if hit:
-            cuts.append(k + 1)
-    return tuple(cuts)
+    if n > model.n_max:
+        raise DataError(f"order {n} exceeds model n_max {model.n_max}")
+    if mode != "backward":
+        fwd = profile(model, line, n, "forward")
+        rises = [value - before for value, before in zip(fwd, (0.0, *fwd))]
+        if mode == "forward":
+            return rises
+    bwd = profile(model, line, n, "backward")
+    drops = [value - after for value, after in zip(bwd, (*bwd[1:], 0.0))]
+    if mode == "backward":
+        return drops
+    return [max(rise, drop) for rise, drop in zip(rises, drops)]
+
+
+def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int]:
+    """Cut positions (1-based gap indices) of the scores that reach ``threshold``."""
+    return [k for k, score in enumerate(gap_scores, 1) if score >= threshold]
+
+
+def _cut(model: TransitionModel, line: str, params: SegmenterParams) -> Segmentation:
+    if not line:
+        raise DataError("cannot segment an empty line")
+    gap_scores = scores(model, line, params.n, params.direction_mode)
+    return Segmentation.from_cuts(line, detect_boundaries(gap_scores, params.peak_threshold))
 
 
 def segment(model: TransitionModel, line: str, params: SegmenterParams) -> Segmentation:
-    """Prune, profile, and cut one line. Single-scalar lines stay whole."""
-    if not line:
-        raise DataError("cannot segment an empty line")
-    if params.n > model.n_max:
-        raise DataError(f"order {params.n} exceeds model n_max {model.n_max}")
-    pruned = prune(model, params.prune_threshold)
-    if len(line) == 1:
-        return Segmentation.from_cuts(line, ())
-    p_fwd = profile(pruned, line, params.n, "forward")
-    p_bwd = profile(pruned, line, params.n, "backward")
-    return Segmentation.from_cuts(line, detect_boundaries(p_fwd, p_bwd, params))
+    """Prune, score and cut one line. Single-scalar lines stay whole."""
+    return _cut(prune(model, params.prune_threshold), line, params)
 
 
 def segment_corpus(
@@ -149,13 +133,12 @@ def segment_corpus(
     if params.n > model.n_max:
         raise DataError(f"order {params.n} exceeds model n_max {model.n_max}")
     pruned = prune(model, params.prune_threshold)
-    line_params = replace(params, prune_threshold=0)
 
     results = []
     failures = []
     for i, line in enumerate(corpus.lines):
         try:
-            results.append(segment(pruned, line, line_params))
+            results.append(_cut(pruned, line, params))
         except Exception as exc:  # noqa: BLE001 - aggregated below
             failures.append((i, exc))
     if failures:

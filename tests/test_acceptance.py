@@ -284,8 +284,8 @@ def test_a7_property_suites():
         model = model_of(lines, weights, n_max=4)
         model_rev = model_of([l[::-1] for l in lines], weights, n_max=4)
         for line in lines[:3]:
-            backward = profile(model, line, n, "backward").values
-            forward_rev = profile(model_rev, line[::-1], n, "forward").values
+            backward = profile(model, line, n, "backward")
+            forward_rev = profile(model_rev, line[::-1], n, "forward")
             assert backward == tuple(reversed(forward_rev))
 
     @settings(max_examples=100, deadline=None)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tlab.cli import main
-from tlab.corpus import save_segmented, save_text
+from tlab.corpus import TextCorpus, save_segmented, save_text
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -79,9 +79,54 @@ def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
     assert main(["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5",
                  str(corpus_path), "--out", str(pred_path)]) == 0
     capsys.readouterr()
-    assert main(["evaluate", "--pred", str(pred_path), "--gold", str(corpus_path),
+    # gold files share the tokenized format's escapes
+    gold_path = tmp_path / "gold.txt"
+    save_segmented([("C:\\sdir", "x"), ("C:\\sdir",)], gold_path)
+    assert main(["evaluate", "--pred", str(pred_path), "--gold", str(gold_path),
                  "--metrics", "f1"]) == 0
     assert json.loads(capsys.readouterr().out.strip())["f1"] is not None
+
+
+def test_evaluate_scores_backslash_gold(tmp_path, capsys):
+    gold_path = tmp_path / "gold.txt"
+    save_segmented([("C:\\dir", "x"), ("a\\", "b")], gold_path)
+    assert main(["evaluate", "--pred", str(gold_path), "--gold", str(gold_path),
+                 "--metrics", "f1"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["f1"] == 1.0
+
+
+def test_grid_search_scores_backslash_gold(tmp_path, capsys):
+    # renaming a character changes no metric, so the backslash run must
+    # produce the same trial rows as the run with "/" in its place
+    words = ("C:\\dir", "x", "ab\\", "yz")
+    train = [" ".join(words[i % 4] for i in range(k, k + 5)) for k in range(12)]
+    test = [(words[k % 4], words[(k + 1) % 4], words[(k + 3) % 4]) for k in range(6)]
+    rows = []
+    for name, char in (("bs", "\\"), ("slash", "/")):
+        swap = str.maketrans("\\", char)
+        save_text(TextCorpus(tuple(line.translate(swap) for line in train)), tmp_path / f"{name}-train.txt")
+        save_text(TextCorpus(tuple(" ".join(t).translate(swap) for t in test)), tmp_path / f"{name}-test.txt")
+        save_segmented([[w.translate(swap) for w in t] for t in test], tmp_path / f"{name}-gold.txt")
+        out_csv = tmp_path / f"{name}.csv"
+        assert main(["grid-search", "--train", str(tmp_path / f"{name}-train.txt"),
+                     "--test", str(tmp_path / f"{name}-test.txt"),
+                     "--gold", str(tmp_path / f"{name}-gold.txt"), "--n-max", "2",
+                     "--grid", "n=1,2;peak=0:0.6:0.3;prune=0;mode=fwd,union",
+                     "--out-csv", str(out_csv)]) == 0
+        rows.append(out_csv.read_text().splitlines()[1:])
+    capsys.readouterr()
+    assert rows[0] == rows[1]
+    assert all(row.endswith(",0,") for row in rows[0][1:])  # no trial failed
+
+
+def test_evaluate_csf1_order_above_n_max_is_data_error(word_data, tmp_path, capsys):
+    pred_path = tmp_path / "pred.txt"
+    save_segmented([("ab", "cd")], pred_path)
+    assert main(["evaluate", "--pred", str(pred_path), "--train", str(word_data["train"]),
+                 "--test", str(word_data["test"]), "--metrics", "csf1",
+                 "--n", "9", "--peak", "0.5"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError" and "9" in err["message"]
 
 
 def test_evaluate_emits_single_line_json(word_data, tmp_path, capsys):

@@ -61,6 +61,11 @@ class TestLoadGold:
         assert gold.lines == (("a", "b"), ("c",))
         assert gold.dropped == 2
 
+    def test_reads_segmented_escapes(self, tmp_path):
+        path = tmp_path / "gold.txt"
+        save_segmented([("C:\\dir", "a b"), ("x",)], path)
+        assert load_gold(path).lines == (("C:\\dir", "a b"), ("x",))
+
 
 class TestSplitEvenOdd:
     def test_four_lines(self):

@@ -1,0 +1,56 @@
+"""Byte-exact outputs of the two grid commands on tiny seeded inputs.
+
+The digests were recorded before the boundary decision moved to the
+score-then-threshold core; any change to a trial CSV or summary byte,
+including the echoed config, fails here.
+"""
+
+import hashlib
+
+from tlab.cli import main
+from tlab.corpus import TextCorpus, save_segmented, save_text
+from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
+
+GRID_SEARCH = {
+    "trials.csv": "824b2dee93331b6f641d053a6124a2bec142d968a699f1ac999f21d0111e3154",
+    "summary.json": "1c2a400bea559a78f2752353d339c149069eb829e157aeec3b27eea8ee04e56c",
+}
+MORPH_GRID = {
+    "trials.csv": "ccced2d191e893147f6833518db282c8d48a6d579e93e3cdafed8fb82d818f14",
+    "summary.json": "6f62d5cbb3e58dd58ec54035945df3d48d42da1f2c8a7e939f21d48758c4150a",
+}
+
+
+def digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_grid_search_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    words, weights = make_vocabulary(5, size=12, min_len=2, max_len=4, alphabet="abcdef")
+    train, _ = make_segmented_corpus(words, weights, 11, lines=60, min_words=3, max_words=6)
+    test, gold = make_segmented_corpus(words, weights, 12, lines=10, min_words=3, max_words=6)
+    save_text(train, tmp_path / "train.txt")
+    save_text(test, tmp_path / "test.txt")
+    save_segmented(gold.lines, tmp_path / "gold.txt")
+    assert main(["grid-search", "--train", "train.txt", "--test", "test.txt", "--gold", "gold.txt",
+                 "--n-max", "3", "--grid", "n=1..3;peak=0:0.9:0.3;prune=0,1;mode=fwd,bwd,union",
+                 "--out-csv", "trials.csv", "--out-summary", "summary.json"]) == 0
+    capsys.readouterr()
+    assert digests(tmp_path, GRID_SEARCH) == GRID_SEARCH
+
+
+def test_morph_grid_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lexicon, inventory = make_affixed_lexicon(3, stems=8, suffixes=3)
+    entries = [f"{word}\t{1 + 97 % (i + 2)}" for i, word in enumerate(lexicon.entries)]
+    save_text(TextCorpus(tuple(entries)), tmp_path / "lexicon.txt")
+    save_text(TextCorpus(tuple(sorted(inventory.suffixes))), tmp_path / "suffixes.txt")
+    stems = sorted({word[:2] for word in lexicon.entries})[:2]
+    save_text(TextCorpus(tuple(stems)), tmp_path / "prefixes.txt")
+    assert main(["morph-grid", "--lexicon", "lexicon.txt", "--suffixes", "suffixes.txt",
+                 "--prefixes", "prefixes.txt", "--min-stem", "2", "--n-max", "4",
+                 "--grid", "n=1..4;peak=0.1:0.9:0.2;prune=0,2;mode=fwd,bwd,union",
+                 "--out-csv", "trials.csv", "--out-summary", "summary.json"]) == 0
+    capsys.readouterr()
+    assert digests(tmp_path, MORPH_GRID) == MORPH_GRID

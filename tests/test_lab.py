@@ -18,14 +18,24 @@ from tlab.lab import (
 )
 from tlab.metrics import (
     MetricsReport,
+    TokenStats,
     anti_entropy,
+    boundary_counts,
     boundary_f1,
     compression_factor,
     cross_split_f1,
+    f1_score,
     token_stats,
 )
+from tlab.morphology import (
+    AffixInventory,
+    FreqLexicon,
+    build_morph_model,
+    greedy_parse,
+    weighted_morph_f1,
+)
 from tlab.ngram import build_model
-from tlab.segmenter import SegmenterParams, segment_corpus
+from tlab.segmenter import SegmenterParams, segment, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -144,12 +154,10 @@ class TestRunGrid:
             segs = segment_corpus(model, test, params)
             _, f1 = boundary_f1(segs, gold)
             stats = token_stats(segs, drop_whitespace_tokens=True)
-            assert record.report.f1 == pytest.approx(f1)
-            assert record.report.anti_entropy == pytest.approx(anti_entropy(stats))
-            assert record.report.compression_factor == pytest.approx(compression_factor(stats))
-            assert record.report.csf1 == pytest.approx(
-                cross_split_f1(train, test, params, n_max)
-            )
+            assert record.report.f1 == f1
+            assert record.report.anti_entropy == anti_entropy(stats)
+            assert record.report.compression_factor == compression_factor(stats)
+            assert record.report.csf1 == cross_split_f1(train, test, params, n_max)
 
     def test_misaligned_gold_rejected(self):
         train, test, gold = tiny_setup()
@@ -174,6 +182,45 @@ class TestRunMorphGrid:
         spec = parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,union")
         records = run_morph_grid(lex, inv, spec, 3)
         assert len(records) == spec.cardinality == 12
+
+    def test_matches_per_word_pipeline(self):
+        # every record equals, to the last bit, segmenting each word on its
+        # own and tallying its boundaries against a fresh greedy parse
+        lex, inv = make_affixed_lexicon(3, stems=6, suffixes=3)
+        lex = FreqLexicon({word: 1 + i % 4 for i, word in enumerate(lex.entries)})
+        prefixes = frozenset(sorted({word[:2] for word in lex.entries})[:2])
+        inv = AffixInventory(prefixes, inv.suffixes, min_stem=2)
+        spec = parse_grid_spec("n=1..3;peak=0.1:0.9:0.2;prune=0,2;mode=fwd,bwd,union")
+        n_max = 3
+        records = run_morph_grid(lex, inv, spec, n_max)
+        assert len(records) == spec.cardinality
+        for record in records:
+            assert record.error is None
+            params = record.params
+            model = build_morph_model(lex, n_max)
+            f1_weighted = 0.0
+            total_weight = 0
+            piece_counts = {}
+            total_tokens = 0
+            total_chars = 0
+            for word, freq in lex.entries.items():
+                predicted = segment(model, word, params).tokens
+                reference = greedy_parse(word, inv).pieces
+                f1_weighted += freq * f1_score(boundary_counts([predicted], [reference]))
+                total_weight += freq
+                for piece in predicted:
+                    piece_counts[piece] = piece_counts.get(piece, 0) + freq
+                total_tokens += freq * len(predicted)
+                total_chars += freq * len(word)
+            stats = TokenStats(piece_counts, total_tokens, total_chars)
+            expected = (f1_weighted / total_weight, anti_entropy(stats), compression_factor(stats))
+            report = record.report
+            got = (report.f1, report.anti_entropy, report.compression_factor)
+            assert got == expected
+            assert got == weighted_morph_f1(build_morph_model(lex, n_max), lex, inv, params)
+            s_value, c_value = expected[1:]
+            assert (report.avg2, report.product) == ((s_value + c_value) / 2, s_value * c_value)
+            assert record.reciprocal_cf == 1.0 / c_value
 
     def test_correlation_has_definite_sign(self):
         # correct morph cuts shrink the piece dictionary, so F1 and the

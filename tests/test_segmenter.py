@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from tlab.corpus import DataError, TextCorpus
 from tlab.ngram import build_model
 from tlab.segmenter import (
-    FreedomProfile,
     Segmentation,
     SegmenterParams,
     detect_boundaries,
     profile,
+    scores,
     segment,
     segment_corpus,
 )
@@ -48,26 +47,24 @@ class TestProfile:
     def test_shared_prefix_scores_full(self):
         # two lines "ab"/"ac": context "a" continues 2 ways, the maximum
         m = model_of(["ab", "ac"], 1)
-        p = profile(m, "ab", 1, "forward")
-        assert p.values == (1.0,)
+        assert profile(m, "ab", 1, "forward") == (1.0,)
 
     def test_absent_gram_scores_zero(self):
         m = model_of(["ab", "ac"], 1)
-        p = profile(m, "zb", 1, "forward")
-        assert p.values == (0.0,)
+        assert profile(m, "zb", 1, "forward") == (0.0,)
 
     def test_length_two_line(self):
         m = model_of(["ab"], 1)
-        assert len(profile(m, "xy", 1, "forward").values) == 1
+        assert len(profile(m, "xy", 1, "forward")) == 1
 
     def test_short_line_empty_profile(self):
         m = model_of(["ab"], 1)
-        assert profile(m, "a", 1, "forward").values == ()
+        assert profile(m, "a", 1, "forward") == ()
 
     def test_incomplete_context_scores_zero(self):
         m = model_of(["abcd"], 3)
         p = profile(m, "abcd", 3, "forward")
-        assert p.values[0] == 0.0 and p.values[1] == 0.0
+        assert p[0] == 0.0 and p[1] == 0.0
 
     @given(corpora_with_weights(max_lines=8), orders)
     def test_matches_bruteforce(self, lines_weights, n):
@@ -75,50 +72,45 @@ class TestProfile:
         m = model_of(lines, 4, weights=weights)
         for direction in ("forward", "backward"):
             for line in lines[:3]:
-                got = profile(m, line, n, direction).values
+                got = profile(m, line, n, direction)
                 expected = bf_profile(lines, weights, line, n, direction)
                 assert list(got) == expected
 
 
 class TestDetectBoundaries:
     def test_all_zero_profiles(self):
-        pf = FreedomProfile((0.0, 0.0, 0.0), "forward")
-        pb = FreedomProfile((0.0, 0.0, 0.0), "backward")
-        assert detect_boundaries(pf, pb, params(peak=0.5)) == ()
+        m = model_of(["ab"], 1)
+        assert scores(m, "zzzz", 1, "union") == [0.0, 0.0, 0.0]
+        assert detect_boundaries([0.0, 0.0, 0.0], 0.5) == []
 
     def test_zero_threshold_marks_nonnegative(self):
-        pf = FreedomProfile((0.0, 0.0), "forward")
-        pb = FreedomProfile((0.0, 0.0), "backward")
-        assert detect_boundaries(pf, pb, params(peak=0.0)) == (1, 2)
+        assert detect_boundaries([0.0, 0.0], 0.0) == [1, 2]
+        assert detect_boundaries([0.0, -0.5, 0.25], 0.0) == [1, 3]
 
     def test_rising_edge(self):
         m = model_of(["ab", "ac"], 1)
-        pf = profile(m, "ab", 1, "forward")
-        pb = profile(m, "ab", 1, "backward")
-        assert detect_boundaries(pf, pb, params(peak=0.5, mode="forward")) == (1,)
+        assert detect_boundaries(scores(m, "ab", 1, "forward"), 0.5) == [1]
 
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            detect_boundaries(
-                FreedomProfile((0.0,), "forward"),
-                FreedomProfile((0.0, 0.0), "backward"),
-                params(),
-            )
+    def test_scores_are_rises_drops_and_their_max(self):
+        # "abc"/"abd": "a" has 1 successor of the maximum 2 ("b" -> c|d);
+        # every gram has exactly 1 predecessor
+        m = model_of(["abc", "abd"], 1)
+        assert profile(m, "abc", 1, "forward") == (0.5, 1.0)
+        assert profile(m, "abc", 1, "backward") == (1.0, 1.0)
+        assert scores(m, "abc", 1, "forward") == [0.5, 0.5]
+        assert scores(m, "abc", 1, "backward") == [0.0, 1.0]
+        assert scores(m, "abc", 1, "union") == [0.5, 1.0]
 
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=10),
-        st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=10),
-        peak_thresholds,
-    )
-    def test_union_contains_single_modes(self, fwd, bwd, peak):
-        k = min(len(fwd), len(bwd))
-        pf = FreedomProfile(tuple(fwd[:k]), "forward")
-        pb = FreedomProfile(tuple(bwd[:k]), "backward")
-        union = set(detect_boundaries(pf, pb, params(peak=peak, mode="union")))
-        fwd_only = set(detect_boundaries(pf, pb, params(peak=peak, mode="forward")))
-        bwd_only = set(detect_boundaries(pf, pb, params(peak=peak, mode="backward")))
-        assert fwd_only <= union and bwd_only <= union
-        assert union == fwd_only | bwd_only
+    @given(corpora_with_weights(max_lines=8), orders, peak_thresholds)
+    def test_union_contains_single_modes(self, lines_weights, n, peak):
+        lines, weights = lines_weights
+        m = model_of(lines, 4, weights=weights)
+        for line in lines[:3]:
+            union = set(detect_boundaries(scores(m, line, n, "union"), peak))
+            fwd_only = set(detect_boundaries(scores(m, line, n, "forward"), peak))
+            bwd_only = set(detect_boundaries(scores(m, line, n, "backward"), peak))
+            assert fwd_only <= union and bwd_only <= union
+            assert union == fwd_only | bwd_only
 
 
 class TestSegment:
@@ -175,8 +167,8 @@ class TestSegment:
         reversed_lines = [l[::-1] for l in lines]
         m_rev = model_of(reversed_lines, 4, weights=weights)
         for line in lines[:3]:
-            bwd = profile(m, line, n, "backward").values
-            fwd_rev = profile(m_rev, line[::-1], n, "forward").values
+            bwd = profile(m, line, n, "backward")
+            fwd_rev = profile(m_rev, line[::-1], n, "forward")
             assert bwd == tuple(reversed(fwd_rev))
 
 
