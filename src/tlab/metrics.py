@@ -11,12 +11,17 @@ alongside wherever trials are recorded.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model
 from .segmenter import Segmentation, SegmenterParams, segment_corpus
+
+# \s matches exactly the scalars for which str.isspace() holds
+_HAS_SPACE = re.compile(r"\s").search
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,8 @@ class MetricsReport:
 
 def nonspace_prefix(line: str) -> tuple[int, ...]:
     """Prefix counts of non-whitespace scalars; entry i covers line[:i]."""
+    if not _HAS_SPACE(line):
+        return tuple(range(len(line) + 1))
     acc = [0]
     n = 0
     for ch in line:
@@ -73,12 +80,11 @@ def stripped_boundaries(tokens: Sequence[str]) -> tuple[str, frozenset[int]]:
     """Whitespace-stripped stream of a token sequence and its boundary set."""
     line = "".join(tokens)
     prefix = nonspace_prefix(line)
-    cuts = []
-    pos = 0
-    for token in tokens[:-1]:
-        pos += len(token)
-        cuts.append(pos)
-    stream = "".join(ch for ch in line if not ch.isspace())
+    cuts = accumulate(map(len, tokens[:-1]))
+    if prefix[-1] == len(line):
+        stream = line  # no whitespace to strip
+    else:
+        stream = "".join(ch for ch in line if not ch.isspace())
     return stream, project_cuts(prefix, cuts)
 
 

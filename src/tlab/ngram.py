@@ -13,6 +13,8 @@ from .corpus import DataError, TextCorpus
 FORMAT_HEADER = "tlab-model v1"
 
 _CONTROL = ("\t", "\n", "\r")
+# only a window holding "x" or a control character can have a field to escape
+_MAY_ESCAPE = re.compile("[x\t\n\r]").search
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
 
 
@@ -59,6 +61,13 @@ def build_model(
 
     Windows never cross line boundaries and whitespace is an ordinary
     character. Each occurrence adds the line's weight (default 1).
+
+    Only the top order, ``n_max``, is counted by scanning the lines; each
+    lower order n is derived top-down from order n+1. An (n+1)-character
+    window either starts an (n+2)-character window at the same position or
+    is its line's last n+1 characters, so ``windows[n]`` is the count of
+    ``w[:-1]`` summed over ``windows[n+1]``, plus each longer-than-n line's
+    tail ``line[-(n+1):]`` at that line's weight.
     """
     if n_max < 1:
         raise DataError(f"n_max must be >= 1, got {n_max}")
@@ -70,16 +79,28 @@ def build_model(
         if any(w < 1 for w in line_weights):
             raise DataError("line weights must be positive integers")
 
-    windows: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
-    weights = line_weights if line_weights is not None else (1,) * len(corpus.lines)
-    for line, w in zip(corpus.lines, weights):
-        for n in range(1, min(n_max, len(line) - 1) + 1):
-            grams = (line[i : i + n + 1] for i in range(len(line) - n))
-            if w == 1:
-                windows[n].update(grams)
-            else:
-                for gram in grams:
-                    windows[n][gram] += w
+    lines = corpus.lines
+    weights = line_weights if line_weights is not None else (1,) * len(lines)
+    counts: Counter[str] = Counter()
+    for line, w in zip(lines, weights):
+        grams = (line[i : i + n_max + 1] for i in range(len(line) - n_max))
+        if w == 1:
+            counts.update(grams)
+        else:
+            for gram in grams:
+                counts[gram] += w
+    windows = {n_max: counts}
+    for n in range(n_max - 1, 0, -1):
+        lower: Counter[str] = Counter()
+        get = lower.get  # dict.get skips Counter.__missing__ on every new key
+        for gram, c in counts.items():
+            prefix = gram[:-1]
+            lower[prefix] = get(prefix, 0) + c
+        for line, w in zip(lines, weights):
+            if len(line) > n:
+                tail = line[-n - 1 :]
+                lower[tail] = get(tail, 0) + w
+        windows[n] = counts = lower
     return TransitionModel(n_max, windows)
 
 
@@ -140,18 +161,29 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
     order, gram and char.
     """
     out = [f"{FORMAT_HEADER} n_max={model.n_max}"]
-    for n, counts in sorted(model.windows.items()):
+    orders = sorted(model.windows.items())
+    for n, counts in orders:
         # for equal-length strings this is the order of (w[1:], w[0])
         for w in sorted(counts, key=lambda w: w[1:] + w[0]):
-            out.append(f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}")
-    for n, counts in sorted(model.windows.items()):
+            if _MAY_ESCAPE(w):
+                out.append(f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}")
+            else:
+                out.append(f"b\t{n}\t{w[1:]}\t{w[0]}\t{counts[w]}")
+    for n, counts in orders:
         for w in sorted(counts):
-            out.append(f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}")
+            if _MAY_ESCAPE(w):
+                out.append(f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}")
+            else:
+                out.append(f"f\t{n}\t{w[:-1]}\t{w[-1]}\t{counts[w]}")
     Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))
 
 
 def load_model(path: str | Path) -> TransitionModel:
-    """Read a model file; its ``b`` records must mirror its ``f`` records exactly."""
+    """Read a model file; its ``b`` records must mirror its ``f`` records exactly.
+
+    A record that repeats an earlier one (same tag, order, gram and char) is
+    rejected whatever its count.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -170,15 +202,20 @@ def load_model(path: str | Path) -> TransitionModel:
         raise ModelFormatError(f"{path}: n_max must be >= 1")
     forward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
     backward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
+    orders = {str(n): n for n in range(1, n_max + 1)}
     for lineno, record in enumerate(lines[1:], start=2):
         parts = record.split("\t")
         if len(parts) != 5:
             raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-        tag, n_text, gram_text, ch_text, count_text = parts
-        if tag not in ("f", "b"):
+        tag, n_text, gram, ch, count_text = parts
+        if tag == "f":
+            tables = forward
+        elif tag == "b":
+            tables = backward
+        else:
             raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
         try:
-            n = int(n_text)
+            n = orders.get(n_text) or int(n_text)
             count = int(count_text)
         except ValueError as exc:
             raise ModelFormatError(f"{path}:{lineno}: non-integer field") from exc
@@ -186,14 +223,17 @@ def load_model(path: str | Path) -> TransitionModel:
             raise ModelFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
         if count < 1:
             raise ModelFormatError(f"{path}:{lineno}: count must be positive")
-        gram = _unescape(gram_text)
-        ch = _unescape(ch_text)
+        if gram.startswith("x"):
+            gram = _unescape(gram)
+        if ch.startswith("x"):
+            ch = _unescape(ch)
         if len(gram) != n or len(ch) != 1:
             raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
-        if tag == "f":
-            forward[n][gram + ch] = count
-        else:
-            backward[n][ch + gram] = count
+        window = gram + ch if tables is forward else ch + gram
+        table = tables[n]
+        if window in table:
+            raise ModelFormatError(f"{path}:{lineno}: duplicate record")
+        table[window] = count
     if backward != forward:
         raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
     return TransitionModel(n_max, forward)

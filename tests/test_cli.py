@@ -69,6 +69,18 @@ def test_model_with_literal_hex_like_gram_loads(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tokenize_rejects_duplicate_model_record(tmp_path, capsys):
+    corpus_path = tmp_path / "c.txt"
+    corpus_path.write_text("ab\n")
+    model_path = tmp_path / "m.tsv"
+    model_path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\n")
+    assert main(["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5",
+                 str(corpus_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ModelFormatError"
+    assert err["message"] == f"{model_path}:4: duplicate record"
+
+
 def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
     corpus_path = tmp_path / "win.txt"
     corpus_path.write_text("C:\\sdir x\nC:\\sdir\n")

@@ -1,8 +1,9 @@
-"""Byte-exact outputs of the two grid commands on tiny seeded inputs.
+"""Byte-exact outputs of the two grid commands and of build-model on tiny seeded inputs.
 
-The digests were recorded before the boundary decision moved to the
-score-then-threshold core; any change to a trial CSV or summary byte,
-including the echoed config, fails here.
+The grid digests were recorded before the boundary decision moved to the
+score-then-threshold core, the model digest before the counts were derived
+top-down from the highest order; any change to a trial CSV, summary or model
+file byte, including the echoed config, fails here.
 """
 
 import hashlib
@@ -18,6 +19,9 @@ GRID_SEARCH = {
 MORPH_GRID = {
     "trials.csv": "ccced2d191e893147f6833518db282c8d48a6d579e93e3cdafed8fb82d818f14",
     "summary.json": "6f62d5cbb3e58dd58ec54035945df3d48d42da1f2c8a7e939f21d48758c4150a",
+}
+BUILD_MODEL = {
+    "model.tsv": "1afd30964bb7151dd40330f4a722a564c0014038ae0c8e92a85cb33675e064d4",
 }
 
 
@@ -54,3 +58,15 @@ def test_morph_grid_bytes(tmp_path, monkeypatch, capsys):
                  "--out-csv", "trials.csv", "--out-summary", "summary.json"]) == 0
     capsys.readouterr()
     assert digests(tmp_path, MORPH_GRID) == MORPH_GRID
+
+
+def test_build_model_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # literal "x", hex-like "x0a"/"x09", tab, lone CR and non-ASCII text all take the escape path
+    words, weights = make_vocabulary(9, size=14, min_len=1, max_len=4, alphabet="abx0a9\t\r\u00e9\U0001d538")
+    train, _ = make_segmented_corpus(words, weights, 13, lines=40, min_words=2, max_words=6)
+    lines = train.lines + ("ab x0a cd", "x09\tx", "x", "\\x0d\\")
+    save_text(TextCorpus(lines), tmp_path / "train.txt")
+    assert main(["build-model", "--in", "train.txt", "--n-max", "4", "--out", "model.tsv"]) == 0
+    capsys.readouterr()
+    assert digests(tmp_path, BUILD_MODEL) == BUILD_MODEL

@@ -15,6 +15,9 @@ from tlab.metrics import (
     cross_split_f1,
     derived_metrics,
     f1_score,
+    nonspace_prefix,
+    project_cuts,
+    stripped_boundaries,
     token_stats,
 )
 from tlab.ngram import build_model
@@ -87,6 +90,32 @@ class TestBoundaryF1:
         assert c_ab.false_positive == c_ba.false_negative
         assert c_ab.false_negative == c_ba.false_positive
         assert f1_score(c_ab) == f1_score(c_ba)
+
+
+def general_stripped_boundaries(tokens):
+    """Prefix, stream and cut set by the per-character loop, for any line."""
+    line = "".join(tokens)
+    prefix = [0]
+    for ch in line:
+        prefix.append(prefix[-1] + (not ch.isspace()))
+    cuts = [sum(len(t) for t in tokens[:i]) for i in range(1, len(tokens))]
+    stream = "".join(ch for ch in line if not ch.isspace())
+    return tuple(prefix), stream, project_cuts(prefix, cuts)
+
+
+class TestStrippedBoundaries:
+    @given(
+        st.lists(
+            st.text("abx\\", max_size=4)
+            | st.text(st.sampled_from("ab \t\r\x1c\x85\u3000") | st.characters(), max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_whitespace_free_fast_path_matches_general_path(self, tokens):
+        prefix, stream, cuts = general_stripped_boundaries(tokens)
+        assert nonspace_prefix("".join(tokens)) == prefix
+        assert stripped_boundaries(tokens) == (stream, cuts)
 
 
 class TestTokenSpanF1:

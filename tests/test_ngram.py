@@ -16,7 +16,7 @@ from tlab.ngram import (
 )
 
 from bruteforce import bf_freedom, bf_max_freedom, window_counts
-from strategies import corpora_with_weights, small_lines
+from strategies import corpora_with_weights, small_lines, weights_for
 
 
 def model_of(lines, n_max=2, weights=None):
@@ -79,11 +79,21 @@ class TestBuildModel:
         random.Random(seed).shuffle(shuffled)
         assert model_of(lines, 2) == model_of(shuffled, 2)
 
-    @given(corpora_with_weights(max_lines=8))
-    def test_matches_bruteforce_counts(self, lines_weights):
-        lines, weights = lines_weights
-        m = model_of(lines, 2, weights=weights)
-        for n in (1, 2):
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n_max: st.tuples(
+                st.just(n_max),
+                # lines no longer than n_max + 1 have no top-order window, only tails
+                corpora_with_weights(alphabet="abc", max_lines=8, max_len=n_max + 1)
+                | corpora_with_weights(max_lines=8, max_len=2 * n_max + 2),
+            )
+        )
+    )
+    def test_matches_bruteforce_counts(self, case):
+        n_max, (lines, weights) = case
+        m = model_of(lines, n_max, weights=weights)
+        assert sorted(m.windows) == list(range(1, n_max + 1))
+        for n in range(1, n_max + 1):
             forward_pairs = window_counts(lines, weights, n, "forward")
             assert m.windows[n] == {g + ch: c for (g, ch), c in forward_pairs.items()}
             for direction in ("forward", "backward"):
@@ -223,6 +233,48 @@ class TestPersistence:
         path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\n")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t1\n")
+        with pytest.raises(ModelFormatError, match=r"dup\.tsv:4: duplicate record"):
+            load_model(path)
+
+    def test_conflicting_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\nb\t1\tb\ta\t2\n")
+        with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
+            load_model(path)
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t2\n")
+        with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
+            load_model(path)
+
+    def test_order_field_read_as_integer(self, tmp_path):
+        path = tmp_path / "pad.tsv"
+        path.write_text("tlab-model v1 n_max=1\nb\t01\tb\ta\t1\nf\t1\ta\tb\t1\n")
+        assert load_model(path) == model_of(["ab"], 1)
+        path.write_text("tlab-model v1 n_max=1\nb\t2\tbc\ta\t1\n")
+        with pytest.raises(ModelFormatError, match="order 2 outside"):
+            load_model(path)
+        path.write_text("tlab-model v1 n_max=1\nb\tone\tb\ta\t1\n")
+        with pytest.raises(ModelFormatError, match="non-integer"):
+            load_model(path)
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6).flatmap(
+            lambda ls: st.tuples(st.just(ls), st.none() | weights_for(ls))
+        ),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_round_trip_any_unicode(self, tmp_path_factory, lines_weights, n_max):
+        # st.text() draws the full range: astral scalars, "x", tab, CR, LF, backslash
+        lines, weights = lines_weights
+        m = model_of(lines, n_max, weights=weights)
+        directory = tmp_path_factory.mktemp("uni")
+        save_model(m, directory / "a.tsv")
+        save_model(m, directory / "b.tsv")
+        assert (directory / "a.tsv").read_bytes() == (directory / "b.tsv").read_bytes()
+        assert load_model(directory / "a.tsv") == m
 
     @given(small_lines(alphabet="ab\t\n x0", max_lines=6, max_len=6))
     def test_round_trip_with_escapes(self, tmp_path_factory, lines):
