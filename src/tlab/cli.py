@@ -141,8 +141,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _sampled(test: TextCorpus, gold: GoldSegmentation, count: int | None, seed: int):
-    if count is None or count >= len(test.lines):
-        return test, gold
+    if count is None or len(gold.lines) != len(test.lines):
+        return test, gold  # run_grid rejects misaligned gold
     idx = sample_indices(len(test.lines), count, seed)
     return (
         TextCorpus(tuple(test.lines[i] for i in idx), f"{test.source_id}/sample{count}s{seed}"),
@@ -176,14 +176,10 @@ def cmd_morph_eval(args: argparse.Namespace) -> int:
     inventory = _inventory_from(args)
     model = build_morph_model(lexicon, args.n_max)
     f1, s_value, c_value = weighted_morph_f1(model, lexicon, inventory, _params_from(args))
-    payload = {
-        "f1": _round9(f1),
-        "anti_entropy": _round9(s_value),
-        "compression_factor": _round9(c_value),
-        "avg2": _round9((s_value + c_value) / 2),
-        "product": _round9(s_value * c_value),
-        "config": _config_dict(args),
-    }
+    _, avg2, product = derived_metrics(s_value, c_value)
+    values = dict(f1=f1, anti_entropy=s_value, compression_factor=c_value, avg2=avg2, product=product)
+    payload = {k: _round9(v) for k, v in values.items()}
+    payload["config"] = _config_dict(args)
     _emit_json(payload)
     return 0
 

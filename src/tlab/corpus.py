@@ -93,27 +93,30 @@ def save_text(corpus: TextCorpus, path: str | Path) -> None:
     Path(path).write_bytes(body.encode("utf-8"))
 
 
-# \s matches exactly the scalars for which str.isspace() holds
+# \s matches exactly the scalars for which str.isspace() holds, all of them <= U+3000
 _NEEDS_ESCAPE_RE = re.compile(r"[\s\\]")
-_ESCAPE_RE = re.compile(r"\\([\\s])")
+_ESCAPE_RE = re.compile(r"\\(?:[\\s]|u[0-9a-fA-F]{4})")
+_ESCAPES = {"\\": "\\\\", " ": "\\s"}
+_UNESCAPES = {"\\\\": "\\", "\\s": " "}
 
 
 def escape_token(token: str) -> str:
-    """Write a backslash as ``\\\\`` and each whitespace scalar as ``\\s``."""
-    return _NEEDS_ESCAPE_RE.sub(lambda m: "\\\\" if m.group() == "\\" else "\\s", token)
+    """Write a backslash as ``\\\\``, a space as ``\\s`` and any other whitespace
+    scalar as ``\\u`` and 4 hex digits."""
+    return _NEEDS_ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group()) or f"\\u{ord(m.group()):04x}", token)
 
 
 def unescape_token(text: str) -> str:
-    """Read ``\\\\`` and ``\\s`` left to right; any other backslash is literal."""
-    return _ESCAPE_RE.sub(lambda m: " " if m.group(1) == "s" else "\\", text)
+    """Read ``\\\\``, ``\\s`` and ``\\u`` with 4 hex digits left to right; any
+    other backslash is literal."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group()) or chr(int(m.group()[2:], 16)), text)
 
 
 def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> None:
     """Write segmentations in gold format: space-separated tokens, one line each.
 
-    Inside tokens a backslash is written ``\\\\`` and whitespace ``\\s``, so
-    the file stays parseable and backslashes read back exactly; the escape is
-    lossy for non-space whitespace (everything reads back as U+0020).
+    Tokens are written with :func:`escape_token`, so the file stays parseable
+    and every token reads back exactly.
     """
     out = []
     for tokens in token_lines:
@@ -139,6 +142,8 @@ def split_even_odd(corpus: TextCorpus) -> SplitPair:
 
 def sample_indices(n_lines: int, count: int, seed: int) -> tuple[int, ...]:
     """Deterministic sorted sample of ``count`` indices out of ``range(n_lines)``."""
+    if count < 1:
+        raise DataError(f"sample count must be >= 1, got {count}")
     if count >= n_lines:
         return tuple(range(n_lines))
     return tuple(sorted(random.Random(seed).sample(range(n_lines), count)))
@@ -146,10 +151,8 @@ def sample_indices(n_lines: int, count: int, seed: int) -> tuple[int, ...]:
 
 def sample_lines(corpus: TextCorpus, count: int, seed: int) -> TextCorpus:
     """Seeded random sample of ``count`` lines, keeping original relative order."""
-    if count < 1:
-        raise DataError(f"sample count must be >= 1, got {count}")
-    if count >= len(corpus.lines):
-        return corpus
     idx = sample_indices(len(corpus.lines), count, seed)
+    if len(idx) == len(corpus.lines):
+        return corpus
     picked = tuple(corpus.lines[i] for i in idx)
     return TextCorpus(picked, f"{corpus.source_id}/sample{count}s{seed}")

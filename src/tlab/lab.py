@@ -12,20 +12,21 @@ from typing import Callable, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import (
-    BoundaryCounts,
     MetricsReport,
-    TokenStats,
     anti_entropy,
     compression_factor,
     derived_metrics,
     f1_score,
     nonspace_prefix,
     project_cuts,
+    split_f1,
     stripped_boundaries,
+    tally,
+    token_stats,
 )
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts, thresholded_morph_f1
 from .ngram import build_model, prune
-from .segmenter import MODES, SegmenterParams, detect_boundaries, scores
+from .segmenter import MODES, SegmenterParams, detect_boundaries, scores, split_at
 
 MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
 MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
@@ -84,9 +85,12 @@ class GridSpec:
 class TrialRecord:
     params: SegmenterParams
     report: MetricsReport | None
-    reciprocal_cf: float | None
     wall_time_ms: int
     error: str | None = None
+
+    @property
+    def reciprocal_cf(self) -> float | None:
+        return None if self.report is None else 1.0 / self.report.compression_factor
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,8 @@ def _parse_axis(key: str, text: str) -> list:
         if len(parts) != 3:
             raise DataError(f"float range for {key} must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise DataError(f"float range for {key} must be finite, got {text!r}")
         if step <= 0:
             raise DataError(f"step must be positive in {text!r}")
         values = []
@@ -134,7 +140,10 @@ def parse_grid_spec(text: str) -> GridSpec:
         key = key.strip()
         if not sep or key not in ("n", "peak", "prune", "mode"):
             raise DataError(f"bad grid clause {clause!r}")
-        axes[key] = _parse_axis(key, value.strip())
+        try:
+            axes[key] = _parse_axis(key, value.strip())
+        except ValueError as exc:
+            raise DataError(f"non-numeric grid range in {clause!r}") from exc
     missing = {"n", "peak", "prune", "mode"} - set(axes)
     if missing:
         raise DataError(f"grid spec missing axes: {', '.join(sorted(missing))}")
@@ -212,57 +221,27 @@ def _sweep(spec: GridSpec, raw_models, lines, trial, *args) -> list[TrialRecord]
     return records
 
 
-def _timed_trial(
-    score: Callable[..., tuple[MetricsReport, float]], params: SegmenterParams, *args
-) -> TrialRecord:
+def _timed_trial(score: Callable[..., MetricsReport], params: SegmenterParams, *args) -> TrialRecord:
     """Score one grid point, recording its wall time and any error instead of raising."""
     start = time.perf_counter()
     try:
-        report, reciprocal = score(params, *args)
+        report = score(params, *args)
         error = None
     except Exception as exc:  # noqa: BLE001 - recorded per trial
-        report, reciprocal, error = None, None, f"{type(exc).__name__}: {exc}"
+        report, error = None, f"{type(exc).__name__}: {exc}"
     wall = int((time.perf_counter() - start) * 1000)
-    return TrialRecord(params, report, reciprocal, wall, error)
+    return TrialRecord(params, report, wall, error)
 
 
 def _word_trial(params, line_scores, lines, prefixes, gold_bounds):
     threshold = params.peak_threshold
-    tp = fp = fn = 0
-    atp = afp = afn = 0
-    piece_counts: dict[str, int] = {}
-    total_tokens = 0
-    total_chars = 0
-    for line, prefix, gold_b, sm, sa, sb in zip(lines, prefixes, gold_bounds, *line_scores):
-        cuts = detect_boundaries(sm, threshold)
-        predicted = project_cuts(prefix, cuts)
-        tp += len(predicted & gold_b)
-        fp += len(predicted - gold_b)
-        fn += len(gold_b - predicted)
-        prev = 0
-        for cut in (*cuts, len(line)):
-            token = line[prev:cut]
-            prev = cut
-            if token.isspace():
-                continue
-            piece_counts[token] = piece_counts.get(token, 0) + 1
-            total_tokens += 1
-            total_chars += len(token)
-        bounds_a = project_cuts(prefix, detect_boundaries(sa, threshold))
-        bounds_b = project_cuts(prefix, detect_boundaries(sb, threshold))
-        atp += len(bounds_a & bounds_b)
-        afp += len(bounds_a - bounds_b)
-        afn += len(bounds_b - bounds_a)
-    f1 = f1_score(BoundaryCounts(tp, fp, fn))
-    stats = TokenStats(piece_counts, total_tokens, total_chars)
-    s_value = anti_entropy(stats)
-    c_value = compression_factor(stats)
-    # F1(A->B) equals F1(B->A): swapping fp and fn swaps precision and
-    # recall, which 2*p*r/(p+r) reads the same to the last bit
-    csf1 = f1_score(BoundaryCounts(atp, afp, afn))
-    avg3, avg2, product = derived_metrics(s_value, c_value, csf1)
-    report = MetricsReport(f1, s_value, c_value, csf1, avg3, avg2, product)
-    return report, 1.0 / c_value
+    scores_m, scores_a, scores_b = line_scores
+    cuts = [detect_boundaries(sm, threshold) for sm in scores_m]
+    f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts), gold_bounds)))
+    stats = token_stats(map(split_at, lines, cuts), drop_whitespace_tokens=True)
+    s_value, c_value = anti_entropy(stats), compression_factor(stats)
+    csf1 = split_f1(prefixes, scores_a, scores_b, threshold)
+    return MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1))
 
 
 def run_morph_grid(
@@ -283,13 +262,8 @@ def run_morph_grid(
 
 
 def _morph_trial(params, line_scores, lexicon, references):
-    f1, s_value, c_value = thresholded_morph_f1(
-        lexicon, references, line_scores[0], params.peak_threshold
-    )
-    report = MetricsReport(
-        f1, s_value, c_value, None, None, (s_value + c_value) / 2, s_value * c_value
-    )
-    return report, 1.0 / c_value
+    f1, s_value, c_value = thresholded_morph_f1(lexicon, references, line_scores[0], params.peak_threshold)
+    return MetricsReport(f1, s_value, c_value, None, *derived_metrics(s_value, c_value))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -311,9 +285,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 
 def _column_value(record: TrialRecord, column: str) -> float | None:
-    if column == "reciprocal_cf":
-        return record.reciprocal_cf
-    return getattr(record.report, column)
+    return getattr(record if column == "reciprocal_cf" else record.report, column)
 
 
 def summarize(records: Sequence[TrialRecord]) -> CorrelationSummary:

@@ -13,19 +13,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .ngram import build_model
-from .segmenter import Segmentation, SegmenterParams, segment_corpus
+from .ngram import build_model, prune
+from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
 
 
-@dataclass(frozen=True)
-class BoundaryCounts:
+class BoundaryCounts(NamedTuple):
     true_positive: int = 0
     false_positive: int = 0
     false_negative: int = 0
@@ -73,7 +72,7 @@ def project_cuts(prefix: Sequence[int], cuts: Iterable[int]) -> frozenset[int]:
     and collapse; cuts at the stream edges are not internal and are dropped.
     """
     total = prefix[-1]
-    return frozenset(p for p in (prefix[c] for c in cuts) if 0 < p < total)
+    return frozenset([p for c in cuts if 0 < (p := prefix[c]) < total])
 
 
 def stripped_boundaries(tokens: Sequence[str]) -> tuple[str, frozenset[int]]:
@@ -88,20 +87,29 @@ def stripped_boundaries(tokens: Sequence[str]) -> tuple[str, frozenset[int]]:
     return stream, project_cuts(prefix, cuts)
 
 
+def tally(pairs: Iterable[tuple[frozenset, frozenset]]) -> BoundaryCounts:
+    """Micro-aggregated tallies of (predicted, reference) unit sets, one pair per line."""
+    tp = fp = fn = 0
+    for predicted, reference in pairs:
+        tp += len(predicted & reference)
+        fp += len(predicted - reference)
+        fn += len(reference - predicted)
+    return BoundaryCounts(tp, fp, fn)
+
+
 def _tally(pred, ref, units) -> BoundaryCounts:
-    """Micro-aggregated tallies of the ``(stream, unit set)`` that ``units`` gives each line."""
+    """:func:`tally` of the ``(stream, unit set)`` that ``units`` gives each line."""
     if len(pred) != len(ref):
         raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
-    tp = fp = fn = 0
+
+    pairs = []
     for i, (pt, rt) in enumerate(zip(pred, ref)):
         p_stream, p_units = units(pt)
         r_stream, r_units = units(rt)
         if p_stream != r_stream:
             raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-        tp += len(p_units & r_units)
-        fp += len(p_units - r_units)
-        fn += len(r_units - p_units)
-    return BoundaryCounts(tp, fp, fn)
+        pairs.append((p_units, r_units))
+    return tally(pairs)
 
 
 def boundary_counts(
@@ -116,7 +124,7 @@ def f1_score(counts: BoundaryCounts) -> float:
 
     Nothing predicted and nothing expected scores 1; one side empty scores 0.
     """
-    tp, fp, fn = counts.true_positive, counts.false_positive, counts.false_negative
+    tp, fp, fn = counts
     if tp == 0:
         return 1.0 if fp == 0 and fn == 0 else 0.0
     precision = tp / (tp + fp)
@@ -161,20 +169,23 @@ def token_span_f1(
 
 
 def token_stats(
-    segs: Iterable[Segmentation | Sequence[str]], drop_whitespace_tokens: bool = False
+    segs: Iterable[Segmentation | Sequence[str]],
+    drop_whitespace_tokens: bool = False,
+    weights: Iterable[int] | None = None,
 ) -> TokenStats:
-    """Tally token occurrences; optionally skip whitespace-only tokens."""
+    """Tally token occurrences, each line's tokens counted ``weights[i]`` times
+    (once when no weights are given); optionally skip whitespace-only tokens."""
     lexicon: dict[str, int] = {}
     total_tokens = 0
     total_chars = 0
-    for seg in segs:
+    for seg, weight in zip(segs, repeat(1) if weights is None else weights):
         tokens = seg.tokens if isinstance(seg, Segmentation) else seg
         for token in tokens:
             if drop_whitespace_tokens and token.isspace():
                 continue
-            lexicon[token] = lexicon.get(token, 0) + 1
-            total_tokens += 1
-            total_chars += len(token)
+            lexicon[token] = lexicon.get(token, 0) + weight
+            total_tokens += weight
+            total_chars += weight * len(token)
     return TokenStats(lexicon, total_tokens, total_chars)
 
 
@@ -199,34 +210,54 @@ def compression_factor(stats: TokenStats) -> float:
     return (stats.total_tokens + dictionary) / stats.total_chars
 
 
+def split_f1(
+    prefixes: Iterable[Sequence[int]],
+    scores_a: Iterable[Sequence[float]],
+    scores_b: Iterable[Sequence[float]],
+    threshold: float,
+) -> float:
+    """Boundary F1 between the cuts that two models' gap scores give the same lines.
+
+    ``prefixes`` are the lines' :func:`nonspace_prefix` tables. Either role
+    order gives the same float: swapping them swaps fp and fn, hence
+    precision and recall, which 2*p*r/(p+r) reads the same to the last bit,
+    so averaging both orders would change nothing.
+    """
+    pairs = (
+        (project_cuts(prefix, detect_boundaries(a, threshold)),
+         project_cuts(prefix, detect_boundaries(b, threshold)))
+        for prefix, a, b in zip(prefixes, scores_a, scores_b)
+    )
+    return f1_score(tally(pairs))
+
+
 def cross_split_f1(
     train: TextCorpus, test: TextCorpus, params: SegmenterParams, n_max: int
 ) -> float:
-    """Train on interleaved halves, segment a shared test set with both models,
-    and score one tokenization against the other.
-
-    Either role order gives the same float: swapping them swaps fp and fn,
-    hence precision and recall, which 2*p*r/(p+r) reads the same to the
-    last bit, so averaging both orders would change nothing.
-    """
+    """Train on interleaved halves, cut a shared test set with both models,
+    and score one set of cuts against the other (see :func:`split_f1`)."""
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
+    if not all(test.lines):
+        raise DataError("cannot segment an empty line")
     if params.n > n_max:
         raise DataError(f"order {params.n} exceeds model n_max {n_max}")
     # only order n is read, and its counts do not depend on the orders above it
-    part_a, part_b = split_even_odd(train)
-    model_a = build_model(part_a, params.n)
-    model_b = build_model(part_b, params.n)
-    seg_a = [s.tokens for s in segment_corpus(model_a, test, params)]
-    seg_b = [s.tokens for s in segment_corpus(model_b, test, params)]
-    return f1_score(boundary_counts(seg_a, seg_b))
+    n, mode = params.n, params.direction_mode
+    model_a, model_b = (prune(build_model(part, n), params.prune_threshold) for part in split_even_odd(train))
+    return split_f1(
+        map(nonspace_prefix, test.lines),
+        (scores(model_a, line, n, mode) for line in test.lines),
+        (scores(model_b, line, n, mode) for line in test.lines),
+        params.peak_threshold,
+    )
 
 
 def derived_metrics(
-    anti_entropy_value: float, compression_value: float, csf1_value: float
-) -> tuple[float, float, float]:
-    """Mean of all three, mean of the first two, and product of the first two."""
-    avg3 = (anti_entropy_value + compression_value + csf1_value) / 3
+    anti_entropy_value: float, compression_value: float, csf1_value: float | None = None
+) -> tuple[float | None, float, float]:
+    """Mean of all three (None without a csf1), mean of the first two, and product of the first two."""
+    avg3 = None if csf1_value is None else (anti_entropy_value + compression_value + csf1_value) / 3
     avg2 = (anti_entropy_value + compression_value) / 2
     product = anti_entropy_value * compression_value
     return avg3, avg2, product

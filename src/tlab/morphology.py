@@ -7,15 +7,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
-from .metrics import (
-    BoundaryCounts,
-    TokenStats,
-    anti_entropy,
-    compression_factor,
-    f1_score,
-)
+from .metrics import BoundaryCounts, anti_entropy, compression_factor, f1_score, token_stats
 from .ngram import TransitionModel, build_model, prune
-from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores, segment
+from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores, segment, split_at
 
 
 @dataclass
@@ -169,24 +163,14 @@ def thresholded_morph_f1(
     pieces with multiplicity equal to its frequency.
     """
     f1_weighted = 0.0
-    total_weight = 0
-    piece_counts: dict[str, int] = {}
-    total_tokens = 0
-    total_chars = 0
+    pieces = []
     for (word, freq), reference, gap_scores in zip(lexicon.entries.items(), references, word_scores):
         cuts = detect_boundaries(gap_scores, threshold)
         hits = len(reference.intersection(cuts))
         f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
-        total_weight += freq
-        prev = 0
-        for cut in (*cuts, len(word)):
-            piece = word[prev:cut]
-            prev = cut
-            piece_counts[piece] = piece_counts.get(piece, 0) + freq
-        total_tokens += freq * (len(cuts) + 1)
-        total_chars += freq * len(word)
-    stats = TokenStats(piece_counts, total_tokens, total_chars)
-    return f1_weighted / total_weight, anti_entropy(stats), compression_factor(stats)
+        pieces.append(split_at(word, cuts))
+    stats = token_stats(pieces, weights=lexicon.entries.values())
+    return f1_weighted / sum(lexicon.entries.values()), anti_entropy(stats), compression_factor(stats)
 
 
 def weighted_morph_f1(

@@ -43,13 +43,7 @@ class Segmentation:
         ordered = tuple(sorted(set(cuts)))
         if ordered and (ordered[0] < 1 or ordered[-1] > len(line) - 1):
             raise DataError(f"cut positions {ordered} outside 1..{len(line) - 1}")
-        tokens = []
-        prev = 0
-        for cut in ordered:
-            tokens.append(line[prev:cut])
-            prev = cut
-        tokens.append(line[prev:])
-        return cls(tuple(tokens), ordered)
+        return cls(tuple(split_at(line, ordered)), ordered)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Segmentation":
@@ -65,6 +59,17 @@ class Segmentation:
     @property
     def line(self) -> str:
         return "".join(self.tokens)
+
+
+def split_at(line: str, cuts: Iterable[int]) -> list[str]:
+    """The pieces of ``line`` between ascending cut positions."""
+    pieces = []
+    prev = 0
+    for cut in cuts:
+        pieces.append(line[prev:cut])
+        prev = cut
+    pieces.append(line[prev:])
+    return pieces
 
 
 def profile(model: TransitionModel, line: str, n: int, direction: str) -> tuple[float, ...]:

@@ -1,6 +1,8 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from tlab.cli import main
 from tlab.corpus import TextCorpus, save_segmented, save_text
@@ -215,6 +217,112 @@ def test_grid_search_sample_test(word_data, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert out_csv.exists()
+
+
+def assert_data_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "DataError" and payload["message"]
+
+
+@pytest.mark.parametrize("grid", [
+    "n=a..b;peak=0.5;prune=0;mode=union",
+    "n=1;peak=0:x:0.1;prune=0;mode=union",
+    "n=1;peak=0:nan:0.1;prune=0;mode=union",
+    "n=1;peak=0:inf:0.1;prune=0;mode=union",
+    "n=1;peak=nan:1:0.1;prune=0;mode=union",
+    "n=1;peak=0:1:inf;prune=0;mode=union",
+])
+def test_grid_search_bad_grid_is_data_error(word_data, tmp_path, capsys, grid):
+    argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
+            "--gold", str(word_data["gold"]), "--n-max", "1", "--grid", grid,
+            "--out-csv", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    assert_data_error(capsys)
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_grid_search_sample_count_below_one_is_data_error(word_data, tmp_path, capsys, count):
+    argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
+            "--gold", str(word_data["gold"]), "--n-max", "1", "--grid", "n=1;peak=0.5;prune=0;mode=union",
+            "--sample-test", count, "--out-csv", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    assert_data_error(capsys)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_grid_search_sample_with_misaligned_gold_is_data_error(tmp_path, capsys):
+    (tmp_path / "train.txt").write_text("ab cd\ncd ab\nab\n")
+    (tmp_path / "test.txt").write_text("ab cd\nab\ncd ab\n")
+    (tmp_path / "gold.txt").write_text("ab cd\n")
+    argv = ["grid-search", "--train", str(tmp_path / "train.txt"), "--test", str(tmp_path / "test.txt"),
+            "--gold", str(tmp_path / "gold.txt"), "--n-max", "1", "--grid", "n=1;peak=0.5;prune=0;mode=fwd",
+            "--sample-test", "2", "--out-csv", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    assert_data_error(capsys)
+
+
+FUZZ_GRID = "n=1..2;peak=0:1:0.5;prune=0,1;mode=fwd,union"
+MALFORMED_GRIDS = (
+    "n=a..b;peak=0.5;prune=0;mode=fwd",
+    "n=1;peak=0:x:0.1;prune=0;mode=fwd",
+    "n=1;peak=0:nan:0.1;prune=0;mode=fwd",
+    "n=2..1;peak=0.5;prune=0;mode=fwd",
+    "n=1;peak=0.5;prune=0;mode=diagonal",
+    "n=1;peak=0.5;prune=0",
+    "n=1;peak=0:1:0;prune=0;mode=fwd",
+    "n=1;peak=0.5;prune=x;mode=fwd",
+    "garbage",
+)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    corpus=st.one_of(
+        st.binary(max_size=60),
+        st.text(alphabet="ab \t\r\n\\x0", max_size=60).map(str.encode),
+        st.lists(st.text(alphabet="abc\\x0", min_size=1, max_size=8), max_size=8).map("\n".join).map(str.encode),
+    ),
+    command=st.sampled_from(["tokenize", "evaluate", "grid-search", "morph-eval", "morph-grid"]),
+    n=st.integers(0, 4),
+    peak=st.sampled_from(["-1", "0", "0.5", "2"]),
+    prune=st.integers(-1, 3),
+    sample=st.integers(-1, 3),
+    grid=st.just(FUZZ_GRID) | st.sampled_from(MALFORMED_GRIDS),
+)
+def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path, capsys, corpus, command, n, peak, prune,
+                                                     sample, grid):
+    # any corpus bytes and bounded flag values: exit 0, 1 or 2, never a
+    # traceback, and a data error is one JSON object on stderr
+    capsys.readouterr()
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(corpus)
+    model = tmp_path / "model.tsv"
+    params = ["--n", str(n), "--peak", peak, "--prune", str(prune)]
+    argv = {
+        "tokenize": ["tokenize", "--model", str(model), *params, str(path)],
+        "evaluate": ["evaluate", "--pred", str(path), "--gold", str(path), "--train", str(path),
+                     "--test", str(path), *params, "--n-max", "3"],
+        "grid-search": ["grid-search", "--train", str(path), "--test", str(path), "--gold", str(path),
+                        "--n-max", str(n), "--grid", grid, "--sample-test", str(sample),
+                        "--out-csv", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json")],
+        "morph-eval": ["morph-eval", "--lexicon", str(path), "--suffixes", str(path), *params,
+                       "--n-max", "3"],
+        "morph-grid": ["morph-grid", "--lexicon", str(path), "--prefixes", str(path), "--grid", grid,
+                       "--n-max", str(n), "--out-csv", str(tmp_path / "t.csv")],
+    }[command]
+    if command == "tokenize":
+        model.unlink(missing_ok=True)
+        build = main(["build-model", "--in", str(path), "--n-max", str(n), "--out", str(model)])
+        assert build in (0, 2)
+        capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        payload = json.loads(err.strip())
+        assert set(payload) == {"error", "message"}
 
 
 @pytest.fixture

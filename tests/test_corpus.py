@@ -145,14 +145,18 @@ class TestRoundTrips:
         assert path.read_text() == "C:\\\\sdir a\\\\\n"
         assert load_segmented(path).lines == (("C:\\sdir", "a\\"),)
 
-    @given(st.lists(st.lists(st.text(alphabet="\\s a\t\u3000", min_size=1, max_size=6),
+    @given(st.lists(st.lists(st.text(alphabet="\\su0aF a\t\r\x0b\x85\u2028\u3000", min_size=1, max_size=6),
                              min_size=1, max_size=4), min_size=1, max_size=4))
     def test_segmented_round_trip_with_backslashes(self, tmp_path_factory, token_lines):
         path = tmp_path_factory.mktemp("seg") / "seg.txt"
         save_segmented(token_lines, path)
-        # exact, except that any whitespace scalar reads back as U+0020
-        expected = tuple(
-            tuple("".join(" " if ch.isspace() else ch for ch in t) for t in tokens)
-            for tokens in token_lines
-        )
-        assert load_segmented(path).lines == expected
+        assert load_segmented(path).lines == tuple(tuple(tokens) for tokens in token_lines)
+
+    def test_segmented_non_space_whitespace_escape(self, tmp_path):
+        path = tmp_path / "seg.txt"
+        save_segmented([("a\tb", "\u3000", "\\u0020 c")], path)
+        assert path.read_text() == "a\\u0009b \\u3000 \\\\u0020\\sc\n"
+        assert load_segmented(path).lines == (("a\tb", "\u3000", "\\u0020 c"),)
+
+    def test_every_whitespace_scalar_fits_four_hex_digits(self):
+        assert max(c for c in range(0x110000) if chr(c).isspace()) == 0x3000

@@ -1,9 +1,12 @@
-"""Byte-exact outputs of the two grid commands and of build-model on tiny seeded inputs.
+"""Byte-exact outputs of the grid commands, build-model, tokenize, evaluate and
+morph-eval on tiny seeded inputs.
 
 The grid digests were recorded before the boundary decision moved to the
 score-then-threshold core, the model digest before the counts were derived
-top-down from the highest order; any change to a trial CSV, summary or model
-file byte, including the echoed config, fails here.
+top-down from the highest order, and the tokenize, evaluate and morph-eval
+digests before every metric was tallied through the same ``tlab.metrics``
+functions; any change to an output byte, including the echoed config, fails
+here.
 """
 
 import hashlib
@@ -23,20 +26,42 @@ MORPH_GRID = {
 BUILD_MODEL = {
     "model.tsv": "1afd30964bb7151dd40330f4a722a564c0014038ae0c8e92a85cb33675e064d4",
 }
+TOKENIZE_EVALUATE = {
+    "tokens.txt": "4062c558535d964c8b093b67bb82acf00dad662c31b35d34a994f3ded47b4adb",
+    "evaluate-fwd.json": "e085277e692778994b4fc9eae96d2dea097621413badf7134f641b04549cc374",
+    "evaluate-union.json": "3c001065e805764b51f8dc93e316cdf57e3ade0d8fb56bb69fe2582e24ff7d58",
+}
+MORPH_EVAL = {
+    "morph-fwd.json": "06da7cc769ca18986eff9b0bfcb8bb1db2bc509389a89a7e45ee825a4b2db4ac",
+    "morph-union.json": "5caf88750c28d37923cf0a1ded87f8a34aeec7942bf892f25e5d073413e99fce",
+}
 
 
 def digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_grid_search_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def write_word_data(directory):
     words, weights = make_vocabulary(5, size=12, min_len=2, max_len=4, alphabet="abcdef")
     train, _ = make_segmented_corpus(words, weights, 11, lines=60, min_words=3, max_words=6)
     test, gold = make_segmented_corpus(words, weights, 12, lines=10, min_words=3, max_words=6)
-    save_text(train, tmp_path / "train.txt")
-    save_text(test, tmp_path / "test.txt")
-    save_segmented(gold.lines, tmp_path / "gold.txt")
+    save_text(train, directory / "train.txt")
+    save_text(test, directory / "test.txt")
+    save_segmented(gold.lines, directory / "gold.txt")
+
+
+def write_morph_data(directory):
+    lexicon, inventory = make_affixed_lexicon(3, stems=8, suffixes=3)
+    entries = [f"{word}\t{1 + 97 % (i + 2)}" for i, word in enumerate(lexicon.entries)]
+    save_text(TextCorpus(tuple(entries)), directory / "lexicon.txt")
+    save_text(TextCorpus(tuple(sorted(inventory.suffixes))), directory / "suffixes.txt")
+    stems = sorted({word[:2] for word in lexicon.entries})[:2]
+    save_text(TextCorpus(tuple(stems)), directory / "prefixes.txt")
+
+
+def test_grid_search_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_word_data(tmp_path)
     assert main(["grid-search", "--train", "train.txt", "--test", "test.txt", "--gold", "gold.txt",
                  "--n-max", "3", "--grid", "n=1..3;peak=0:0.9:0.3;prune=0,1;mode=fwd,bwd,union",
                  "--out-csv", "trials.csv", "--out-summary", "summary.json"]) == 0
@@ -46,12 +71,7 @@ def test_grid_search_bytes(tmp_path, monkeypatch, capsys):
 
 def test_morph_grid_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    lexicon, inventory = make_affixed_lexicon(3, stems=8, suffixes=3)
-    entries = [f"{word}\t{1 + 97 % (i + 2)}" for i, word in enumerate(lexicon.entries)]
-    save_text(TextCorpus(tuple(entries)), tmp_path / "lexicon.txt")
-    save_text(TextCorpus(tuple(sorted(inventory.suffixes))), tmp_path / "suffixes.txt")
-    stems = sorted({word[:2] for word in lexicon.entries})[:2]
-    save_text(TextCorpus(tuple(stems)), tmp_path / "prefixes.txt")
+    write_morph_data(tmp_path)
     assert main(["morph-grid", "--lexicon", "lexicon.txt", "--suffixes", "suffixes.txt",
                  "--prefixes", "prefixes.txt", "--min-stem", "2", "--n-max", "4",
                  "--grid", "n=1..4;peak=0.1:0.9:0.2;prune=0,2;mode=fwd,bwd,union",
@@ -70,3 +90,31 @@ def test_build_model_bytes(tmp_path, monkeypatch, capsys):
     assert main(["build-model", "--in", "train.txt", "--n-max", "4", "--out", "model.tsv"]) == 0
     capsys.readouterr()
     assert digests(tmp_path, BUILD_MODEL) == BUILD_MODEL
+
+
+def test_tokenize_and_evaluate_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_word_data(tmp_path)
+    assert main(["build-model", "--in", "train.txt", "--n-max", "3", "--out", "model.tsv"]) == 0
+    assert main(["tokenize", "--model", "model.tsv", "--n", "2", "--peak", "0.3", "--mode", "fwd",
+                 "test.txt", "--out", "tokens.txt"]) == 0
+    for mode in ("fwd", "union"):
+        capsys.readouterr()
+        # csf1 segments the spaced test set with both half models at prune 2
+        assert main(["evaluate", "--pred", "tokens.txt", "--gold", "gold.txt", "--train", "train.txt",
+                     "--test", "test.txt", "--n", "2", "--peak", "0.3", "--prune", "2",
+                     "--mode", mode, "--n-max", "3", "--metrics", "all"]) == 0
+        (tmp_path / f"evaluate-{mode}.json").write_text(capsys.readouterr().out)
+    assert digests(tmp_path, TOKENIZE_EVALUATE) == TOKENIZE_EVALUATE
+
+
+def test_morph_eval_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_morph_data(tmp_path)
+    for mode in ("fwd", "union"):
+        capsys.readouterr()
+        assert main(["morph-eval", "--lexicon", "lexicon.txt", "--suffixes", "suffixes.txt",
+                     "--prefixes", "prefixes.txt", "--min-stem", "2", "--n-max", "4",
+                     "--n", "3", "--peak", "0.3", "--prune", "2", "--mode", mode]) == 0
+        (tmp_path / f"morph-{mode}.json").write_text(capsys.readouterr().out)
+    assert digests(tmp_path, MORPH_EVAL) == MORPH_EVAL

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from tlab.corpus import DataError, GoldSegmentation
+from tlab.corpus import DataError, GoldSegmentation, split_even_odd
 from tlab.lab import (
     CSV_HEADER,
     TrialRecord,
@@ -142,11 +142,13 @@ class TestRunGrid:
 
     def test_matches_naive_per_trial_pipeline(self):
         # identical results whether models are pruned from a shared raw model
-        # or rebuilt and re-pruned for every trial
+        # or rebuilt and re-pruned for every trial, with every metric counted
+        # from whole segmented corpora
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.0,0.4;prune=0,1;mode=fwd,union")
         n_max = 2
         records = run_grid(train, test, gold, spec, n_max)
+        part_a, part_b = split_even_odd(train)
         for record in records:
             assert record.error is None
             params = record.params
@@ -154,10 +156,15 @@ class TestRunGrid:
             segs = segment_corpus(model, test, params)
             _, f1 = boundary_f1(segs, gold)
             stats = token_stats(segs, drop_whitespace_tokens=True)
+            seg_a = [s.tokens for s in segment_corpus(build_model(part_a, n_max), test, params)]
+            seg_b = [s.tokens for s in segment_corpus(build_model(part_b, n_max), test, params)]
+            csf1 = f1_score(boundary_counts(seg_a, seg_b))
             assert record.report.f1 == f1
             assert record.report.anti_entropy == anti_entropy(stats)
             assert record.report.compression_factor == compression_factor(stats)
-            assert record.report.csf1 == cross_split_f1(train, test, params, n_max)
+            assert record.report.csf1 == csf1
+            assert record.reciprocal_cf == 1.0 / record.report.compression_factor
+            assert cross_split_f1(train, test, params, n_max) == csf1
 
     def test_misaligned_gold_rejected(self):
         train, test, gold = tiny_setup()
@@ -239,7 +246,7 @@ class TestSummarize:
     def fake_record(n, f1, se, cf, csf1):
         avg3 = (se + cf + csf1) / 3
         report = MetricsReport(f1, se, cf, csf1, avg3, (se + cf) / 2, se * cf)
-        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), report, 1 / cf, 0, None)
+        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), report, 0, None)
 
     def test_perfect_avg3_correlation(self):
         records = [
@@ -259,7 +266,7 @@ class TestSummarize:
 
     def test_needs_two_valid(self):
         record = self.fake_record(1, 0.5, 0.5, 0.5, 0.5)
-        failed = TrialRecord(SegmenterParams(2, 0.5, 0, "union"), None, None, 0, "boom")
+        failed = TrialRecord(SegmenterParams(2, 0.5, 0, "union"), None, 0, "boom")
         with pytest.raises(DataError):
             summarize([record, failed])
 
@@ -267,7 +274,7 @@ class TestSummarize:
         records = [
             self.fake_record(1, 0.1, 0.2, 0.3, 0.4),
             self.fake_record(2, 0.9, 0.8, 0.7, 0.6),
-            TrialRecord(SegmenterParams(3, 0.5, 0, "union"), None, None, 0, "boom"),
+            TrialRecord(SegmenterParams(3, 0.5, 0, "union"), None, 0, "boom"),
         ]
         summary = summarize(records)
         assert summary.pearson_f1_vs["anti_entropy"] is not None
@@ -311,7 +318,7 @@ class TestTrialCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         report = MetricsReport(1 / 3, 2 / 3, 1.25, 0.5, 0.80555555555, 0.958333333333, 5 / 6)
-        record = TrialRecord(SegmenterParams(1, 0.1, 0, "forward"), report, 0.8, 1234, None)
+        record = TrialRecord(SegmenterParams(1, 0.1, 0, "forward"), report, 1234, None)
         path = tmp_path / "t.csv"
         write_trials_csv([record], path)
         row = path.read_text().splitlines()[1].split(",")

@@ -18,6 +18,7 @@ from tlab.metrics import (
     nonspace_prefix,
     project_cuts,
     stripped_boundaries,
+    tally,
     token_stats,
 )
 from tlab.ngram import build_model
@@ -145,6 +146,15 @@ class TestTokenSpanF1:
         assert f1 == 1.0
 
 
+class TestTally:
+    def test_sums_over_lines(self):
+        pairs = [(frozenset({1, 2}), frozenset({2, 3})), (frozenset(), frozenset({4})), (frozenset({5}), frozenset())]
+        assert tally(pairs) == BoundaryCounts(1, 2, 2)
+
+    def test_empty(self):
+        assert tally([]) == BoundaryCounts(0, 0, 0)
+
+
 class TestTokenStats:
     def test_basic_counts(self):
         stats = token_stats([("ab", "ab")])
@@ -164,6 +174,21 @@ class TestTokenStats:
     def test_accepts_segmentations(self):
         stats = token_stats(segs(("ab", "ab")))
         assert stats.lexicon == {"ab": 2}
+
+    def test_weights_count_each_line_that_often(self):
+        stats = token_stats([("ab", "c"), ("c", " ")], drop_whitespace_tokens=True, weights=[3, 2])
+        assert stats == TokenStats({"ab": 3, "c": 5}, 8, 11)
+
+    @given(
+        st.lists(st.tuples(st.lists(st.sampled_from(["a", "ab", " ", "\t"]), min_size=1, max_size=4),
+                           st.integers(1, 4)), max_size=5),
+        st.booleans(),
+    )
+    def test_weight_equals_repeating_the_line(self, weighted_lines, drop):
+        lines = [tokens for tokens, _ in weighted_lines]
+        weights = [weight for _, weight in weighted_lines]
+        repeated = [tokens for tokens, weight in weighted_lines for _ in range(weight)]
+        assert token_stats(lines, drop, weights) == token_stats(repeated, drop)
 
 
 class TestAntiEntropy:
@@ -221,6 +246,11 @@ class TestCompressionFactor:
 class TestCrossSplitF1:
     PARAMS = SegmenterParams(1, 0.5, 0, "union")
 
+    def test_empty_test_line_is_data_error(self):
+        train = TextCorpus(("abab", "abab"), "t")
+        with pytest.raises(DataError, match="empty line"):
+            cross_split_f1(train, TextCorpus(("ab", ""), "t"), self.PARAMS, 2)
+
     def test_identical_halves_give_one(self):
         train = TextCorpus(("abab", "abab", "abab", "abab"), "t")
         test = TextCorpus(("ab", "abab"), "t")
@@ -267,6 +297,9 @@ class TestCrossSplitF1:
 
 
 class TestDerivedMetrics:
+    def test_without_csf1_avg3_is_none(self):
+        assert derived_metrics(0.2, 0.8) == (None, 0.5, 0.2 * 0.8)
+
     def test_corners(self):
         assert derived_metrics(0, 0, 0) == (0, 0, 0)
         assert derived_metrics(1, 1, 1) == (1, 1, 1)
