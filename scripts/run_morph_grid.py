@@ -34,7 +34,7 @@ def main():
     (out_dir / "suffixes.txt").write_text("".join(f"{s}\n" for s in sorted(inventory.suffixes)))
     print(f"{len(lexicon.entries)} words from {args.stems} stems x {sorted(inventory.suffixes)}")
 
-    spec = parse_grid_spec(args.grid)
+    spec = parse_grid_spec(args.grid, args.n_max)
     records = run_morph_grid(lexicon, inventory, spec, args.n_max)
     config = {"experiment": "synthetic-morph", **vars(args)}
     write_trials_csv(records, out_dir / "trials.csv", config)

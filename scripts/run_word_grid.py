@@ -39,7 +39,7 @@ def run_variant(words, weights, args, spaces, out_dir):
     save_text(test, out_dir / f"test-{tag}.txt")
     save_segmented(gold.lines, out_dir / f"gold-{tag}.txt")
 
-    spec = parse_grid_spec(args.grid)
+    spec = parse_grid_spec(args.grid, args.n_max)
     records = run_grid(train, test, gold, spec, args.n_max)
     config = {"experiment": f"synthetic-words-{tag}", **vars(args)}
     write_trials_csv(records, out_dir / f"trials-{tag}.csv", config)

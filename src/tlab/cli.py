@@ -151,11 +151,11 @@ def _sampled(test: TextCorpus, gold: GoldSegmentation, count: int | None, seed: 
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
+    spec = parse_grid_spec(args.grid, args.n_max)
     train = load_text(args.train)
     test = load_text(args.test)
     gold = load_gold(args.gold)
     test, gold = _sampled(test, gold, args.sample_test, args.seed)
-    spec = parse_grid_spec(args.grid)
     records = run_grid(train, test, gold, spec, args.n_max)
     config = _config_dict(args)
     write_trials_csv(records, args.out_csv, config, timings=args.timings)
@@ -174,8 +174,12 @@ def _inventory_from(args: argparse.Namespace) -> AffixInventory:
 def cmd_morph_eval(args: argparse.Namespace) -> int:
     lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
     inventory = _inventory_from(args)
-    model = build_morph_model(lexicon, args.n_max)
-    f1, s_value, c_value = weighted_morph_f1(model, lexicon, inventory, _params_from(args))
+    params = _params_from(args)
+    if params.n > args.n_max:
+        raise DataError(f"order {params.n} exceeds model n_max {args.n_max}")
+    # only order --n is read, and its counts do not depend on the orders above it
+    model = build_morph_model(lexicon, params.n)
+    f1, s_value, c_value = weighted_morph_f1(model, lexicon, inventory, params)
     _, avg2, product = derived_metrics(s_value, c_value)
     values = dict(f1=f1, anti_entropy=s_value, compression_factor=c_value, avg2=avg2, product=product)
     payload = {k: _round9(v) for k, v in values.items()}
@@ -185,9 +189,9 @@ def cmd_morph_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_morph_grid(args: argparse.Namespace) -> int:
+    spec = parse_grid_spec(args.grid, args.n_max)
     lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
     inventory = _inventory_from(args)
-    spec = parse_grid_spec(args.grid)
     records = run_morph_grid(lexicon, inventory, spec, args.n_max)
     config = _config_dict(args)
     write_trials_csv(records, args.out_csv, config, timings=args.timings)

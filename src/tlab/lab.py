@@ -11,22 +11,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .metrics import (
-    MetricsReport,
-    anti_entropy,
-    compression_factor,
-    derived_metrics,
-    f1_score,
-    nonspace_prefix,
-    project_cuts,
-    split_f1,
-    stripped_boundaries,
-    tally,
-    token_stats,
-)
-from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts, thresholded_morph_f1
+from .metrics import MetricsReport, nonspace_prefix, stripped_boundaries
+from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
 from .ngram import build_model, prune
-from .segmenter import MODES, SegmenterParams, detect_boundaries, scores, split_at
+from .segmenter import MODES, SegmenterParams, scores
+from .walk import MorphWalk, WordWalk
 
 MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
 MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
@@ -61,12 +50,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.n_values and self.peak_values and self.prune_values and self.direction_modes):
             raise DataError("every grid axis needs at least one value")
-        if min(self.n_values) < 1:
-            raise DataError("grid orders must be >= 1")
-        if min(self.peak_values) < 0.0 or max(self.peak_values) > 1.0:
-            raise DataError("grid peak thresholds must lie in [0, 1]")
-        if min(self.prune_values) < 0:
-            raise DataError("grid prune thresholds must be >= 0")
+        for key, values in (("n", self.n_values), ("peak", self.peak_values), ("prune", self.prune_values)):
+            _check_domain(key, min(values), max(values))
         for mode in self.direction_modes:
             if mode not in MODES:
                 raise DataError(f"unknown direction mode {mode!r}")
@@ -101,12 +86,28 @@ class CorrelationSummary:
     argmax_params: dict[str, SegmenterParams | None]
 
 
-def _parse_axis(key: str, text: str) -> list:
+def _check_domain(key: str, low: float, high: float, n_max: int | None = None) -> None:
+    """Reject values from ``low`` to ``high`` on a numeric axis where they leave its domain."""
+    if key == "n":
+        if low < 1:
+            raise DataError("grid orders must be >= 1")
+        if n_max is not None and high > n_max:
+            raise DataError(f"n_max {n_max} is below the largest grid order {high}")
+    elif key == "peak":
+        if low < 0.0 or high > 1.0:
+            raise DataError("grid peak thresholds must lie in [0, 1]")
+    elif key == "prune" and low < 0:
+        raise DataError("grid prune thresholds must be >= 0")
+
+
+def _parse_axis(key: str, text: str, n_max: int | None) -> list:
+    """One axis's values; a range is checked against the axis domain before it is listed."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise DataError(f"empty range {text!r} for {key}")
+        _check_domain(key, lo, hi, n_max)
         return list(range(lo, hi + 1))
     if ":" in text:
         parts = text.split(":")
@@ -123,14 +124,18 @@ def _parse_axis(key: str, text: str) -> list:
             value = round(start + k * step, 10)
             if value > stop + 1e-9:
                 break
+            _check_domain(key, value, value, n_max)  # values rise: the first one outside stops the listing
             values.append(value)
             k += 1
         return values
     return text.split(",")
 
 
-def parse_grid_spec(text: str) -> GridSpec:
-    """Parse the compact axis syntax, e.g. ``n=1..7;peak=0:0.9:0.1;prune=0,2;mode=fwd,union``."""
+def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
+    """Parse the compact axis syntax, e.g. ``n=1..7;peak=0:0.9:0.1;prune=0,2;mode=fwd,union``.
+
+    With ``n_max`` given, an order above it is rejected too.
+    """
     axes: dict[str, list] = {}
     for clause in text.split(";"):
         clause = clause.strip()
@@ -141,7 +146,7 @@ def parse_grid_spec(text: str) -> GridSpec:
         if not sep or key not in ("n", "peak", "prune", "mode"):
             raise DataError(f"bad grid clause {clause!r}")
         try:
-            axes[key] = _parse_axis(key, value.strip())
+            axes[key] = _parse_axis(key, value.strip(), n_max)
         except ValueError as exc:
             raise DataError(f"non-numeric grid range in {clause!r}") from exc
     missing = {"n", "peak", "prune", "mode"} - set(axes)
@@ -159,7 +164,9 @@ def parse_grid_spec(text: str) -> GridSpec:
         if name not in MODES:
             raise DataError(f"unknown direction mode {mode!r}")
         modes.append(name)
-    return GridSpec(n_values, peak_values, prune_values, tuple(modes))
+    spec = GridSpec(n_values, peak_values, prune_values, tuple(modes))
+    _check_domain("n", min(n_values), max(n_values), n_max)
+    return spec
 
 
 def _sort_key(params: SegmenterParams) -> tuple:
@@ -177,71 +184,61 @@ def run_grid(
 
     The two interleaved train halves (for cross-split F1) are counted once,
     the full-train model is their sum, and all three are pruned per prune
-    value; every peak value of a (prune, n, mode) cell shares its gap scores.
-    Failed trials are recorded with an error marker instead of aborting.
+    value; each (prune, n, mode) cell scores its gaps once and walks its peak
+    values from the highest down (:class:`~tlab.walk.WordWalk`). Failed
+    trials are recorded with an error marker instead of aborting.
     """
-    if n_max < max(spec.n_values):
-        raise DataError(f"n_max {n_max} is below the largest grid order {max(spec.n_values)}")
+    _check_domain("n", min(spec.n_values), max(spec.n_values), n_max)
     if len(gold.lines) != len(test.lines):
         raise DataError(f"gold has {len(gold.lines)} lines but test has {len(test.lines)}")
 
     prefixes = [nonspace_prefix(line) for line in test.lines]
-    gold_bounds = []
+    gold_units = []
     for i, (line, tokens) in enumerate(zip(test.lines, gold.lines)):
         stream, bounds = stripped_boundaries(tokens)
         if stream != "".join(ch for ch in line if not ch.isspace()):
             raise DataError(f"gold/test character streams diverge at line {i + 1}")
-        gold_bounds.append(bounds)
+        gold_units.append([math.inf if p in bounds else -math.inf for p in range(1, len(stream))])
 
     part_a, part_b = split_even_odd(train)
     raw_a, raw_b = build_model(part_a, n_max), build_model(part_b, n_max)
-    return _sweep(
-        spec, (raw_a + raw_b, raw_a, raw_b), test.lines, _word_trial, test.lines, prefixes, gold_bounds
-    )
+    return _sweep(spec, (raw_a + raw_b, raw_a, raw_b), test.lines,
+                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, gold_units, *line_scores, lowest))
 
 
-def _sweep(spec: GridSpec, raw_models, lines, trial, *args) -> list[TrialRecord]:
-    """Record ``trial(params, line_scores, *args)`` at every grid point, sorted.
+def _sweep(spec: GridSpec, raw_models, lines, walk) -> list[TrialRecord]:
+    """Record every grid point, sorted.
 
-    The raw models are pruned once per prune value, and ``line_scores`` (the
-    gap scores of every line under each model) are computed once per
-    (prune, n, mode) cell, whose peak values only threshold them.
+    The raw models are pruned once per prune value, and the gap scores of
+    every line under each model once per (prune, n, mode) cell. ``walk``
+    makes the cell's walker from those scores and the lowest peak; its
+    ``report`` is then called at each peak value from the highest down.
     """
-    peaks = sorted(set(spec.peak_values))
+    peaks = sorted(set(spec.peak_values), reverse=True)
     records: list[TrialRecord] = []
     for prune_threshold in sorted(set(spec.prune_values)):
         models = [prune(m, prune_threshold) for m in raw_models]
         for n in sorted(set(spec.n_values)):
             for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):
-                line_scores = [[scores(m, line, n, mode) for line in lines] for m in models]
+                cell = walk([[scores(m, line, n, mode) for line in lines] for m in models], peaks[-1])
                 for peak in peaks:
-                    params = SegmenterParams(n, peak, prune_threshold, mode)
-                    records.append(_timed_trial(trial, params, line_scores, *args))
+                    records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune_threshold, mode)))
+                del cell  # free this cell's walker before the next one is built
+        del models  # and this level's pruned models before the next level's
     records.sort(key=lambda r: _sort_key(r.params))
     return records
 
 
-def _timed_trial(score: Callable[..., MetricsReport], params: SegmenterParams, *args) -> TrialRecord:
+def _timed_trial(report: Callable[[float], MetricsReport], params: SegmenterParams) -> TrialRecord:
     """Score one grid point, recording its wall time and any error instead of raising."""
     start = time.perf_counter()
     try:
-        report = score(params, *args)
+        result = report(params.peak_threshold)
         error = None
     except Exception as exc:  # noqa: BLE001 - recorded per trial
-        report, error = None, f"{type(exc).__name__}: {exc}"
+        result, error = None, f"{type(exc).__name__}: {exc}"
     wall = int((time.perf_counter() - start) * 1000)
-    return TrialRecord(params, report, wall, error)
-
-
-def _word_trial(params, line_scores, lines, prefixes, gold_bounds):
-    threshold = params.peak_threshold
-    scores_m, scores_a, scores_b = line_scores
-    cuts = [detect_boundaries(sm, threshold) for sm in scores_m]
-    f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts), gold_bounds)))
-    stats = token_stats(map(split_at, lines, cuts), drop_whitespace_tokens=True)
-    s_value, c_value = anti_entropy(stats), compression_factor(stats)
-    csf1 = split_f1(prefixes, scores_a, scores_b, threshold)
-    return MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1))
+    return TrialRecord(params, result, wall, error)
 
 
 def run_morph_grid(
@@ -254,16 +251,12 @@ def run_morph_grid(
 
     The greedy reference cuts are parsed once for the whole grid.
     """
-    if n_max < max(spec.n_values):
-        raise DataError(f"n_max {n_max} is below the largest grid order {max(spec.n_values)}")
+    _check_domain("n", min(spec.n_values), max(spec.n_values), n_max)
     raw = build_morph_model(lexicon, n_max)
+    words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
-    return _sweep(spec, (raw,), lexicon.entries, _morph_trial, lexicon, references)
-
-
-def _morph_trial(params, line_scores, lexicon, references):
-    f1, s_value, c_value = thresholded_morph_f1(lexicon, references, line_scores[0], params.peak_threshold)
-    return MetricsReport(f1, s_value, c_value, None, *derived_metrics(s_value, c_value))
+    return _sweep(spec, (raw,), words,
+                  lambda line_scores, lowest: MorphWalk(words, freqs, references, *line_scores, lowest))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:

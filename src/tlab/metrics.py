@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model, prune
-from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores
+from .segmenter import Segmentation, SegmenterParams, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -169,23 +170,20 @@ def token_span_f1(
 
 
 def token_stats(
-    segs: Iterable[Segmentation | Sequence[str]],
-    drop_whitespace_tokens: bool = False,
-    weights: Iterable[int] | None = None,
+    segs: Iterable[Segmentation | Sequence[str]], drop_whitespace_tokens: bool = False
 ) -> TokenStats:
-    """Tally token occurrences, each line's tokens counted ``weights[i]`` times
-    (once when no weights are given); optionally skip whitespace-only tokens."""
+    """Tally token occurrences; optionally skip whitespace-only tokens."""
     lexicon: dict[str, int] = {}
     total_tokens = 0
     total_chars = 0
-    for seg, weight in zip(segs, repeat(1) if weights is None else weights):
+    for seg in segs:
         tokens = seg.tokens if isinstance(seg, Segmentation) else seg
         for token in tokens:
             if drop_whitespace_tokens and token.isspace():
                 continue
-            lexicon[token] = lexicon.get(token, 0) + weight
-            total_tokens += weight
-            total_chars += weight * len(token)
+            lexicon[token] = lexicon.get(token, 0) + 1
+            total_tokens += 1
+            total_chars += len(token)
     return TokenStats(lexicon, total_tokens, total_chars)
 
 
@@ -210,32 +208,88 @@ def compression_factor(stats: TokenStats) -> float:
     return (stats.total_tokens + dictionary) / stats.total_chars
 
 
-def split_f1(
+def stripped_maxima(prefix: Sequence[int], gap_scores: Sequence[float]) -> Sequence[float]:
+    """The highest gap score at each internal position p of the stripped stream, at index p - 1.
+
+    ``prefix`` is the line's :func:`nonspace_prefix` table. A threshold cuts
+    stripped position p iff its value here reaches it, which is
+    :func:`project_cuts` of every threshold's cuts at once.
+    """
+    total = prefix[-1]
+    if total == len(gap_scores) + 1:  # no whitespace: gap k is position k
+        return gap_scores
+    best = [-math.inf] * max(total - 1, 0)
+    for p, score in zip(prefix[1:], gap_scores):
+        if 0 < p < total and score > best[p - 1]:
+            best[p - 1] = score
+    return best
+
+
+def _at_least(ascending: Sequence[float], threshold: float) -> int:
+    return len(ascending) - bisect_left(ascending, threshold)
+
+
+class ThresholdTally(NamedTuple):
+    """Sorted unit scores from which :func:`tally` at any threshold is a count.
+
+    A unit is predicted at θ when its predicted score reaches θ, in the
+    reference when its reference score does, and in both when the lower of
+    the two does. A reference that does not depend on θ scores its units
+    ``inf`` and every other unit ``-inf``.
+    """
+
+    lowest: float
+    both: list[float]
+    predicted: list[float]
+    reference: list[float]
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[Sequence[float], Sequence[float]]], lowest: float) -> "ThresholdTally":
+        """From (predicted, reference) scores of the same units, one pair per
+        line; only thresholds of at least ``lowest`` can be asked for."""
+        both: list[float] = []
+        predicted: list[float] = []
+        reference: list[float] = []
+        for pred, ref in pairs:
+            predicted += pred
+            reference += ref
+            both += [p if p < r else r for p, r in zip(pred, ref)]
+        # a score below the lowest threshold counts at none of them
+        return cls(lowest, *(sorted([v for v in values if v >= lowest]) for values in (both, predicted, reference)))
+
+    def at(self, threshold: float) -> BoundaryCounts:
+        if threshold < self.lowest:
+            raise ValueError(f"threshold {threshold} is below the lowest one, {self.lowest}")
+        tp = _at_least(self.both, threshold)
+        fp = _at_least(self.predicted, threshold) - tp
+        return BoundaryCounts(tp, fp, _at_least(self.reference, threshold) - tp)
+
+
+def split_tally(
     prefixes: Iterable[Sequence[int]],
     scores_a: Iterable[Sequence[float]],
     scores_b: Iterable[Sequence[float]],
-    threshold: float,
-) -> float:
-    """Boundary F1 between the cuts that two models' gap scores give the same lines.
+    lowest: float,
+) -> ThresholdTally:
+    """Boundary tallies at every threshold from ``lowest`` up between two
+    models' cuts of the same lines.
 
     ``prefixes`` are the lines' :func:`nonspace_prefix` tables. Either role
-    order gives the same float: swapping them swaps fp and fn, hence
+    order gives the same F1: swapping them swaps fp and fn, hence
     precision and recall, which 2*p*r/(p+r) reads the same to the last bit,
     so averaging both orders would change nothing.
     """
-    pairs = (
-        (project_cuts(prefix, detect_boundaries(a, threshold)),
-         project_cuts(prefix, detect_boundaries(b, threshold)))
-        for prefix, a, b in zip(prefixes, scores_a, scores_b)
+    return ThresholdTally.of(
+        ((stripped_maxima(prefix, a), stripped_maxima(prefix, b)) for prefix, a, b in zip(prefixes, scores_a, scores_b)),
+        lowest,
     )
-    return f1_score(tally(pairs))
 
 
 def cross_split_f1(
     train: TextCorpus, test: TextCorpus, params: SegmenterParams, n_max: int
 ) -> float:
     """Train on interleaved halves, cut a shared test set with both models,
-    and score one set of cuts against the other (see :func:`split_f1`)."""
+    and score one set of cuts against the other (see :func:`split_tally`)."""
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
     if not all(test.lines):
@@ -245,12 +299,13 @@ def cross_split_f1(
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.direction_mode
     model_a, model_b = (prune(build_model(part, n), params.prune_threshold) for part in split_even_odd(train))
-    return split_f1(
+    tallies = split_tally(
         map(nonspace_prefix, test.lines),
         (scores(model_a, line, n, mode) for line in test.lines),
         (scores(model_b, line, n, mode) for line in test.lines),
         params.peak_threshold,
     )
+    return f1_score(tallies.at(params.peak_threshold))
 
 
 def derived_metrics(

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
-from .metrics import BoundaryCounts, anti_entropy, compression_factor, f1_score, token_stats
 from .ngram import TransitionModel, build_model, prune
-from .segmenter import Segmentation, SegmenterParams, detect_boundaries, scores, segment, split_at
+from .segmenter import Segmentation, SegmenterParams, scores, segment
+from .walk import MorphWalk
 
 
 @dataclass
@@ -149,30 +149,6 @@ def reference_cuts(lexicon: FreqLexicon, inventory: AffixInventory) -> list[froz
     ]
 
 
-def thresholded_morph_f1(
-    lexicon: FreqLexicon,
-    references: Sequence[frozenset[int]],
-    word_scores: Sequence[Sequence[float]],
-    threshold: float,
-) -> tuple[float, float, float]:
-    """Cut each word where its gap score reaches ``threshold`` and score the cuts.
-
-    Per-word boundary F1 against the reference cuts (words hold no
-    whitespace, so cut sets compare directly) is averaged with word-frequency
-    weights; anti-entropy and compression factor accumulate every word's
-    pieces with multiplicity equal to its frequency.
-    """
-    f1_weighted = 0.0
-    pieces = []
-    for (word, freq), reference, gap_scores in zip(lexicon.entries.items(), references, word_scores):
-        cuts = detect_boundaries(gap_scores, threshold)
-        hits = len(reference.intersection(cuts))
-        f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
-        pieces.append(split_at(word, cuts))
-    stats = token_stats(pieces, weights=lexicon.entries.values())
-    return f1_weighted / sum(lexicon.entries.values()), anti_entropy(stats), compression_factor(stats)
-
-
 def weighted_morph_f1(
     model: TransitionModel,
     lexicon: FreqLexicon,
@@ -180,11 +156,14 @@ def weighted_morph_f1(
     params: SegmenterParams,
 ) -> tuple[float, float, float]:
     """Frequency-weighted F1, anti-entropy and compression factor of freedom-peak
-    parses against the greedy reference (see :func:`thresholded_morph_f1`)."""
+    parses against the greedy reference (see :class:`~tlab.walk.MorphWalk`)."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
     pruned = prune(model, params.prune_threshold)
-    word_scores = [scores(pruned, word, params.n, params.direction_mode) for word in lexicon.entries]
-    return thresholded_morph_f1(
-        lexicon, reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
+    words = tuple(lexicon.entries)
+    word_scores = [scores(pruned, word, params.n, params.direction_mode) for word in words]
+    walk = MorphWalk(
+        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
     )
+    report = walk.report(params.peak_threshold)
+    return report.f1, report.anti_entropy, report.compression_factor

@@ -1,0 +1,186 @@
+"""Descending peak walks: every peak value of a grid cell from one pass over its gaps.
+
+A gap is cut iff its score reaches the peak threshold, so cuts only grow as
+the threshold falls. A cell therefore visits its peak values from the
+highest to the lowest: each gap is cut once, when the walk first reaches its
+score, and splits one token of a running lexicon in two; boundary tallies at
+any threshold are counts over scores sorted once per cell
+(:class:`~tlab.metrics.ThresholdTally`). Every metric is still computed by
+the :mod:`tlab.metrics` functions, from the same integers and tables as a
+per-peak pass, so every float is the same.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from typing import Sequence
+
+from .metrics import (
+    BoundaryCounts,
+    MetricsReport,
+    ThresholdTally,
+    TokenStats,
+    anti_entropy,
+    compression_factor,
+    derived_metrics,
+    f1_score,
+    split_tally,
+    stripped_maxima,
+)
+
+
+class TokenWalk:
+    """Token statistics of lines cut at every gap whose score reaches a falling threshold.
+
+    Line i's tokens count ``weights[i]`` times, and whitespace-only tokens are
+    skipped when ``drop_whitespace_tokens`` is set, as in
+    :func:`~tlab.metrics.token_stats`. Gaps scoring below ``lowest`` are
+    never cut.
+    """
+
+    def __init__(
+        self,
+        lines: Sequence[str],
+        line_scores: Sequence[Sequence[float]],
+        weights: Sequence[int],
+        lowest: float,
+        drop_whitespace_tokens: bool,
+    ) -> None:
+        self.lines = lines
+        self.weights = weights
+        self.drop_whitespace_tokens = drop_whitespace_tokens
+        self.cuts = [[0, len(line)] for line in lines]
+        self.gaps = [
+            (score, i, k)
+            for i, gap_scores in enumerate(line_scores)
+            for k, score in enumerate(gap_scores, 1)
+            if score >= lowest
+        ]
+        self.gaps.sort(reverse=True)
+        self.reached = 0
+        self.threshold = math.inf
+        self.lexicon: dict[str, int] = {}
+        self.total_tokens = 0
+        self.total_chars = 0
+        self._count(zip(lines, weights))
+
+    def _count(self, weighted_tokens) -> None:
+        """Add each (token, weight) pair to the lexicon and the totals; weights may be negative."""
+        lexicon, drop = self.lexicon, self.drop_whitespace_tokens
+        tokens = chars = 0
+        for token, weight in weighted_tokens:
+            if drop and token.isspace():
+                continue
+            count = lexicon.get(token, 0) + weight
+            if count:
+                lexicon[token] = count
+            else:
+                del lexicon[token]
+            tokens += weight
+            chars += weight * len(token)
+        self.total_tokens += tokens
+        self.total_chars += chars
+
+    def advance(self, threshold: float) -> list[tuple[float, int, int]]:
+        """Cut every gap scoring at least ``threshold``; return the newly cut (score, line, gap) triples."""
+        if threshold > self.threshold:
+            raise ValueError(f"threshold {threshold} is above the last one, {self.threshold}")
+        self.threshold = threshold
+        gaps, start = self.gaps, self.reached
+        end = start
+        while end < len(gaps) and gaps[end][0] >= threshold:
+            end += 1
+        self.reached = end
+        newly = gaps[start:end]
+        lines, all_cuts, weights = self.lines, self.cuts, self.weights
+        changes = []  # token, weight, token, weight, ...: no tuple per token
+        for _, i, k in newly:
+            line, cuts, weight = lines[i], all_cuts[i], weights[i]
+            j = bisect_left(cuts, k)
+            left, right = cuts[j - 1], cuts[j]
+            cuts.insert(j, k)
+            changes += (line[left:right], -weight, line[left:k], weight, line[k:right], weight)
+        pairs = iter(changes)
+        self._count(zip(pairs, pairs))
+        return newly
+
+    def stats(self) -> TokenStats:
+        """The statistics at the current threshold; the lexicon changes with the next advance."""
+        return TokenStats(self.lexicon, self.total_tokens, self.total_chars)
+
+
+class WordWalk:
+    """One word-grid cell: boundary F1 against gold, token statistics and
+    cross-split F1 of the test lines at falling peak thresholds.
+
+    ``gold_units`` give each line's internal stripped positions, in order,
+    ``inf`` where gold cuts and ``-inf`` elsewhere; ``scores_m``, ``scores_a`` and ``scores_b`` are every line's gap scores
+    under the full-train model and the two half models.
+    """
+
+    def __init__(
+        self,
+        lines: Sequence[str],
+        prefixes: Sequence[Sequence[int]],
+        gold_units: Sequence[Sequence[float]],
+        scores_m: Sequence[Sequence[float]],
+        scores_a: Sequence[Sequence[float]],
+        scores_b: Sequence[Sequence[float]],
+        lowest: float,
+    ) -> None:
+        self.gold = ThresholdTally.of(zip(map(stripped_maxima, prefixes, scores_m), gold_units), lowest)
+        self.split = split_tally(prefixes, scores_a, scores_b, lowest)
+        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest, drop_whitespace_tokens=True)
+
+    def report(self, threshold: float) -> MetricsReport:
+        self.tokens.advance(threshold)
+        f1 = f1_score(self.gold.at(threshold))
+        stats = self.tokens.stats()
+        s_value, c_value = anti_entropy(stats), compression_factor(stats)
+        csf1 = f1_score(self.split.at(threshold))
+        return MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1))
+
+
+class MorphWalk:
+    """Frequency-weighted morph F1, anti-entropy and compression factor of a
+    lexicon's freedom-peak cuts at falling peak thresholds.
+
+    Per-word boundary F1 against the reference cuts (words hold no
+    whitespace, so cut sets compare directly) is averaged with word-frequency
+    weights; anti-entropy and compression factor count every word's pieces
+    with multiplicity equal to its frequency.
+    """
+
+    def __init__(
+        self,
+        words: Sequence[str],
+        freqs: Sequence[int],
+        references: Sequence[frozenset[int]],
+        word_scores: Sequence[Sequence[float]],
+        lowest: float,
+    ) -> None:
+        self.freqs = freqs
+        self.references = references
+        self.tokens = TokenWalk(words, word_scores, freqs, lowest, drop_whitespace_tokens=False)
+        self.hits = [0] * len(words)
+        self.cut_counts = [0] * len(words)
+        self.terms = [freq * f1_score(BoundaryCounts(0, 0, len(ref))) for freq, ref in zip(freqs, references)]
+        self.total_freq = sum(freqs)
+
+    def report(self, threshold: float) -> MetricsReport:
+        touched = set()
+        for _, i, k in self.tokens.advance(threshold):
+            self.cut_counts[i] += 1
+            self.hits[i] += k in self.references[i]
+            touched.add(i)
+        for i in touched:
+            hits, ref = self.hits[i], self.references[i]
+            counts = BoundaryCounts(hits, self.cut_counts[i] - hits, len(ref) - hits)
+            self.terms[i] = self.freqs[i] * f1_score(counts)
+        f1_weighted = 0.0
+        for term in self.terms:  # a running sum in lexicon order, not sum(), which may compensate
+            f1_weighted += term
+        stats = self.tokens.stats()
+        s_value, c_value = anti_entropy(stats), compression_factor(stats)
+        return MetricsReport(f1_weighted / self.total_freq, s_value, c_value, None, *derived_metrics(s_value, c_value))

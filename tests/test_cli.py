@@ -1,11 +1,14 @@
 import json
+import time
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from tlab import cli
 from tlab.cli import main
 from tlab.corpus import TextCorpus, save_segmented, save_text
+from tlab.morphology import build_morph_model
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -242,6 +245,26 @@ def test_grid_search_bad_grid_is_data_error(word_data, tmp_path, capsys, grid):
     assert_data_error(capsys)
 
 
+@pytest.mark.parametrize("grid", [
+    "n=1..2000000000;peak=0.5;prune=0;mode=union",
+    "n=1;peak=0:1e9:1;prune=0;mode=union",
+])
+@pytest.mark.parametrize("command", ["grid-search", "morph-grid"])
+def test_grid_range_outside_its_axis_is_rejected_before_listing(word_data, morph_files, tmp_path, capsys,
+                                                                command, grid):
+    # listing either range would take minutes and gigabytes; its endpoints alone rule it out
+    inputs = {
+        "grid-search": ["--train", str(word_data["train"]), "--test", str(word_data["test"]),
+                        "--gold", str(word_data["gold"])],
+        "morph-grid": ["--lexicon", str(morph_files[0]), "--suffixes", str(morph_files[1])],
+    }[command]
+    argv = [command, *inputs, "--n-max", "7", "--grid", grid, "--out-csv", str(tmp_path / "t.csv")]
+    start = time.process_time()
+    assert main(argv) == 2
+    assert time.process_time() - start < 1.0
+    assert_data_error(capsys)
+
+
 @pytest.mark.parametrize("count", ["-1", "0"])
 def test_grid_search_sample_count_below_one_is_data_error(word_data, tmp_path, capsys, count):
     argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
@@ -344,6 +367,26 @@ def test_morph_eval_json(morph_files, capsys):
     payload = json.loads(capsys.readouterr().out.strip())
     for key in ("f1", "anti_entropy", "compression_factor", "avg2", "product"):
         assert key in payload
+
+
+def test_morph_eval_order_above_n_max_is_data_error(morph_files, capsys):
+    lex_path, suffix_path = morph_files
+    code = main(["morph-eval", "--lexicon", str(lex_path), "--suffixes", str(suffix_path),
+                 "--n", "3", "--peak", "0.5", "--n-max", "2"])
+    assert code == 2
+    assert_data_error(capsys)
+
+
+def test_morph_eval_counts_only_up_to_its_order(morph_files, capsys, monkeypatch):
+    # only order --n is read, so the model is built up to --n, not --n-max
+    built = []
+    monkeypatch.setattr(cli, "build_morph_model", lambda lexicon, n_max: built.append(n_max) or
+                        build_morph_model(lexicon, n_max))
+    lex_path, suffix_path = morph_files
+    assert main(["morph-eval", "--lexicon", str(lex_path), "--suffixes", str(suffix_path),
+                 "--n", "2", "--peak", "0.5", "--n-max", "7"]) == 0
+    assert built == [2]
+    capsys.readouterr()
 
 
 def test_grid_search_timings_flag(word_data, tmp_path, capsys):

@@ -3,11 +3,13 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from tlab.corpus import DataError, GoldSegmentation, split_even_odd
+from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
     CSV_HEADER,
+    MODE_SHORT,
+    GridSpec,
     TrialRecord,
     parse_grid_spec,
     pearson,
@@ -17,6 +19,7 @@ from tlab.lab import (
     write_trials_csv,
 )
 from tlab.metrics import (
+    BoundaryCounts,
     MetricsReport,
     TokenStats,
     anti_entropy,
@@ -24,7 +27,12 @@ from tlab.metrics import (
     boundary_f1,
     compression_factor,
     cross_split_f1,
+    derived_metrics,
     f1_score,
+    nonspace_prefix,
+    project_cuts,
+    stripped_boundaries,
+    tally,
     token_stats,
 )
 from tlab.morphology import (
@@ -32,10 +40,11 @@ from tlab.morphology import (
     FreqLexicon,
     build_morph_model,
     greedy_parse,
+    reference_cuts,
     weighted_morph_f1,
 )
-from tlab.ngram import build_model
-from tlab.segmenter import SegmenterParams, segment, segment_corpus
+from tlab.ngram import build_model, prune
+from tlab.segmenter import MODES, SegmenterParams, detect_boundaries, scores, segment, segment_corpus, split_at
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -239,6 +248,140 @@ class TestRunMorphGrid:
         r = summary.pearson_f1_vs["compression_factor"]
         assert r is not None and abs(r) >= 0.3
         assert summary.pearson_f1_vs["csf1"] is None
+
+
+def grid_points(spec):
+    """Every distinct grid point in the order the grids sort their records."""
+    for n in sorted(set(spec.n_values)):
+        for peak in sorted(set(spec.peak_values)):
+            for prune_threshold in sorted(set(spec.prune_values)):
+                for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):
+                    yield SegmenterParams(n, peak, prune_threshold, mode)
+
+
+def per_peak_word_records(train, test, gold, spec, n_max):
+    """run_grid as thresholding every line again at every peak: (params, report, error) per point."""
+    part_a, part_b = split_even_odd(train)
+    raw = [build_model(train, n_max), build_model(part_a, n_max), build_model(part_b, n_max)]
+    prefixes = [nonspace_prefix(line) for line in test.lines]
+    gold_bounds = [stripped_boundaries(tokens)[1] for tokens in gold.lines]
+    records = []
+    for params in grid_points(spec):
+        peak = params.peak_threshold
+        cuts_m, cuts_a, cuts_b = (
+            [detect_boundaries(scores(prune(m, params.prune_threshold), line, params.n, params.direction_mode), peak)
+             for line in test.lines]
+            for m in raw
+        )
+        f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
+        csf1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_a), map(project_cuts, prefixes, cuts_b))))
+        stats = token_stats(map(split_at, test.lines, cuts_m), drop_whitespace_tokens=True)
+        try:
+            s_value, c_value = anti_entropy(stats), compression_factor(stats)
+        except DataError as exc:
+            records.append((params, None, f"DataError: {exc}"))
+            continue
+        records.append((params, MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1)), None))
+    return records
+
+
+def per_peak_morph_records(lexicon, inventory, spec, n_max):
+    """run_morph_grid as cutting every word again at every peak: (params, report, error) per point."""
+    raw = build_morph_model(lexicon, n_max)
+    references = reference_cuts(lexicon, inventory)
+    records = []
+    for params in grid_points(spec):
+        model = prune(raw, params.prune_threshold)
+        f1_weighted = 0.0
+        pieces = []
+        for (word, freq), reference in zip(lexicon.entries.items(), references):
+            cuts = detect_boundaries(scores(model, word, params.n, params.direction_mode), params.peak_threshold)
+            hits = len(reference.intersection(cuts))
+            f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
+            pieces += [split_at(word, cuts)] * freq  # a word's pieces occur as often as the word
+        stats = token_stats(pieces)
+        f1 = f1_weighted / sum(lexicon.entries.values())
+        s_value, c_value = anti_entropy(stats), compression_factor(stats)
+        records.append((params, MetricsReport(f1, s_value, c_value, None, *derived_metrics(s_value, c_value)), None))
+    return records
+
+
+def draw_peaks(data, models, lines, n_values):
+    """Peak values with duplicates, with 0 (below every negative score), and
+    with values equal to gap scores of the lines."""
+    gap_scores = sorted({
+        score
+        for model in models
+        for n in n_values
+        for mode in MODES
+        for line in lines
+        for score in scores(model, line, n, mode)
+        if 0.0 <= score <= 1.0
+    })
+    pool = st.sampled_from([0.0, 0.25, 0.5, 1.0, *gap_scores])
+    peaks = data.draw(st.lists(pool, min_size=1, max_size=5))
+    return (*peaks, *data.draw(st.lists(st.sampled_from(peaks), max_size=2)))
+
+
+def draw_axes(data):
+    n_values = tuple(data.draw(st.sets(st.integers(1, 3), min_size=1)))
+    prune_values = tuple(data.draw(st.sets(st.integers(0, 2), min_size=1)))
+    modes = tuple(data.draw(st.sets(st.sampled_from(MODES), min_size=1)))
+    return n_values, prune_values, modes
+
+
+WORDS = st.text(alphabet="abc", min_size=1, max_size=4)
+SEPARATORS = st.sampled_from(["", " ", "\t", "  ", " \t ", "\t\t"])
+
+
+@st.composite
+def spaced_line(draw):
+    """A test line and its gold tokens: words joined by whitespace runs, tabs or
+    nothing (unspaced), with whitespace at either end."""
+    words = draw(st.lists(WORDS, min_size=1, max_size=5))
+    separators = draw(st.lists(SEPARATORS, min_size=len(words) + 1, max_size=len(words) + 1))
+    line = separators[0] + "".join(word + sep for word, sep in zip(words, separators[1:]))
+    return line, tuple(words)
+
+
+class TestDescendingWalk:
+    """The grids walk each cell's peaks from the highest down; every record must
+    equal thresholding every line again at each peak."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_word_grid_matches_per_peak_path(self, data):
+        train = TextCorpus(tuple(line for line, _ in data.draw(st.lists(spaced_line(), min_size=2, max_size=8))))
+        if data.draw(st.booleans()):
+            drawn = data.draw(st.lists(spaced_line(), min_size=1, max_size=5))
+            test = TextCorpus(tuple(line for line, _ in drawn))
+            gold = GoldSegmentation(tuple(tokens for _, tokens in drawn))
+        else:  # nothing but whitespace: no token at any peak
+            test = TextCorpus(tuple(data.draw(st.lists(SEPARATORS.filter(bool), min_size=1, max_size=3))))
+            gold = GoldSegmentation(tuple(() for _ in test.lines))
+        n_values, prune_values, modes = draw_axes(data)
+        part_a, part_b = split_even_odd(train)
+        models = [build_model(corpus, 3) for corpus in (train, part_a, part_b)]
+        spec = GridSpec(n_values, draw_peaks(data, models, test.lines, n_values), prune_values, modes)
+
+        records = run_grid(train, test, gold, spec, 3)
+        assert [(r.params, r.report, r.error) for r in records] == per_peak_word_records(train, test, gold, spec, 3)
+        if not any(tokens for tokens in gold.lines):
+            assert {r.error for r in records} == {"DataError: anti-entropy needs at least one token"}
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_morph_grid_matches_per_peak_path(self, data):
+        words = data.draw(st.lists(st.text(alphabet="abcd", min_size=1, max_size=7), min_size=1, max_size=8, unique=True))
+        lexicon = FreqLexicon({word: data.draw(st.integers(1, 5)) for word in words})
+        suffixes = frozenset(word[-2:] for word in words if len(word) > 2)
+        inventory = AffixInventory(frozenset(), suffixes, min_stem=data.draw(st.integers(1, 3)))
+        n_values, prune_values, modes = draw_axes(data)
+        model = build_morph_model(lexicon, 3)
+        spec = GridSpec(n_values, draw_peaks(data, [model], words, n_values), prune_values, modes)
+
+        records = run_morph_grid(lexicon, inventory, spec, 3)
+        assert [(r.params, r.report, r.error) for r in records] == per_peak_morph_records(lexicon, inventory, spec, 3)
 
 
 class TestSummarize:

@@ -175,21 +175,6 @@ class TestTokenStats:
         stats = token_stats(segs(("ab", "ab")))
         assert stats.lexicon == {"ab": 2}
 
-    def test_weights_count_each_line_that_often(self):
-        stats = token_stats([("ab", "c"), ("c", " ")], drop_whitespace_tokens=True, weights=[3, 2])
-        assert stats == TokenStats({"ab": 3, "c": 5}, 8, 11)
-
-    @given(
-        st.lists(st.tuples(st.lists(st.sampled_from(["a", "ab", " ", "\t"]), min_size=1, max_size=4),
-                           st.integers(1, 4)), max_size=5),
-        st.booleans(),
-    )
-    def test_weight_equals_repeating_the_line(self, weighted_lines, drop):
-        lines = [tokens for tokens, _ in weighted_lines]
-        weights = [weight for _, weight in weighted_lines]
-        repeated = [tokens for tokens, weight in weighted_lines for _ in range(weight)]
-        assert token_stats(lines, drop, weights) == token_stats(repeated, drop)
-
 
 class TestAntiEntropy:
     def test_uniform_four_types(self):
