@@ -20,7 +20,7 @@ from .corpus import (
 )
 from .lab import (
     DEFAULT_GRID,
-    MODE_LONG,
+    METRIC_COLUMNS,
     _round9,
     parse_grid_spec,
     run_grid,
@@ -47,8 +47,8 @@ from .morphology import (
     load_lexicon,
     weighted_morph_f1,
 )
-from .ngram import build_model, load_model, save_model
-from .segmenter import SegmenterParams, segment_corpus
+from .ngram import build_model, check_order, load_model, save_model
+from .segmenter import MODE_LONG, SegmenterParams, segment_corpus
 
 
 class UsageError(Exception):
@@ -66,7 +66,7 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="n-gram order")
     parser.add_argument("--peak", type=float, required=True, help="peak threshold in [0,1]")
     parser.add_argument("--prune", type=int, default=0, help="minimum edge count kept")
-    parser.add_argument("--mode", choices=("fwd", "bwd", "union"), default="union")
+    parser.add_argument("--mode", choices=tuple(MODE_LONG), default="union")
 
 
 def _params_from(args: argparse.Namespace) -> SegmenterParams:
@@ -106,8 +106,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     selected = args.metrics
     pred = load_segmented(args.pred)
-    report = {k: None for k in ("f1", "anti_entropy", "compression_factor",
-                                "reciprocal_cf", "csf1", "avg3", "avg2", "product")}
+    report = dict.fromkeys(("f1", *METRIC_COLUMNS))
 
     if selected in ("all", "f1"):
         if not args.gold:
@@ -126,8 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         needed = [args.train, args.test, args.n, args.peak]
         if any(v is None for v in needed):
             raise UsageError("--train, --test, --n and --peak are required for the csf1 metric")
-        params = SegmenterParams(args.n, args.peak, args.prune, MODE_LONG[args.mode])
-        report["csf1"] = cross_split_f1(load_text(args.train), load_text(args.test), params, args.n_max)
+        report["csf1"] = cross_split_f1(load_text(args.train), load_text(args.test), _params_from(args), args.n_max)
     if selected == "all":
         avg3, avg2, product = derived_metrics(
             report["anti_entropy"], report["compression_factor"], report["csf1"]
@@ -175,8 +173,7 @@ def cmd_morph_eval(args: argparse.Namespace) -> int:
     lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
     inventory = _inventory_from(args)
     params = _params_from(args)
-    if params.n > args.n_max:
-        raise DataError(f"order {params.n} exceeds model n_max {args.n_max}")
+    check_order(params.n, args.n_max)
     # only order --n is read, and its counts do not depend on the orders above it
     model = build_morph_model(lexicon, params.n)
     f1, s_value, c_value = weighted_morph_f1(model, lexicon, inventory, params)
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="order for csf1 segmentation")
     p.add_argument("--peak", type=float, help="peak threshold for csf1 segmentation")
     p.add_argument("--prune", type=int, default=0)
-    p.add_argument("--mode", choices=("fwd", "bwd", "union"), default="union")
+    p.add_argument("--mode", choices=tuple(MODE_LONG), default="union")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--keep-ws-tokens", action="store_true",
                    help="keep whitespace-only tokens in token statistics")

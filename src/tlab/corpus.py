@@ -148,11 +148,3 @@ def sample_indices(n_lines: int, count: int, seed: int) -> tuple[int, ...]:
         return tuple(range(n_lines))
     return tuple(sorted(random.Random(seed).sample(range(n_lines), count)))
 
-
-def sample_lines(corpus: TextCorpus, count: int, seed: int) -> TextCorpus:
-    """Seeded random sample of ``count`` lines, keeping original relative order."""
-    idx = sample_indices(len(corpus.lines), count, seed)
-    if len(idx) == len(corpus.lines):
-        return corpus
-    picked = tuple(corpus.lines[i] for i in idx)
-    return TextCorpus(picked, f"{corpus.source_id}/sample{count}s{seed}")

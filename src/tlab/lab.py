@@ -11,14 +11,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .metrics import MetricsReport, nonspace_prefix, stripped_boundaries
+from .metrics import MetricsReport, gold_units, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import build_model, prune
-from .segmenter import MODES, SegmenterParams, scores
+from .ngram import build_model, check_order, prune
+from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, scores, union
 from .walk import MorphWalk, WordWalk
-
-MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
-MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
 
 METRIC_COLUMNS = (
     "anti_entropy",
@@ -30,12 +27,12 @@ METRIC_COLUMNS = (
     "product",
 )
 
-CSV_HEADER = (
-    "n,peak,prune,mode,f1,anti_entropy,compression_factor,reciprocal_cf,"
-    "csf1,avg3,avg2,product,wall_time_ms,error"
-)
+CSV_HEADER = ",".join(("n", "peak", "prune", "mode", "f1", *METRIC_COLUMNS, "wall_time_ms", "error"))
 
 DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
+
+# the most values a grid axis may list; more is a mistyped range, slow and large to list
+MAX_AXIS_VALUES = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,22 +45,12 @@ class GridSpec:
     direction_modes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not (self.n_values and self.peak_values and self.prune_values and self.direction_modes):
-            raise DataError("every grid axis needs at least one value")
-        for key, values in (("n", self.n_values), ("peak", self.peak_values), ("prune", self.prune_values)):
-            _check_domain(key, min(values), max(values))
-        for mode in self.direction_modes:
-            if mode not in MODES:
-                raise DataError(f"unknown direction mode {mode!r}")
-
-    @property
-    def cardinality(self) -> int:
-        return (
-            len(set(self.n_values))
-            * len(set(self.peak_values))
-            * len(set(self.prune_values))
-            * len(set(self.direction_modes))
-        )
+        axes = {"n": self.n_values, "peak": self.peak_values, "prune": self.prune_values, "mode": self.direction_modes}
+        for axis, values in axes.items():
+            if not values:
+                raise DataError("every grid axis needs at least one value")
+            for value in values:
+                check_domain(axis, value)
 
 
 @dataclass(frozen=True)
@@ -86,30 +73,17 @@ class CorrelationSummary:
     argmax_params: dict[str, SegmenterParams | None]
 
 
-def _check_domain(key: str, low: float, high: float, n_max: int | None = None) -> None:
-    """Reject values from ``low`` to ``high`` on a numeric axis where they leave its domain."""
-    if key == "n":
-        if low < 1:
-            raise DataError("grid orders must be >= 1")
-        if n_max is not None and high > n_max:
-            raise DataError(f"n_max {n_max} is below the largest grid order {high}")
-    elif key == "peak":
-        if low < 0.0 or high > 1.0:
-            raise DataError("grid peak thresholds must lie in [0, 1]")
-    elif key == "prune" and low < 0:
-        raise DataError("grid prune thresholds must be >= 0")
-
-
-def _parse_axis(key: str, text: str, n_max: int | None) -> list:
-    """One axis's values; a range is checked against the axis domain before it is listed."""
+def _parse_axis(key: str, text: str) -> list:
+    """One axis's values. A range is counted before it is listed, and its
+    first and last values are checked against the axis domain."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise DataError(f"empty range {text!r} for {key}")
-        _check_domain(key, lo, hi, n_max)
-        return list(range(lo, hi + 1))
-    if ":" in text:
+        count = hi - lo + 1
+
+        def value(k: int) -> int:
+            return lo + k
+    elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DataError(f"float range for {key} must be start:stop:step, got {text!r}")
@@ -118,17 +92,30 @@ def _parse_axis(key: str, text: str, n_max: int | None) -> list:
             raise DataError(f"float range for {key} must be finite, got {text!r}")
         if step <= 0:
             raise DataError(f"step must be positive in {text!r}")
-        values = []
-        k = 0
-        while True:
-            value = round(start + k * step, 10)
-            if value > stop + 1e-9:
-                break
-            _check_domain(key, value, value, n_max)  # values rise: the first one outside stops the listing
-            values.append(value)
-            k += 1
-        return values
-    return text.split(",")
+
+        def value(k: int) -> float:
+            return round(start + k * step, 10)
+
+        # the values rise with k: step the float estimate of the last k whose
+        # value stays within the stop to the exact one, counting no further
+        # than one past the limit
+        limit = stop + 1e-9
+        span = (limit - start) / step
+        last = math.floor(min(span, MAX_AXIS_VALUES)) if span > -1 else -1
+        while last < MAX_AXIS_VALUES and value(last + 1) <= limit:
+            last += 1
+        while last >= 0 and value(last) > limit:
+            last -= 1
+        count = last + 1
+    else:
+        return text.split(",")
+    if count > MAX_AXIS_VALUES:
+        raise DataError(f"range {text!r} for {key} holds more than {MAX_AXIS_VALUES} values")
+    if count < 1:
+        raise DataError(f"empty range {text!r} for {key}")
+    check_domain(key, value(0))
+    check_domain(key, value(count - 1))
+    return [value(k) for k in range(count)]
 
 
 def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
@@ -146,7 +133,7 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
         if not sep or key not in ("n", "peak", "prune", "mode"):
             raise DataError(f"bad grid clause {clause!r}")
         try:
-            axes[key] = _parse_axis(key, value.strip(), n_max)
+            axes[key] = _parse_axis(key, value.strip())
         except ValueError as exc:
             raise DataError(f"non-numeric grid range in {clause!r}") from exc
     missing = {"n", "peak", "prune", "mode"} - set(axes)
@@ -158,14 +145,10 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
         prune_values = tuple(int(v) for v in axes["prune"])
     except (TypeError, ValueError) as exc:
         raise DataError(f"non-numeric grid value in {text!r}") from exc
-    modes = []
-    for mode in axes["mode"]:
-        name = MODE_LONG.get(str(mode).strip(), str(mode).strip())
-        if name not in MODES:
-            raise DataError(f"unknown direction mode {mode!r}")
-        modes.append(name)
-    spec = GridSpec(n_values, peak_values, prune_values, tuple(modes))
-    _check_domain("n", min(n_values), max(n_values), n_max)
+    modes = tuple(MODE_LONG.get(mode.strip(), mode.strip()) for mode in axes["mode"])
+    spec = GridSpec(n_values, peak_values, prune_values, modes)
+    if n_max is not None:
+        check_order(max(n_values), n_max)
     return spec
 
 
@@ -183,47 +166,51 @@ def run_grid(
     """Evaluate every grid point on a shared raw model.
 
     The two interleaved train halves (for cross-split F1) are counted once,
-    the full-train model is their sum, and all three are pruned per prune
-    value; each (prune, n, mode) cell scores its gaps once and walks its peak
-    values from the highest down (:class:`~tlab.walk.WordWalk`). Failed
-    trials are recorded with an error marker instead of aborting.
+    up to the grid's largest order, the full-train model is their sum, and
+    all three are pruned per prune value; each (prune, n, mode) cell scores
+    its gaps once and walks its peak values from the highest down
+    (:class:`~tlab.walk.WordWalk`). Failed trials are recorded with an error
+    marker instead of aborting.
     """
-    _check_domain("n", min(spec.n_values), max(spec.n_values), n_max)
-    if len(gold.lines) != len(test.lines):
-        raise DataError(f"gold has {len(gold.lines)} lines but test has {len(test.lines)}")
-
+    top = max(spec.n_values)
+    check_order(top, n_max)
+    units = gold_units(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
-    gold_units = []
-    for i, (line, tokens) in enumerate(zip(test.lines, gold.lines)):
-        stream, bounds = stripped_boundaries(tokens)
-        if stream != "".join(ch for ch in line if not ch.isspace()):
-            raise DataError(f"gold/test character streams diverge at line {i + 1}")
-        gold_units.append([math.inf if p in bounds else -math.inf for p in range(1, len(stream))])
-
     part_a, part_b = split_even_odd(train)
-    raw_a, raw_b = build_model(part_a, n_max), build_model(part_b, n_max)
+    raw_a, raw_b = build_model(part_a, top), build_model(part_b, top)
     return _sweep(spec, (raw_a + raw_b, raw_a, raw_b), test.lines,
-                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, gold_units, *line_scores, lowest))
+                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, units, *line_scores, lowest))
 
 
 def _sweep(spec: GridSpec, raw_models, lines, walk) -> list[TrialRecord]:
     """Record every grid point, sorted.
 
     The raw models are pruned once per prune value, and the gap scores of
-    every line under each model once per (prune, n, mode) cell. ``walk``
-    makes the cell's walker from those scores and the lowest peak; its
-    ``report`` is then called at each peak value from the highest down.
+    every line under each model once per (prune, n, mode) cell; a union cell
+    takes its rises from the forward cell of the same (prune, n), if the grid
+    has one. ``walk`` makes the cell's walker from those scores and the
+    lowest peak; its ``report`` is then called at each peak value from the
+    highest down.
     """
     peaks = sorted(set(spec.peak_values), reverse=True)
     records: list[TrialRecord] = []
     for prune_threshold in sorted(set(spec.prune_values)):
         models = [prune(m, prune_threshold) for m in raw_models]
         for n in sorted(set(spec.n_values)):
-            for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):
-                cell = walk([[scores(m, line, n, mode) for line in lines] for m in models], peaks[-1])
+            rises = None  # the forward cell's scores, until the union cell takes them
+            for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):  # bwd, fwd, then union
+                if mode == "union" and rises is not None:
+                    line_scores = [[union(r, scores(m, line, n, "backward")) for line, r in zip(lines, model_rises)]
+                                   for m, model_rises in zip(models, rises)]
+                    rises = None
+                else:
+                    line_scores = [[scores(m, line, n, mode) for line in lines] for m in models]
+                if mode == "forward":
+                    rises = line_scores
+                cell = walk(line_scores, peaks[-1])
                 for peak in peaks:
                     records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune_threshold, mode)))
-                del cell  # free this cell's walker before the next one is built
+                del cell, line_scores  # free this cell's walker before the next one is built
         del models  # and this level's pruned models before the next level's
     records.sort(key=lambda r: _sort_key(r.params))
     return records
@@ -249,10 +236,12 @@ def run_morph_grid(
 ) -> list[TrialRecord]:
     """Grid search scored by frequency-weighted morph F1; csf1/avg3 not applicable.
 
-    The greedy reference cuts are parsed once for the whole grid.
+    The model is counted up to the grid's largest order, and the greedy
+    reference cuts are parsed once for the whole grid.
     """
-    _check_domain("n", min(spec.n_values), max(spec.n_values), n_max)
-    raw = build_morph_model(lexicon, n_max)
+    top = max(spec.n_values)
+    check_order(top, n_max)
+    raw = build_morph_model(lexicon, top)
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
     return _sweep(spec, (raw,), words,
@@ -278,7 +267,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 
 def _column_value(record: TrialRecord, column: str) -> float | None:
-    return getattr(record if column == "reciprocal_cf" else record.report, column)
+    """F1 or a metric column of a trial; None where it failed or the column does not apply."""
+    return getattr(record if column == "reciprocal_cf" else record.report, column, None)
 
 
 def summarize(records: Sequence[TrialRecord]) -> CorrelationSummary:
@@ -332,20 +322,12 @@ def write_trials_csv(
         buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     buf.write(CSV_HEADER + "\n")
     for r in records:
-        rep = r.report
         fields = [
             str(r.params.n),
             _format_field(r.params.peak_threshold),
             str(r.params.prune_threshold),
             MODE_SHORT[r.params.direction_mode],
-            _format_field(rep.f1 if rep else None),
-            _format_field(rep.anti_entropy if rep else None),
-            _format_field(rep.compression_factor if rep else None),
-            _format_field(r.reciprocal_cf),
-            _format_field(rep.csf1 if rep else None),
-            _format_field(rep.avg3 if rep else None),
-            _format_field(rep.avg2 if rep else None),
-            _format_field(rep.product if rep else None),
+            *(_format_field(_column_value(r, column)) for column in ("f1", *METRIC_COLUMNS)),
             str(r.wall_time_ms if timings else 0),
             (r.error or "").replace("\n", " ").replace(",", ";"),
         ]

@@ -14,11 +14,11 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .ngram import build_model, prune
+from .ngram import build_model, check_order, prune
 from .segmenter import Segmentation, SegmenterParams, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
@@ -169,22 +169,34 @@ def token_span_f1(
     return counts, f1_score(counts)
 
 
+def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple], drop_whitespace_tokens: bool) -> TokenStats:
+    """``stats`` with each (token, weight) pair added; weights may be negative.
+
+    The lexicon is updated in place and shared with the result, and a token
+    whose count falls to 0 leaves it. Whitespace-only tokens are skipped
+    when ``drop_whitespace_tokens`` is set.
+    """
+    lexicon = stats.lexicon
+    tokens = chars = 0
+    for token, weight in weighted_tokens:
+        if drop_whitespace_tokens and token.isspace():
+            continue
+        count = lexicon.get(token, 0) + weight
+        if count:
+            lexicon[token] = count
+        else:
+            del lexicon[token]
+        tokens += weight
+        chars += weight * len(token)
+    return TokenStats(lexicon, stats.total_tokens + tokens, stats.total_chars + chars)
+
+
 def token_stats(
     segs: Iterable[Segmentation | Sequence[str]], drop_whitespace_tokens: bool = False
 ) -> TokenStats:
     """Tally token occurrences; optionally skip whitespace-only tokens."""
-    lexicon: dict[str, int] = {}
-    total_tokens = 0
-    total_chars = 0
-    for seg in segs:
-        tokens = seg.tokens if isinstance(seg, Segmentation) else seg
-        for token in tokens:
-            if drop_whitespace_tokens and token.isspace():
-                continue
-            lexicon[token] = lexicon.get(token, 0) + 1
-            total_tokens += 1
-            total_chars += len(token)
-    return TokenStats(lexicon, total_tokens, total_chars)
+    token_lines = (seg.tokens if isinstance(seg, Segmentation) else seg for seg in segs)
+    return count_tokens(TokenStats({}, 0, 0), zip(chain.from_iterable(token_lines), repeat(1)), drop_whitespace_tokens)
 
 
 def anti_entropy(stats: TokenStats) -> float:
@@ -223,6 +235,21 @@ def stripped_maxima(prefix: Sequence[int], gap_scores: Sequence[float]) -> Seque
         if 0 < p < total and score > best[p - 1]:
             best[p - 1] = score
     return best
+
+
+def gold_units(lines: Sequence[str], gold: GoldSegmentation) -> list[list[float]]:
+    """Each test line's gold boundaries as :class:`ThresholdTally` reference
+    scores: ``inf`` at each internal stripped position that gold cuts and
+    ``-inf`` at every other one."""
+    if len(gold.lines) != len(lines):
+        raise DataError(f"gold has {len(gold.lines)} lines but test has {len(lines)}")
+    units = []
+    for i, (line, tokens) in enumerate(zip(lines, gold.lines)):
+        stream, bounds = stripped_boundaries(tokens)
+        if stream != "".join(ch for ch in line if not ch.isspace()):
+            raise DataError(f"gold/test character streams diverge at line {i + 1}")
+        units.append([math.inf if p in bounds else -math.inf for p in range(1, len(stream))])
+    return units
 
 
 def _at_least(ascending: Sequence[float], threshold: float) -> int:
@@ -294,8 +321,7 @@ def cross_split_f1(
         raise DataError("cross-split F1 needs a non-empty test corpus")
     if not all(test.lines):
         raise DataError("cannot segment an empty line")
-    if params.n > n_max:
-        raise DataError(f"order {params.n} exceeds model n_max {n_max}")
+    check_order(params.n, n_max)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.direction_mode
     model_a, model_b = (prune(build_model(part, n), params.prune_threshold) for part in split_even_odd(train))

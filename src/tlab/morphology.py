@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .ngram import TransitionModel, build_model, prune
-from .segmenter import Segmentation, SegmenterParams, scores, segment
+from .segmenter import Segmentation, SegmenterParams, scores
 from .walk import MorphWalk
 
 
@@ -39,10 +39,6 @@ class AffixInventory:
 @dataclass(frozen=True)
 class MorphParse:
     pieces: tuple[str, ...]
-
-    @property
-    def word(self) -> str:
-        return "".join(self.pieces)
 
 
 def load_lexicon(path: str | Path) -> FreqLexicon:
@@ -95,10 +91,10 @@ def build_morph_model(lexicon: FreqLexicon, n_max: int) -> TransitionModel:
     return build_model(TextCorpus(words, "lexicon"), n_max, line_weights=weights)
 
 
-def greedy_parse(word: str, inventory: AffixInventory, stack_affixes: bool = True) -> MorphParse:
+def greedy_parse(word: str, inventory: AffixInventory) -> MorphParse:
     """Strip longest matching prefixes, then longest suffixes, keeping the stem
     at least ``min_stem`` long. Matching is case-folded; pieces keep original
-    casing. With ``stack_affixes`` False at most one prefix and one suffix come off.
+    casing.
     """
     if not word:
         raise DataError("cannot parse an empty word")
@@ -123,22 +119,13 @@ def greedy_parse(word: str, inventory: AffixInventory, stack_affixes: bool = Tru
             break
         front.append(word[start : start + len(match)])
         start += len(match)
-        if not stack_affixes:
-            break
     while True:
         match = longest(inventory.suffixes, at_front=False)
         if match is None:
             break
         back.append(word[end - len(match) : end])
         end -= len(match)
-        if not stack_affixes:
-            break
     return MorphParse((*front, word[start:end], *reversed(back)))
-
-
-def morph_segment(model: TransitionModel, word: str, params: SegmenterParams) -> MorphParse:
-    """Freedom-peak segmentation of a single word."""
-    return MorphParse(segment(model, word, params).tokens)
 
 
 def reference_cuts(lexicon: FreqLexicon, inventory: AffixInventory) -> list[frozenset[int]]:

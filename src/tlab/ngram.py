@@ -122,18 +122,21 @@ def prune(model: TransitionModel, min_count: int) -> TransitionModel:
     )
 
 
+def check_order(n: int, n_max: int) -> None:
+    """Reject an order that a model counted up to ``n_max`` does not hold."""
+    if not 1 <= n <= n_max:
+        raise DataError(f"order {n} outside the model's range 1..{n_max}")
+
+
 def freedom(model: TransitionModel, gram: str, direction: str) -> int:
     """Out-degree of ``gram``: how many distinct characters continue it."""
-    n = len(gram)
-    if n < 1 or n > model.n_max:
-        raise DataError(f"gram order {n} outside model range 1..{model.n_max}")
-    return model.degrees[n, direction].get(gram, 0)
+    check_order(len(gram), model.n_max)
+    return model.degrees[len(gram), direction].get(gram, 0)
 
 
 def max_freedom(model: TransitionModel, n: int, direction: str) -> int:
     """Largest out-degree over all grams of order ``n``; 0 for an empty order."""
-    if n < 1 or n > model.n_max:
-        raise DataError(f"order {n} outside model range 1..{model.n_max}")
+    check_order(n, model.n_max)
     return model.max_degrees[n, direction]
 
 

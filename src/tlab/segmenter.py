@@ -6,9 +6,26 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
-from .ngram import TransitionModel, max_freedom, prune
+from .ngram import TransitionModel, check_order, max_freedom, prune
 
-MODES = ("forward", "backward", "union")
+# each direction mode's short name, as the command line and the trial files write it
+MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
+MODES = tuple(MODE_SHORT)
+MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
+
+_DOMAINS = {
+    "n": ("n must be >= 1", lambda value: value >= 1),
+    "peak": ("peak threshold must be in [0, 1]", lambda value: 0.0 <= value <= 1.0),
+    "prune": ("prune threshold must be >= 0", lambda value: value >= 0),
+    "mode": (f"direction mode must be one of {MODES}", MODES.__contains__),
+}
+
+
+def check_domain(axis: str, value) -> None:
+    """Reject a value outside its axis: n >= 1, peak in [0, 1], prune >= 0, a mode of :data:`MODES`."""
+    rule, holds = _DOMAINS[axis]
+    if not holds(value):
+        raise DataError(f"{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -21,14 +38,8 @@ class SegmenterParams:
     direction_mode: str = "union"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DataError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.peak_threshold <= 1.0:
-            raise DataError(f"peak threshold must be in [0, 1], got {self.peak_threshold}")
-        if self.prune_threshold < 0:
-            raise DataError(f"prune threshold must be >= 0, got {self.prune_threshold}")
-        if self.direction_mode not in MODES:
-            raise DataError(f"direction mode must be one of {MODES}, got {self.direction_mode!r}")
+        for axis, value in zip(_DOMAINS, (self.n, self.peak_threshold, self.prune_threshold, self.direction_mode)):
+            check_domain(axis, value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +90,10 @@ def profile(model: TransitionModel, line: str, n: int, direction: str) -> tuple[
     at scalar i (backward); gaps without a full n-gram of context score 0,
     as does everything when the order has no grams at all.
     """
+    maxf = max_freedom(model, n, direction)  # checks the order, for lines of one scalar too
     length = len(line)
     if length < 2:
         return ()
-    maxf = max_freedom(model, n, direction)
     if maxf == 0:
         return (0.0,) * (length - 1)
     degree = model.degrees[n, direction].get
@@ -96,19 +107,18 @@ def scores(model: TransitionModel, line: str, n: int, mode: str) -> list[float]:
 
     Forward scores the rise from the previous gap (virtual 0 before the
     line), backward the drop to the next gap (virtual 0 after it), and union
-    the larger of the two, so that it fires whenever either direction does.
+    their :func:`union`.
     """
-    if n > model.n_max:
-        raise DataError(f"order {n} exceeds model n_max {model.n_max}")
-    if mode != "backward":
-        fwd = profile(model, line, n, "forward")
-        rises = [value - before for value, before in zip(fwd, (0.0, *fwd))]
-        if mode == "forward":
-            return rises
-    bwd = profile(model, line, n, "backward")
-    drops = [value - after for value, after in zip(bwd, (*bwd[1:], 0.0))]
-    if mode == "backward":
-        return drops
+    if mode == "union":
+        return union(scores(model, line, n, "forward"), scores(model, line, n, "backward"))
+    values = profile(model, line, n, mode)
+    if mode == "forward":
+        return [value - before for value, before in zip(values, (0.0, *values))]
+    return [value - after for value, after in zip(values, (*values[1:], 0.0))]
+
+
+def union(rises: Sequence[float], drops: Sequence[float]) -> list[float]:
+    """Union scores: the larger of each gap's rise and drop, so that union fires whenever either direction does."""
     return [max(rise, drop) for rise, drop in zip(rises, drops)]
 
 
@@ -135,8 +145,7 @@ def segment_corpus(
     params: SegmenterParams,
 ) -> list[Segmentation]:
     """Segment every line, preserving order; line errors are aggregated."""
-    if params.n > model.n_max:
-        raise DataError(f"order {params.n} exceeds model n_max {model.n_max}")
+    check_order(params.n, model.n_max)
     pruned = prune(model, params.prune_threshold)
 
     results = []

@@ -23,6 +23,7 @@ from .metrics import (
     TokenStats,
     anti_entropy,
     compression_factor,
+    count_tokens,
     derived_metrics,
     f1_score,
     split_tally,
@@ -36,7 +37,8 @@ class TokenWalk:
     Line i's tokens count ``weights[i]`` times, and whitespace-only tokens are
     skipped when ``drop_whitespace_tokens`` is set, as in
     :func:`~tlab.metrics.token_stats`. Gaps scoring below ``lowest`` are
-    never cut.
+    never cut. ``stats`` holds the statistics at the current threshold; its
+    lexicon changes with the next advance.
     """
 
     def __init__(
@@ -60,27 +62,7 @@ class TokenWalk:
         self.gaps.sort(reverse=True)
         self.reached = 0
         self.threshold = math.inf
-        self.lexicon: dict[str, int] = {}
-        self.total_tokens = 0
-        self.total_chars = 0
-        self._count(zip(lines, weights))
-
-    def _count(self, weighted_tokens) -> None:
-        """Add each (token, weight) pair to the lexicon and the totals; weights may be negative."""
-        lexicon, drop = self.lexicon, self.drop_whitespace_tokens
-        tokens = chars = 0
-        for token, weight in weighted_tokens:
-            if drop and token.isspace():
-                continue
-            count = lexicon.get(token, 0) + weight
-            if count:
-                lexicon[token] = count
-            else:
-                del lexicon[token]
-            tokens += weight
-            chars += weight * len(token)
-        self.total_tokens += tokens
-        self.total_chars += chars
+        self.stats = count_tokens(TokenStats({}, 0, 0), zip(lines, weights), drop_whitespace_tokens)
 
     def advance(self, threshold: float) -> list[tuple[float, int, int]]:
         """Cut every gap scoring at least ``threshold``; return the newly cut (score, line, gap) triples."""
@@ -102,20 +84,16 @@ class TokenWalk:
             cuts.insert(j, k)
             changes += (line[left:right], -weight, line[left:k], weight, line[k:right], weight)
         pairs = iter(changes)
-        self._count(zip(pairs, pairs))
+        self.stats = count_tokens(self.stats, zip(pairs, pairs), self.drop_whitespace_tokens)
         return newly
-
-    def stats(self) -> TokenStats:
-        """The statistics at the current threshold; the lexicon changes with the next advance."""
-        return TokenStats(self.lexicon, self.total_tokens, self.total_chars)
 
 
 class WordWalk:
     """One word-grid cell: boundary F1 against gold, token statistics and
     cross-split F1 of the test lines at falling peak thresholds.
 
-    ``gold_units`` give each line's internal stripped positions, in order,
-    ``inf`` where gold cuts and ``-inf`` elsewhere; ``scores_m``, ``scores_a`` and ``scores_b`` are every line's gap scores
+    ``gold_units`` are the lines' :func:`~tlab.metrics.gold_units`;
+    ``scores_m``, ``scores_a`` and ``scores_b`` are every line's gap scores
     under the full-train model and the two half models.
     """
 
@@ -136,7 +114,7 @@ class WordWalk:
     def report(self, threshold: float) -> MetricsReport:
         self.tokens.advance(threshold)
         f1 = f1_score(self.gold.at(threshold))
-        stats = self.tokens.stats()
+        stats = self.tokens.stats
         s_value, c_value = anti_entropy(stats), compression_factor(stats)
         csf1 = f1_score(self.split.at(threshold))
         return MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1))
@@ -181,6 +159,6 @@ class MorphWalk:
         f1_weighted = 0.0
         for term in self.terms:  # a running sum in lexicon order, not sum(), which may compensate
             f1_weighted += term
-        stats = self.tokens.stats()
+        stats = self.tokens.stats
         s_value, c_value = anti_entropy(stats), compression_factor(stats)
         return MetricsReport(f1_weighted / self.total_freq, s_value, c_value, None, *derived_metrics(s_value, c_value))

@@ -248,11 +248,14 @@ def test_grid_search_bad_grid_is_data_error(word_data, tmp_path, capsys, grid):
 @pytest.mark.parametrize("grid", [
     "n=1..2000000000;peak=0.5;prune=0;mode=union",
     "n=1;peak=0:1e9:1;prune=0;mode=union",
+    "n=1;peak=0.5;prune=0..2000000;mode=union",
+    "n=1;peak=0:1:1e-6;prune=0;mode=union",
 ])
 @pytest.mark.parametrize("command", ["grid-search", "morph-grid"])
 def test_grid_range_outside_its_axis_is_rejected_before_listing(word_data, morph_files, tmp_path, capsys,
                                                                 command, grid):
-    # listing either range would take minutes and gigabytes; its endpoints alone rule it out
+    # listing any of these ranges would take seconds to minutes and up to gigabytes;
+    # its endpoints or its count alone rule it out
     inputs = {
         "grid-search": ["--train", str(word_data["train"]), "--test", str(word_data["test"]),
                         "--gold", str(word_data["gold"])],

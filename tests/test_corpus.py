@@ -10,7 +10,7 @@ from tlab.corpus import (
     load_gold,
     load_segmented,
     load_text,
-    sample_lines,
+    sample_indices,
     save_segmented,
     save_text,
     split_even_odd,
@@ -96,30 +96,29 @@ class TestSplitEvenOdd:
 
 
 class TestSampleLines:
-    CORPUS = TextCorpus(tuple(f"line{i}" for i in range(50)), "t")
+    LINES = 50
 
     def test_full_count_returns_corpus(self):
-        assert sample_lines(self.CORPUS, 50, 3) is self.CORPUS
-        assert sample_lines(self.CORPUS, 99, 3) is self.CORPUS
+        assert sample_indices(self.LINES, 50, 3) == tuple(range(self.LINES))
+        assert sample_indices(self.LINES, 99, 3) == tuple(range(self.LINES))
 
     def test_deterministic_single(self):
-        first = sample_lines(self.CORPUS, 1, 7)
-        assert all(sample_lines(self.CORPUS, 1, 7) == first for _ in range(5))
+        first = sample_indices(self.LINES, 1, 7)
+        assert len(first) == 1
+        assert all(sample_indices(self.LINES, 1, 7) == first for _ in range(5))
 
     def test_keeps_relative_order(self):
-        picked = sample_lines(self.CORPUS, 10, 5).lines
-        indices = [int(l[4:]) for l in picked]
-        assert indices == sorted(indices)
+        picked = sample_indices(self.LINES, 10, 5)
+        assert len(set(picked)) == 10
+        assert list(picked) == sorted(picked)
 
     def test_two_seeds_differ(self):
         # derived check: with 50-choose-10 possibilities two seeds should diverge
-        a = sample_lines(self.CORPUS, 10, 1).lines
-        b = sample_lines(self.CORPUS, 10, 2).lines
-        assert a != b
+        assert sample_indices(self.LINES, 10, 1) != sample_indices(self.LINES, 10, 2)
 
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**64 - 1))
     def test_pure_function_of_args(self, count, seed):
-        assert sample_lines(self.CORPUS, count, seed).lines == sample_lines(self.CORPUS, count, seed).lines
+        assert sample_indices(self.LINES, count, seed) == sample_indices(self.LINES, count, seed)
 
 
 class TestRoundTrips:

@@ -1,14 +1,15 @@
 import csv
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from tlab import lab, segmenter
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
-    CSV_HEADER,
-    MODE_SHORT,
+    MAX_AXIS_VALUES,
     GridSpec,
     TrialRecord,
     parse_grid_spec,
@@ -44,7 +45,16 @@ from tlab.morphology import (
     weighted_morph_f1,
 )
 from tlab.ngram import build_model, prune
-from tlab.segmenter import MODES, SegmenterParams, detect_boundaries, scores, segment, segment_corpus, split_at
+from tlab.segmenter import (
+    MODE_SHORT,
+    MODES,
+    SegmenterParams,
+    detect_boundaries,
+    scores,
+    segment,
+    segment_corpus,
+    split_at,
+)
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -79,7 +89,36 @@ class TestParseGridSpec:
 
     def test_cardinality(self):
         spec = parse_grid_spec("n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union")
-        assert spec.cardinality == 7 * 10 * 3 * 2
+        axes = (spec.n_values, spec.peak_values, spec.prune_values, spec.direction_modes)
+        assert tuple(map(len, axes)) == (7, 10, 3, 2)
+
+    def test_axis_value_limit(self):
+        spec = parse_grid_spec(f"n=1;peak=0.5;prune=0..{MAX_AXIS_VALUES - 1};mode=fwd")
+        assert len(spec.prune_values) == MAX_AXIS_VALUES
+        for axis in (f"prune=0..{MAX_AXIS_VALUES}", "peak=0:1:0.00001"):  # one value more
+            with pytest.raises(DataError, match="more than"):
+                parse_grid_spec(f"n=1;peak=0.5;prune=0;mode=fwd;{axis}")
+
+    @given(
+        st.integers(0, 1000).map(lambda k: k / 1000),
+        st.integers(0, 1000).map(lambda k: k / 1000),
+        st.sampled_from([0.1, 0.2, 0.25, 0.3, 1 / 3, 0.05, 0.007, 0.0001]) | st.floats(0.001, 1.5),
+    )
+    # a last value just past the stop that rounds back within it (one more than
+    # the float estimate), and one just within that rounds past it (one fewer)
+    @example(0.0, 0.001, 0.00050000052)
+    @example(0.0, 0.009, 0.0045000004799999995)
+    def test_float_range_is_counted_exactly(self, start, stop, step):
+        # counting a range lists what stepping from its start until the stop lists
+        stepped = []
+        while (value := round(start + len(stepped) * step, 10)) <= stop + 1e-9:
+            stepped.append(value)
+        text = f"n=1;peak={start!r}:{stop!r}:{step!r};prune=0;mode=fwd"
+        if stepped:
+            assert parse_grid_spec(text).peak_values == tuple(stepped)
+        else:
+            with pytest.raises(DataError, match="empty range"):
+                parse_grid_spec(text)
 
 
 class TestPearson:
@@ -136,7 +175,7 @@ class TestRunGrid:
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union")
         records = run_grid(train, test, gold, spec, 2)
-        assert len(records) == spec.cardinality == 16
+        assert len(records) == 2 * 2 * 2 * 2
 
     def test_deterministic_and_sorted(self):
         train, test, gold = tiny_setup()
@@ -175,6 +214,25 @@ class TestRunGrid:
             assert record.reciprocal_cf == 1.0 / record.report.compression_factor
             assert cross_split_f1(train, test, params, n_max) == csf1
 
+    def test_union_cell_reuses_the_forward_scores(self, monkeypatch):
+        # a fwd+union grid profiles each line under each model once per
+        # direction, at every (prune, n)
+        train, test, gold = tiny_setup()
+        directions = []
+        real = segmenter.profile
+        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[3]) or real(*args))
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
+        per_direction = len(test.lines) * 3 * 2 * 2  # lines x models x prune values x orders
+        assert Counter(directions) == {"forward": per_direction, "backward": per_direction}
+
+    def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
+        train, test, gold = tiny_setup()
+        orders = []
+        real = lab.build_model
+        monkeypatch.setattr(lab, "build_model", lambda *args: orders.append(args[1]) or real(*args))
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.5;prune=0;mode=union"), 5)
+        assert orders == [2, 2]
+
     def test_misaligned_gold_rejected(self):
         train, test, gold = tiny_setup()
         bad = GoldSegmentation(gold.lines[:-1])
@@ -197,7 +255,20 @@ class TestRunMorphGrid:
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         spec = parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,union")
         records = run_morph_grid(lex, inv, spec, 3)
-        assert len(records) == spec.cardinality == 12
+        assert len(records) == 3 * 2 * 1 * 2
+
+    def test_scores_and_model_orders(self, monkeypatch):
+        # with all three modes, the union cell takes its rises from the fwd
+        # cell and profiles only the backward direction again
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        directions, orders = [], []
+        real_profile, real_build = segmenter.profile, lab.build_morph_model
+        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[3]) or real_profile(*args))
+        monkeypatch.setattr(lab, "build_morph_model", lambda *args: orders.append(args[1]) or real_build(*args))
+        run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"), 7)
+        per_direction = len(lex.entries) * 3  # words x orders
+        assert Counter(directions) == {"forward": per_direction, "backward": 2 * per_direction}
+        assert orders == [3]
 
     def test_matches_per_word_pipeline(self):
         # every record equals, to the last bit, segmenting each word on its
@@ -209,7 +280,7 @@ class TestRunMorphGrid:
         spec = parse_grid_spec("n=1..3;peak=0.1:0.9:0.2;prune=0,2;mode=fwd,bwd,union")
         n_max = 3
         records = run_morph_grid(lex, inv, spec, n_max)
-        assert len(records) == spec.cardinality
+        assert len(records) == 3 * 5 * 2 * 3
         for record in records:
             assert record.error is None
             params = record.params
@@ -454,7 +525,9 @@ class TestTrialCsv:
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
         assert lines[0] == '# config: {"run": "demo"}'
-        assert lines[1] == CSV_HEADER
+        assert lines[1] == (
+            "n,peak,prune,mode,f1,anti_entropy,compression_factor,reciprocal_cf,csf1,avg3,avg2,product,wall_time_ms,error"
+        )
         fields = lines[2].split(",")
         assert fields[0] == "1" and fields[1] == "0.25" and fields[3] == "union"
         assert fields[12] == "0"  # wall time suppressed by default

@@ -12,11 +12,10 @@ from tlab.morphology import (
     greedy_parse,
     load_affixes,
     load_lexicon,
-    morph_segment,
     weighted_morph_f1,
 )
 from tlab.ngram import freedom
-from tlab.segmenter import SegmenterParams
+from tlab.segmenter import SegmenterParams, segment
 
 from bruteforce import bf_segment
 
@@ -94,10 +93,6 @@ class TestGreedyParse:
         inv = AffixInventory(frozenset({"un", "re"}), frozenset({"ing", "ed"}), min_stem=3)
         assert greedy_parse("unredoing", inv).pieces == ("un", "re", "doing")
 
-    def test_single_strip_flag(self):
-        inv = AffixInventory(frozenset({"un", "re"}), frozenset({"ing", "ed"}), min_stem=2)
-        assert greedy_parse("unredoing", inv, stack_affixes=False).pieces == ("un", "redo", "ing")
-
     @given(st.text("abcdefg", min_size=1, max_size=12))
     def test_concatenation_and_stem_floor(self, word):
         inv = AffixInventory(frozenset({"ab", "c"}), frozenset({"fg", "g"}), min_stem=2)
@@ -120,14 +115,14 @@ class TestMorphSegment:
 
     def test_single_scalar_word(self):
         m = build_morph_model(FreqLexicon({"ab": 1}), 1)
-        assert morph_segment(m, "x", SegmenterParams(1, 0.5, 0, "union")).pieces == ("x",)
+        assert segment(m, "x", SegmenterParams(1, 0.5, 0, "union")).tokens == ("x",)
 
     def test_shared_stem_boundary(self):
         # walked/walking/walker: continuation freedom jumps after the stem
         lex = {"walked": 1, "walking": 1, "walker": 1}
         m = build_morph_model(FreqLexicon(lex), 3)
         for word in lex:
-            pieces = morph_segment(m, word, self.PARAMS).pieces
+            pieces = segment(m, word, self.PARAMS).tokens
             expected = bf_segment(list(lex), [1, 1, 1], word, 3, 0.5, 0, "union")
             assert list(pieces) == expected
             cuts = []
@@ -141,7 +136,7 @@ class TestMorphSegment:
     def test_lossless(self, word, peak):
         lex = {"walked": 1, "walking": 1, "walker": 1}
         m = build_morph_model(FreqLexicon(lex), 3)
-        pieces = morph_segment(m, word, SegmenterParams(3, peak, 0, "union")).pieces
+        pieces = segment(m, word, SegmenterParams(3, peak, 0, "union")).tokens
         assert "".join(pieces) == word
 
 

@@ -10,7 +10,7 @@ from tlab.walk import TokenWalk
 def test_weights_count_each_line_that_often():
     walk = TokenWalk(["abc", "c "], [[0.0, 1.0], [1.0]], [3, 2], 0.0, drop_whitespace_tokens=True)
     walk.advance(0.5)  # cuts ab|c and c|" "
-    assert walk.stats() == TokenStats({"ab": 3, "c": 5}, 8, 11)
+    assert walk.stats == TokenStats({"ab": 3, "c": 5}, 8, 11)
 
 
 @st.composite
@@ -36,7 +36,7 @@ def test_weight_equals_repeating_the_line(lines_weights_scores, thresholds, drop
         walk.advance(threshold)
         pieces = [split_at(line, detect_boundaries(s, threshold)) for line, s in zip(lines, gap_scores)]
         repeated = [tokens for tokens, weight in zip(pieces, weights) for _ in range(weight)]
-        assert walk.stats() == token_stats(repeated, drop)
+        assert walk.stats == token_stats(repeated, drop)
 
 
 def test_thresholds_must_not_rise():
