@@ -11,7 +11,7 @@ from .corpus import (
     DataError,
     GoldSegmentation,
     TextCorpus,
-    escape_token,
+    format_segmented,
     load_gold,
     load_segmented,
     load_text,
@@ -93,13 +93,11 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 def cmd_tokenize(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     corpus = load_text(args.input)
-    segs = segment_corpus(model, corpus, _params_from(args))
-    token_lines = [s.tokens for s in segs]
+    token_lines = segment_corpus(model, corpus, _params_from(args))
     if args.out:
         save_segmented(token_lines, args.out)
     else:
-        for tokens in token_lines:
-            print(" ".join(escape_token(t) for t in tokens))
+        sys.stdout.write(format_segmented(token_lines))
     return 0
 
 

@@ -6,7 +6,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class DataError(Exception):
@@ -36,11 +36,6 @@ class GoldSegmentation:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-
-class SplitPair(NamedTuple):
-    part_a: TextCorpus
-    part_b: TextCorpus
 
 
 def _decode(path: str | Path) -> str:
@@ -112,17 +107,19 @@ def unescape_token(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group()) or chr(int(m.group()[2:], 16)), text)
 
 
-def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> None:
-    """Write segmentations in gold format: space-separated tokens, one line each.
+def format_segmented(token_lines: Iterable[Sequence[str]]) -> str:
+    """Segmentations in gold format: space-separated tokens, one line each.
 
-    Tokens are written with :func:`escape_token`, so the file stays parseable
+    Tokens are written with :func:`escape_token`, so the text stays parseable
     and every token reads back exactly.
     """
-    out = []
-    for tokens in token_lines:
-        out.append(" ".join(escape_token(t) for t in tokens))
-    body = "\n".join(out) + "\n" if out else ""
-    Path(path).write_bytes(body.encode("utf-8"))
+    out = [" ".join(escape_token(t) for t in tokens) for tokens in token_lines]
+    return "\n".join(out) + "\n" if out else ""
+
+
+def save_segmented(token_lines: Iterable[Sequence[str]], path: str | Path) -> None:
+    """Write :func:`format_segmented` of ``token_lines`` to ``path`` as UTF-8."""
+    Path(path).write_bytes(format_segmented(token_lines).encode("utf-8"))
 
 
 def load_segmented(path: str | Path) -> GoldSegmentation:
@@ -130,11 +127,11 @@ def load_segmented(path: str | Path) -> GoldSegmentation:
     return load_gold(path)
 
 
-def split_even_odd(corpus: TextCorpus) -> SplitPair:
+def split_even_odd(corpus: TextCorpus) -> tuple[TextCorpus, TextCorpus]:
     """Interleaved halves: even-indexed lines to A, odd-indexed to B."""
     if len(corpus.lines) < 2:
         raise DataError(f"corpus {corpus.source_id!r} has {len(corpus.lines)} lines; need at least 2 to split")
-    return SplitPair(
+    return (
         TextCorpus(corpus.lines[0::2], corpus.source_id + "/even"),
         TextCorpus(corpus.lines[1::2], corpus.source_id + "/odd"),
     )

@@ -133,9 +133,12 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
         if not sep or key not in ("n", "peak", "prune", "mode"):
             raise DataError(f"bad grid clause {clause!r}")
         try:
-            axes[key] = _parse_axis(key, value.strip())
+            values = _parse_axis(key, value.strip())
         except ValueError as exc:
             raise DataError(f"non-numeric grid range in {clause!r}") from exc
+        if key in axes:
+            raise DataError(f"grid axis {key!r} given twice in {text!r}")
+        axes[key] = values
     missing = {"n", "peak", "prune", "mode"} - set(axes)
     if missing:
         raise DataError(f"grid spec missing axes: {', '.join(sorted(missing))}")

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model, check_order, prune
-from .segmenter import Segmentation, SegmenterParams, scores
+from .segmenter import SegmenterParams, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -134,9 +134,9 @@ def f1_score(counts: BoundaryCounts) -> float:
 
 
 def boundary_f1(
-    pred: Sequence[Segmentation], gold: GoldSegmentation
+    pred: Sequence[Sequence[str]], gold: GoldSegmentation
 ) -> tuple[BoundaryCounts, float]:
-    counts = boundary_counts([s.tokens for s in pred], gold.lines)
+    counts = boundary_counts(pred, gold.lines)
     return counts, f1_score(counts)
 
 
@@ -163,9 +163,9 @@ def token_span_counts(
 
 
 def token_span_f1(
-    pred: Sequence[Segmentation], gold: GoldSegmentation
+    pred: Sequence[Sequence[str]], gold: GoldSegmentation
 ) -> tuple[BoundaryCounts, float]:
-    counts = token_span_counts([s.tokens for s in pred], gold.lines)
+    counts = token_span_counts(pred, gold.lines)
     return counts, f1_score(counts)
 
 
@@ -191,11 +191,8 @@ def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple], drop_white
     return TokenStats(lexicon, stats.total_tokens + tokens, stats.total_chars + chars)
 
 
-def token_stats(
-    segs: Iterable[Segmentation | Sequence[str]], drop_whitespace_tokens: bool = False
-) -> TokenStats:
+def token_stats(token_lines: Iterable[Sequence[str]], drop_whitespace_tokens: bool = False) -> TokenStats:
     """Tally token occurrences; optionally skip whitespace-only tokens."""
-    token_lines = (seg.tokens if isinstance(seg, Segmentation) else seg for seg in segs)
     return count_tokens(TokenStats({}, 0, 0), zip(chain.from_iterable(token_lines), repeat(1)), drop_whitespace_tokens)
 
 

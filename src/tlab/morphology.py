@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .ngram import TransitionModel, build_model, prune
-from .segmenter import Segmentation, SegmenterParams, scores
+from .segmenter import SegmenterParams, scores
 from .walk import MorphWalk
 
 
@@ -34,11 +35,6 @@ class AffixInventory:
         for affix in (*self.prefixes, *self.suffixes):
             if not affix or affix != affix.casefold():
                 raise DataError(f"affixes must be non-empty and lowercase, got {affix!r}")
-
-
-@dataclass(frozen=True)
-class MorphParse:
-    pieces: tuple[str, ...]
 
 
 def load_lexicon(path: str | Path) -> FreqLexicon:
@@ -91,7 +87,7 @@ def build_morph_model(lexicon: FreqLexicon, n_max: int) -> TransitionModel:
     return build_model(TextCorpus(words, "lexicon"), n_max, line_weights=weights)
 
 
-def greedy_parse(word: str, inventory: AffixInventory) -> MorphParse:
+def greedy_parse(word: str, inventory: AffixInventory) -> tuple[str, ...]:
     """Strip longest matching prefixes, then longest suffixes, keeping the stem
     at least ``min_stem`` long. Matching is case-folded; pieces keep original
     casing.
@@ -125,15 +121,12 @@ def greedy_parse(word: str, inventory: AffixInventory) -> MorphParse:
             break
         back.append(word[end - len(match) : end])
         end -= len(match)
-    return MorphParse((*front, word[start:end], *reversed(back)))
+    return (*front, word[start:end], *reversed(back))
 
 
 def reference_cuts(lexicon: FreqLexicon, inventory: AffixInventory) -> list[frozenset[int]]:
     """Cut positions of every word's greedy parse, in lexicon order."""
-    return [
-        frozenset(Segmentation.from_tokens(greedy_parse(word, inventory).pieces).boundaries)
-        for word in lexicon.entries
-    ]
+    return [frozenset(accumulate(map(len, greedy_parse(word, inventory)[:-1]))) for word in lexicon.entries]
 
 
 def weighted_morph_f1(

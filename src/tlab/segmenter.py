@@ -42,36 +42,6 @@ class SegmenterParams:
             check_domain(axis, value)
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Tokens of one line plus the equivalent internal cut positions."""
-
-    tokens: tuple[str, ...]
-    boundaries: tuple[int, ...]
-
-    @classmethod
-    def from_cuts(cls, line: str, cuts: Iterable[int]) -> "Segmentation":
-        ordered = tuple(sorted(set(cuts)))
-        if ordered and (ordered[0] < 1 or ordered[-1] > len(line) - 1):
-            raise DataError(f"cut positions {ordered} outside 1..{len(line) - 1}")
-        return cls(tuple(split_at(line, ordered)), ordered)
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str]) -> "Segmentation":
-        if not tokens or any(not t for t in tokens):
-            raise DataError("tokens must be non-empty")
-        cuts = []
-        pos = 0
-        for token in tokens[:-1]:
-            pos += len(token)
-            cuts.append(pos)
-        return cls(tuple(tokens), tuple(cuts))
-
-    @property
-    def line(self) -> str:
-        return "".join(self.tokens)
-
-
 def split_at(line: str, cuts: Iterable[int]) -> list[str]:
     """The pieces of ``line`` between ascending cut positions."""
     pieces = []
@@ -127,14 +97,14 @@ def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int
     return [k for k, score in enumerate(gap_scores, 1) if score >= threshold]
 
 
-def _cut(model: TransitionModel, line: str, params: SegmenterParams) -> Segmentation:
+def _cut(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
     if not line:
         raise DataError("cannot segment an empty line")
     gap_scores = scores(model, line, params.n, params.direction_mode)
-    return Segmentation.from_cuts(line, detect_boundaries(gap_scores, params.peak_threshold))
+    return tuple(split_at(line, detect_boundaries(gap_scores, params.peak_threshold)))
 
 
-def segment(model: TransitionModel, line: str, params: SegmenterParams) -> Segmentation:
+def segment(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
     """Prune, score and cut one line. Single-scalar lines stay whole."""
     return _cut(prune(model, params.prune_threshold), line, params)
 
@@ -143,8 +113,8 @@ def segment_corpus(
     model: TransitionModel,
     corpus: TextCorpus,
     params: SegmenterParams,
-) -> list[Segmentation]:
-    """Segment every line, preserving order; line errors are aggregated."""
+) -> list[tuple[str, ...]]:
+    """Each line's tokens, in order; line errors are aggregated."""
     check_order(params.n, model.n_max)
     pruned = prune(model, params.prune_threshold)
 

@@ -89,9 +89,7 @@ def make_affixed_lexicon(
         cand = "".join(rng.choice(alphabet) for _ in range(length))
         if cand in stem_set or any(cand.endswith(s) for s in suffix_set):
             continue
-        if any(
-            greedy_parse(cand + s, inventory).pieces != (cand, s) for s in suffix_set
-        ):
+        if any(greedy_parse(cand + s, inventory) != (cand, s) for s in suffix_set):
             continue
         stem_set.append(cand)
 

@@ -104,6 +104,22 @@ def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip())["f1"] is not None
 
 
+def test_tokenize_stdout_matches_out_file(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("C:\\dir\tab\u3000cd\nab\u3000cd ab\n", encoding="utf-8")
+    model_path = tmp_path / "m.tsv"
+    pred_path = tmp_path / "pred.txt"
+    assert main(["build-model", "--in", str(corpus_path), "--n-max", "2",
+                 "--out", str(model_path)]) == 0
+    params = ["--n", "1", "--peak", "0.5", str(corpus_path)]
+    assert main(["tokenize", "--model", str(model_path), *params, "--out", str(pred_path)]) == 0
+    capsys.readouterr()
+    assert main(["tokenize", "--model", str(model_path), *params]) == 0
+    printed = capsys.readouterr().out
+    assert printed == pred_path.read_bytes().decode("utf-8")
+    assert all(escape in printed for escape in ("\\\\", "\\u0009", "\\u3000"))
+
+
 def test_evaluate_scores_backslash_gold(tmp_path, capsys):
     gold_path = tmp_path / "gold.txt"
     save_segmented([("C:\\dir", "x"), ("a\\", "b")], gold_path)
@@ -236,6 +252,8 @@ def assert_data_error(capsys):
     "n=1;peak=0:inf:0.1;prune=0;mode=union",
     "n=1;peak=nan:1:0.1;prune=0;mode=union",
     "n=1;peak=0:1:inf;prune=0;mode=union",
+    "n=1..3;peak=0.5;prune=0;mode=fwd;n=5",
+    "n=1;peak=0.5;prune=0;mode=fwd;mode=union",
 ])
 def test_grid_search_bad_grid_is_data_error(word_data, tmp_path, capsys, grid):
     argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),

@@ -69,18 +69,18 @@ class TestLoadGold:
 
 class TestSplitEvenOdd:
     def test_four_lines(self):
-        pair = split_even_odd(TextCorpus(("l0", "l1", "l2", "l3"), "t"))
-        assert pair.part_a.lines == ("l0", "l2")
-        assert pair.part_b.lines == ("l1", "l3")
+        part_a, part_b = split_even_odd(TextCorpus(("l0", "l1", "l2", "l3"), "t"))
+        assert part_a.lines == ("l0", "l2")
+        assert part_b.lines == ("l1", "l3")
 
     def test_five_lines(self):
-        pair = split_even_odd(TextCorpus(("a", "b", "c", "d", "e"), "t"))
-        assert len(pair.part_a.lines) == 3
-        assert len(pair.part_b.lines) == 2
+        part_a, part_b = split_even_odd(TextCorpus(("a", "b", "c", "d", "e"), "t"))
+        assert len(part_a.lines) == 3
+        assert len(part_b.lines) == 2
 
     def test_identical_halves(self):
-        pair = split_even_odd(TextCorpus(("same", "same"), "t"))
-        assert pair.part_a.lines == pair.part_b.lines
+        part_a, part_b = split_even_odd(TextCorpus(("same", "same"), "t"))
+        assert part_a.lines == part_b.lines
 
     def test_too_small(self):
         with pytest.raises(DataError):

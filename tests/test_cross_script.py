@@ -4,7 +4,7 @@ from tlab.corpus import GoldSegmentation, TextCorpus, load_gold, load_text, save
 from tlab.lab import parse_grid_spec, run_grid
 from tlab.metrics import boundary_f1, token_stats
 from tlab.ngram import build_model, load_model, save_model
-from tlab.segmenter import Segmentation, SegmenterParams, segment, segment_corpus
+from tlab.segmenter import SegmenterParams, segment, segment_corpus
 
 # three fake "words" in CJK codepoints, repeated in varying orders
 CJK_WORDS = ("你好", "世界", "语言学")
@@ -29,7 +29,7 @@ def test_unspaced_cjk_segmentation_recovers_words():
     params = SegmenterParams(2, 0.5, 0, "union")
     segs = segment_corpus(model, train, params)
     for seg, line in zip(segs, train.lines):
-        assert "".join(seg.tokens) == line
+        assert "".join(seg) == line
     _, f1 = boundary_f1(segs, gold)
     assert f1 > 0.9  # three non-overlapping words are easy to find
 
@@ -48,13 +48,13 @@ def test_astral_scalars_are_single_positions():
     model = build_model(TextCorpus((line,), "t"), 1)
     assert model.windows[1] == {"a\U0001f600": 1, "\U0001f600b": 1}
     seg = segment(model, line, SegmenterParams(1, 0.0, 0, "union"))
-    assert "".join(seg.tokens) == line
-    assert all(len(t) >= 1 for t in seg.tokens)
+    assert "".join(seg) == line
+    assert all(len(t) >= 1 for t in seg)
 
 
 def test_ideographic_space_is_whitespace_for_scoring():
     # U+3000 separates tokens in the prediction; gold has no spaces
-    pred = [Segmentation.from_tokens(("你好", "　", "世界"))]
+    pred = [("你好", "　", "世界")]
     gold = GoldSegmentation((("你好", "世界"),))
     counts, f1 = boundary_f1(pred, gold)
     assert f1 == 1.0

@@ -83,6 +83,10 @@ class TestParseGridSpec:
         with pytest.raises(DataError, match="missing"):
             parse_grid_spec("n=1;peak=0.5;prune=0")
 
+    def test_repeated_axis_rejected(self):
+        with pytest.raises(DataError, match="twice"):
+            parse_grid_spec("n=1..3;peak=0.5;prune=0;mode=fwd;n=5", 7)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(DataError):
             parse_grid_spec("n=1;peak=0.5;prune=0;mode=diagonal")
@@ -204,8 +208,8 @@ class TestRunGrid:
             segs = segment_corpus(model, test, params)
             _, f1 = boundary_f1(segs, gold)
             stats = token_stats(segs, drop_whitespace_tokens=True)
-            seg_a = [s.tokens for s in segment_corpus(build_model(part_a, n_max), test, params)]
-            seg_b = [s.tokens for s in segment_corpus(build_model(part_b, n_max), test, params)]
+            seg_a = segment_corpus(build_model(part_a, n_max), test, params)
+            seg_b = segment_corpus(build_model(part_b, n_max), test, params)
             csf1 = f1_score(boundary_counts(seg_a, seg_b))
             assert record.report.f1 == f1
             assert record.report.anti_entropy == anti_entropy(stats)
@@ -291,8 +295,8 @@ class TestRunMorphGrid:
             total_tokens = 0
             total_chars = 0
             for word, freq in lex.entries.items():
-                predicted = segment(model, word, params).tokens
-                reference = greedy_parse(word, inv).pieces
+                predicted = segment(model, word, params)
+                reference = greedy_parse(word, inv)
                 f1_weighted += freq * f1_score(boundary_counts([predicted], [reference]))
                 total_weight += freq
                 for piece in predicted:

@@ -22,13 +22,13 @@ from tlab.metrics import (
     token_stats,
 )
 from tlab.ngram import build_model
-from tlab.segmenter import Segmentation, SegmenterParams, segment_corpus
+from tlab.segmenter import SegmenterParams, segment_corpus
 
 from bruteforce import bf_segment
 
 
 def segs(*token_lines):
-    return [Segmentation.from_tokens(tokens) for tokens in token_lines]
+    return list(token_lines)
 
 
 class TestBoundaryF1:
@@ -250,8 +250,8 @@ class TestCrossSplitF1:
         part_a, part_b = split_even_odd(train)
         m_a = build_model(part_a, 2)
         m_b = build_model(part_b, 2)
-        seg_a = [s.tokens for s in segment_corpus(m_a, test, self.PARAMS)]
-        seg_b = [s.tokens for s in segment_corpus(m_b, test, self.PARAMS)]
+        seg_a = segment_corpus(m_a, test, self.PARAMS)
+        seg_b = segment_corpus(m_b, test, self.PARAMS)
         f_ab = f1_score(bc(seg_a, seg_b))
         f_ba = f1_score(bc(seg_b, seg_a))
         assert f_ab == f_ba

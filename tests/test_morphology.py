@@ -70,39 +70,39 @@ class TestBuildMorphModel:
 
 class TestGreedyParse:
     def test_prefix_and_suffix(self):
-        assert greedy_parse("unbelievable", ENGLISH).pieces == ("un", "believ", "able")
+        assert greedy_parse("unbelievable", ENGLISH) == ("un", "believ", "able")
 
     def test_no_affix_applies(self):
-        assert greedy_parse("cat", ENGLISH).pieces == ("cat",)
+        assert greedy_parse("cat", ENGLISH) == ("cat",)
 
     def test_longest_suffix(self):
-        assert greedy_parse("running", ENGLISH).pieces == ("runn", "ing")
+        assert greedy_parse("running", ENGLISH) == ("runn", "ing")
 
     def test_min_stem_blocks_strip(self):
         inv = AffixInventory(frozenset({"un"}), frozenset({"able"}), min_stem=3)
-        assert greedy_parse("unable", inv).pieces == ("un", "able")  # "able" stays: stem floor
+        assert greedy_parse("unable", inv) == ("un", "able")  # "able" stays: stem floor
 
     def test_case_folded_match_keeps_casing(self):
-        assert greedy_parse("UNbelievABLE", ENGLISH).pieces == ("UN", "believ", "ABLE")
+        assert greedy_parse("UNbelievABLE", ENGLISH) == ("UN", "believ", "ABLE")
 
     def test_stacked_affixes(self):
         inv = AffixInventory(frozenset({"un", "re"}), frozenset({"ing", "ed"}), min_stem=2)
-        assert greedy_parse("unredoing", inv).pieces == ("un", "re", "do", "ing")
+        assert greedy_parse("unredoing", inv) == ("un", "re", "do", "ing")
 
     def test_stem_floor_stops_stacking(self):
         inv = AffixInventory(frozenset({"un", "re"}), frozenset({"ing", "ed"}), min_stem=3)
-        assert greedy_parse("unredoing", inv).pieces == ("un", "re", "doing")
+        assert greedy_parse("unredoing", inv) == ("un", "re", "doing")
 
     @given(st.text("abcdefg", min_size=1, max_size=12))
     def test_concatenation_and_stem_floor(self, word):
         inv = AffixInventory(frozenset({"ab", "c"}), frozenset({"fg", "g"}), min_stem=2)
         parse = greedy_parse(word, inv)
-        assert "".join(parse.pieces) == word
-        assert all(parse.pieces)
-        if len(parse.pieces) > 1:
+        assert "".join(parse) == word
+        assert all(parse)
+        if len(parse) > 1:
             # something was stripped, so the remaining stem honours the floor
-            stripped = {p.casefold() for p in parse.pieces} & (inv.prefixes | inv.suffixes)
-            stem_candidates = [p for p in parse.pieces if p.casefold() not in stripped]
+            stripped = {p.casefold() for p in parse} & (inv.prefixes | inv.suffixes)
+            stem_candidates = [p for p in parse if p.casefold() not in stripped]
             assert all(len(p) >= inv.min_stem for p in stem_candidates)
 
     def test_empty_word_rejected(self):
@@ -115,14 +115,14 @@ class TestMorphSegment:
 
     def test_single_scalar_word(self):
         m = build_morph_model(FreqLexicon({"ab": 1}), 1)
-        assert segment(m, "x", SegmenterParams(1, 0.5, 0, "union")).tokens == ("x",)
+        assert segment(m, "x", SegmenterParams(1, 0.5, 0, "union")) == ("x",)
 
     def test_shared_stem_boundary(self):
         # walked/walking/walker: continuation freedom jumps after the stem
         lex = {"walked": 1, "walking": 1, "walker": 1}
         m = build_morph_model(FreqLexicon(lex), 3)
         for word in lex:
-            pieces = segment(m, word, self.PARAMS).tokens
+            pieces = segment(m, word, self.PARAMS)
             expected = bf_segment(list(lex), [1, 1, 1], word, 3, 0.5, 0, "union")
             assert list(pieces) == expected
             cuts = []
@@ -136,7 +136,7 @@ class TestMorphSegment:
     def test_lossless(self, word, peak):
         lex = {"walked": 1, "walking": 1, "walker": 1}
         m = build_morph_model(FreqLexicon(lex), 3)
-        pieces = segment(m, word, SegmenterParams(3, peak, 0, "union")).tokens
+        pieces = segment(m, word, SegmenterParams(3, peak, 0, "union"))
         assert "".join(pieces) == word
 
 
@@ -167,7 +167,7 @@ class TestWeightedMorphF1:
         per_word = {
             word: f1_score(
                 boundary_counts(
-                    [segment(m, word, params).tokens], [greedy_parse(word, inv).pieces]
+                    [segment(m, word, params)], [greedy_parse(word, inv)]
                 )
             )
             for word in lex.entries
@@ -193,7 +193,7 @@ class TestWeightedMorphF1:
         tokens = chars = 0
         for word, freq_w in zip(words, weights):
             predicted = bf_segment(words, weights, word, 2, 0.4, 0, "union")
-            reference = list(greedy_parse(word, inv).pieces)
+            reference = list(greedy_parse(word, inv))
             f1_sum += freq_w * f1_score(boundary_counts([predicted], [reference]))
             for piece in predicted:
                 piece_counts[piece] = piece_counts.get(piece, 0) + freq_w
@@ -221,7 +221,7 @@ class TestWeightedMorphF1:
         per_word = [
             f1_score(
                 boundary_counts(
-                    [segment(m, w, params).tokens], [greedy_parse(w, inv).pieces]
+                    [segment(m, w, params)], [greedy_parse(w, inv)]
                 )
             )
             for w in lex.entries

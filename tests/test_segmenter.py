@@ -1,10 +1,11 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given
 
 from tlab.corpus import DataError, TextCorpus
 from tlab.ngram import build_model
 from tlab.segmenter import (
-    Segmentation,
     SegmenterParams,
     detect_boundaries,
     profile,
@@ -116,7 +117,7 @@ class TestDetectBoundaries:
 class TestSegment:
     def test_single_scalar_line(self):
         m = model_of(["ab"], 1)
-        assert segment(m, "x", params()).tokens == ("x",)
+        assert segment(m, "x", params()) == ("x",)
 
     def test_empty_line_rejected(self):
         m = model_of(["ab"], 1)
@@ -128,16 +129,16 @@ class TestSegment:
         lines = ["ab", "ac", "ad"] * 3
         m = model_of(lines, 1)
         seg = segment(m, "ab", params(peak=0.5))
-        assert seg.tokens == ("a", "b")
-        assert seg.tokens == tuple(bf_segment(lines, [1] * len(lines), "ab", 1, 0.5, 0, "union"))
+        assert seg == ("a", "b")
+        assert seg == tuple(bf_segment(lines, [1] * len(lines), "ab", 1, 0.5, 0, "union"))
 
     def test_prune_applied_first(self):
         # unpruned: freedom("a")=2 of max 3 -> cut; pruned at 2 "a" loses
         # both edges while "x" keeps the max, so the profile drops to 0
         lines = ["ab", "ac"] + ["xb", "xc", "xd"] * 3
         m = model_of(lines, 1)
-        assert segment(m, "ab", params(peak=0.5, mode="forward")).tokens == ("a", "b")
-        assert segment(m, "ab", params(peak=0.5, prune=2, mode="forward")).tokens == ("ab",)
+        assert segment(m, "ab", params(peak=0.5, mode="forward")) == ("a", "b")
+        assert segment(m, "ab", params(peak=0.5, prune=2, mode="forward")) == ("ab",)
 
     @given(corpora_with_weights(max_lines=8), orders, peak_thresholds, prune_thresholds, modes)
     def test_lossless(self, lines_weights, n, peak, prune_t, mode):
@@ -145,8 +146,8 @@ class TestSegment:
         m = model_of(lines, 4, weights=weights)
         for line in lines[:4]:
             seg = segment(m, line, SegmenterParams(n, peak, prune_t, mode))
-            assert "".join(seg.tokens) == line
-            assert all(seg.tokens)
+            assert "".join(seg) == line
+            assert all(seg)
 
     @given(corpora_with_weights(max_lines=8), orders, prune_thresholds, modes)
     def test_threshold_monotonicity(self, lines_weights, n, prune_t, mode):
@@ -155,7 +156,8 @@ class TestSegment:
         line = lines[0]
         previous = None
         for peak in (0.0, 0.25, 0.5, 0.75, 1.0):
-            cuts = set(segment(m, line, SegmenterParams(n, peak, prune_t, mode)).boundaries)
+            tokens = segment(m, line, SegmenterParams(n, peak, prune_t, mode))
+            cuts = set(accumulate(map(len, tokens[:-1])))
             if previous is not None:
                 assert cuts <= previous
             previous = cuts
@@ -187,15 +189,4 @@ class TestSegmentCorpus:
         corpus = TextCorpus(tuple(f"a{'b' if i % 2 else 'c'}" for i in range(1000)), "t")
         segs = segment_corpus(m, corpus, params())
         assert len(segs) == 1000
-        assert all(s.line == l for s, l in zip(segs, corpus.lines))
-
-
-class TestSegmentationType:
-    def test_cuts_and_tokens_derivable(self):
-        seg = Segmentation.from_cuts("abcd", (2,))
-        assert seg.tokens == ("ab", "cd")
-        assert Segmentation.from_tokens(("ab", "cd")) == seg
-
-    def test_bad_cuts_rejected(self):
-        with pytest.raises(DataError):
-            Segmentation.from_cuts("ab", (5,))
+        assert all("".join(s) == l for s, l in zip(segs, corpus.lines))
