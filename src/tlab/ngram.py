@@ -5,8 +5,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import DataError, TextCorpus
 
@@ -22,6 +23,31 @@ class ModelFormatError(DataError):
     """Model file is malformed or carries an unsupported format version."""
 
 
+class _Derived(dict):
+    """A dict that derives each missing value from its key on first read and keeps it."""
+
+    def __init__(self, derive: Callable) -> None:
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, key):
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _degree_table(windows: dict[int, Counter[str]], key: tuple[int, str]) -> Counter[str]:
+    n, direction = key
+    if direction == "forward":
+        return Counter(w[:-1] for w in windows[n])
+    if direction == "backward":
+        return Counter(w[1:] for w in windows[n])
+    raise KeyError(key)
+
+
+def _max_degree(degrees: dict[tuple[int, str], Counter[str]], key: tuple[int, str]) -> int:
+    return max(degrees[key].values(), default=0)
+
+
 @dataclass
 class TransitionModel:
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
@@ -31,8 +57,10 @@ class TransitionModel:
     backward edge (``w[1:]`` preceded by ``w[0]``), so the successor and
     predecessor varieties of every gram are read off the same table.
     ``degrees[n, direction]`` maps each gram to that out-degree and
-    ``max_degrees[n, direction]`` holds the order's maximum; both are derived
-    at construction and excluded from equality. Treat instances as immutable.
+    ``max_degrees[n, direction]`` holds the order's maximum. Each of these
+    tables is derived from ``windows`` the first time it is read, so a model
+    holds only the tables that were used; both are excluded from equality.
+    Treat instances, ``windows`` included, as immutable.
     """
 
     n_max: int
@@ -41,11 +69,9 @@ class TransitionModel:
     max_degrees: dict[tuple[int, str], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.degrees = {}
-        for n, counts in self.windows.items():
-            self.degrees[n, "forward"] = Counter(w[:-1] for w in counts)
-            self.degrees[n, "backward"] = Counter(w[1:] for w in counts)
-        self.max_degrees = {key: max(d.values(), default=0) for key, d in self.degrees.items()}
+        # the derivations hold the tables, not the model, so a model is freed without a cycle collection
+        self.degrees = _Derived(partial(_degree_table, self.windows))
+        self.max_degrees = _Derived(partial(_max_degree, self.degrees))
 
     def __add__(self, other: TransitionModel) -> TransitionModel:
         """The model of the two corpora concatenated; both must share ``n_max``."""
@@ -161,82 +187,89 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
 
     Every window becomes a ``b`` record (gram, preceding char) and an ``f``
     record (gram, following char), all ``b`` records first, each sorted by
-    order, gram and char.
+    order, gram and char. Each order's records are written as soon as they
+    are formatted, so only one order's text is held at a time.
     """
-    out = [f"{FORMAT_HEADER} n_max={model.n_max}"]
     orders = sorted(model.windows.items())
-    for n, counts in orders:
-        # for equal-length strings this is the order of (w[1:], w[0])
-        for w in sorted(counts, key=lambda w: w[1:] + w[0]):
-            if _MAY_ESCAPE(w):
-                out.append(f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}")
-            else:
-                out.append(f"b\t{n}\t{w[1:]}\t{w[0]}\t{counts[w]}")
-    for n, counts in orders:
-        for w in sorted(counts):
-            if _MAY_ESCAPE(w):
-                out.append(f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}")
-            else:
-                out.append(f"f\t{n}\t{w[:-1]}\t{w[-1]}\t{counts[w]}")
-    Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))
+    with open(path, "wb") as out:
+        out.write(f"{FORMAT_HEADER} n_max={model.n_max}\n".encode("utf-8"))
+        for n, counts in orders:
+            # for equal-length strings this is the order of (w[1:], w[0])
+            text = "".join([
+                f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}\n"
+                if _MAY_ESCAPE(w)
+                else f"b\t{n}\t{w[1:]}\t{w[0]}\t{counts[w]}\n"
+                for w in sorted(counts, key=lambda w: w[1:] + w[0])
+            ])
+            out.write(text.encode("utf-8"))
+        for n, counts in orders:
+            text = "".join([
+                f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}\n"
+                if _MAY_ESCAPE(w)
+                else f"f\t{n}\t{w[:-1]}\t{w[-1]}\t{counts[w]}\n"
+                for w in sorted(counts)
+            ])
+            out.write(text.encode("utf-8"))
 
 
 def load_model(path: str | Path) -> TransitionModel:
     """Read a model file; its ``b`` records must mirror its ``f`` records exactly.
 
-    A record that repeats an earlier one (same tag, order, gram and char) is
-    rejected whatever its count.
+    The file is read one record at a time. A record that repeats an earlier
+    one (same tag, order, gram and char) is rejected whatever its count.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ModelFormatError(f"{path}: empty model file")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise ModelFormatError(f"{path}: bad header {lines[0]!r}; expected '{FORMAT_HEADER} n_max=<k>'")
-    n_max = int(header.group(1))
-    if n_max < 1:
-        raise ModelFormatError(f"{path}: n_max must be >= 1")
-    forward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
-    backward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
-    orders = {str(n): n for n in range(1, n_max + 1)}
-    for lineno, record in enumerate(lines[1:], start=2):
-        parts = record.split("\t")
-        if len(parts) != 5:
-            raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-        tag, n_text, gram, ch, count_text = parts
-        if tag == "f":
-            tables = forward
-        elif tag == "b":
-            tables = backward
-        else:
-            raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
+    with open(path, "rb") as raw:
         try:
-            n = orders.get(n_text) or int(n_text)
-            count = int(count_text)
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}:{lineno}: non-integer field") from exc
-        if n < 1 or n > n_max:
-            raise ModelFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
-        if count < 1:
-            raise ModelFormatError(f"{path}:{lineno}: count must be positive")
-        if gram.startswith("x"):
-            gram = _unescape(gram)
-        if ch.startswith("x"):
-            ch = _unescape(ch)
-        if len(gram) != n or len(ch) != 1:
-            raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
-        window = gram + ch if tables is forward else ch + gram
-        table = tables[n]
-        if window in table:
-            raise ModelFormatError(f"{path}:{lineno}: duplicate record")
-        table[window] = count
-    if backward != forward:
+            raw.read().decode("utf-8")  # only to report the first bad byte's offset in the file
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        first = lines.readline()
+        if not first:
+            raise ModelFormatError(f"{path}: empty model file")
+        first = first.rstrip("\n")
+        header = _HEADER_RE.match(first)
+        if header is None:
+            raise ModelFormatError(f"{path}: bad header {first!r}; expected '{FORMAT_HEADER} n_max=<k>'")
+        n_max = int(header.group(1))
+        if n_max < 1:
+            raise ModelFormatError(f"{path}: n_max must be >= 1")
+        forward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
+        backward: dict[int, dict[str, int]] = {n: {} for n in range(1, n_max + 1)}
+        orders = {str(n): n for n in range(1, n_max + 1)}
+        for lineno, record in enumerate(lines, start=2):
+            # the line's "\n" stays on the count field, which int() reads as it reads a trailing CR
+            parts = record.split("\t")
+            if len(parts) != 5:
+                raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
+            tag, n_text, gram, ch, count_text = parts
+            if tag == "f":
+                tables = forward
+            elif tag == "b":
+                tables = backward
+            else:
+                raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
+            try:
+                n = orders.get(n_text) or int(n_text)
+                count = int(count_text)
+            except ValueError as exc:
+                raise ModelFormatError(f"{path}:{lineno}: non-integer field") from exc
+            if n < 1 or n > n_max:
+                raise ModelFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
+            if count < 1:
+                raise ModelFormatError(f"{path}:{lineno}: count must be positive")
+            if gram.startswith("x"):
+                gram = _unescape(gram)
+            if ch.startswith("x"):
+                ch = _unescape(ch)
+            if len(gram) != n or len(ch) != 1:
+                raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
+            window = gram + ch if tables is forward else ch + gram
+            table = tables[n]
+            if window in table:
+                raise ModelFormatError(f"{path}:{lineno}: duplicate record")
+            table[window] = count
+    # plain dict equality, in C; Counter's == also equates a missing key with a zero count, which no record holds
+    if any(not dict.__eq__(forward[n], backward[n]) for n in forward):
         raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
     return TransitionModel(n_max, forward)

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +16,7 @@ from tlab.ngram import (
     prune,
     save_model,
 )
+from tlab.synth import make_segmented_corpus, make_vocabulary
 
 from bruteforce import bf_freedom, bf_max_freedom, window_counts
 from strategies import corpora_with_weights, small_lines, weights_for
@@ -21,6 +24,23 @@ from strategies import corpora_with_weights, small_lines, weights_for
 
 def model_of(lines, n_max=2, weights=None):
     return build_model(TextCorpus(tuple(lines), "t"), n_max, line_weights=weights)
+
+
+def synth_model():
+    """A seeded n_max 7 model of unspaced synthetic text, about 0.68 MB on file."""
+    words, weights = make_vocabulary(7)
+    corpus, _ = make_segmented_corpus(words, weights, 7, lines=600, spaces=False)
+    return build_model(corpus, 7)
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuildModel:
@@ -102,6 +122,26 @@ class TestBuildModel:
                 assert max_freedom(m, n, direction) == bf_max_freedom(lines, weights, n, direction)
 
 
+class TestDerivedTables:
+    def test_no_table_derived_until_read(self, tmp_path):
+        m = model_of(["abc", "abd", "abd"], 3)
+        save_model(m, tmp_path / "m.tsv")
+        for model in (m, load_model(tmp_path / "m.tsv"), prune(m, 2), m + m):
+            assert model.degrees == {} and model.max_degrees == {}
+        assert max_freedom(m, 2, "backward") == 1
+        assert set(m.degrees) == set(m.max_degrees) == {(2, "backward")}
+        assert freedom(m, "ab", "forward") == 2
+        assert set(m.degrees) == {(2, "backward"), (2, "forward")}
+
+    def test_unknown_direction_is_a_missing_key(self):
+        m = model_of(["ab"], 1)
+        with pytest.raises(KeyError):
+            m.degrees[1, "sideways"]
+        with pytest.raises(KeyError):
+            m.degrees[2, "forward"]
+        assert m.degrees == {}
+
+
 class TestAddition:
     @given(corpora_with_weights(), st.integers(min_value=0, max_value=8))
     def test_sum_of_parts_is_model_of_whole(self, lines_weights, cut):
@@ -112,7 +152,10 @@ class TestAddition:
             lines[cut:], 3, weights=weights[cut:]
         )
         assert parts == whole
-        assert parts.max_degrees == whole.max_degrees
+        for n in (1, 2, 3):
+            for direction in ("forward", "backward"):
+                assert parts.degrees[n, direction] == whole.degrees[n, direction]
+                assert max_freedom(parts, n, direction) == max_freedom(whole, n, direction)
 
 
 class TestPrune:
@@ -193,7 +236,7 @@ class TestPersistence:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_bytes(b"")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=r"empty\.tsv: empty model file$"):
             load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -249,6 +292,41 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
             load_model(path)
 
+    def test_invalid_utf8_reported_first_with_file_offset(self, tmp_path):
+        # line 3 repeats line 2, and the bad byte comes after several read chunks' worth of records
+        path = tmp_path / "bad.tsv"
+        header = b"tlab-model v1 n_max=1\n"
+        path.write_bytes(header + b"f\t1\ta\tb\t1\n" * 1000 + b"\xff\n")
+        with pytest.raises(ModelFormatError, match="invalid UTF-8 at byte offset 10022$"):
+            load_model(path)
+
+    def test_crlf_header_rejected(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"tlab-model v1 n_max=1\r\nb\t1\tb\ta\t1\r\nf\t1\ta\tb\t1\r\n")
+        with pytest.raises(ModelFormatError, match=re.escape("bad header 'tlab-model v1 n_max=1\\r'")):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [("b\t1\tb\ta\t1\n\nf\t1\ta\tb\t1\n", 3), ("b\t1\tb\ta\t1\nf\t1\ta\tb\t1\n\n", 4)],
+    )
+    def test_blank_line_rejected(self, tmp_path, body, lineno):
+        path = tmp_path / "blank.tsv"
+        path.write_text("tlab-model v1 n_max=1\n" + body)
+        with pytest.raises(ModelFormatError, match=rf":{lineno}: expected 5 tab-separated fields, got 1$"):
+            load_model(path)
+
+    def test_missing_final_newline_and_record_cr_accepted(self, tmp_path):
+        path = tmp_path / "edge.tsv"
+        path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1")
+        with pytest.raises(ModelFormatError, match="do not mirror"):
+            load_model(path)
+        path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1")
+        assert load_model(path) == model_of(["ab"], 1)
+        # the count field is read as an integer, which ignores a trailing CR
+        path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1\r\nf\t1\ta\tb\t1\r\n")
+        assert load_model(path) == model_of(["ab"], 1)
+
     def test_order_field_read_as_integer(self, tmp_path):
         path = tmp_path / "pad.tsv"
         path.write_text("tlab-model v1 n_max=1\nb\t01\tb\ta\t1\nf\t1\ta\tb\t1\n")
@@ -259,6 +337,18 @@ class TestPersistence:
         path.write_text("tlab-model v1 n_max=1\nb\tone\tb\ta\t1\n")
         with pytest.raises(ModelFormatError, match="non-integer"):
             load_model(path)
+
+    def test_save_peak_memory_under_twice_the_file(self, tmp_path):
+        m = synth_model()
+        path = tmp_path / "m.tsv"
+        peak = traced_peak(lambda: save_model(m, path))
+        assert peak < 2 * path.stat().st_size
+
+    def test_load_peak_memory_under_ten_times_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        save_model(synth_model(), path)
+        peak = traced_peak(lambda: load_model(path))
+        assert peak < 10 * path.stat().st_size
 
     @given(
         st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6).flatmap(

@@ -190,3 +190,9 @@ class TestSegmentCorpus:
         segs = segment_corpus(m, corpus, params())
         assert len(segs) == 1000
         assert all("".join(s) == l for s, l in zip(segs, corpus.lines))
+
+    def test_union_derives_only_its_order(self):
+        m = model_of(["abcab", "abd", "cabd"], 3)
+        segment_corpus(m, TextCorpus(("abcd", "dcab"), "t"), params(n=2, mode="union"))
+        assert set(m.degrees) == {(2, "forward"), (2, "backward")}
+        assert set(m.max_degrees) == {(2, "forward"), (2, "backward")}
