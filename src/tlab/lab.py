@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_units, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import build_model, check_order, prune
-from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, scores, union
+from .ngram import TransitionModel, build_model, check_order, prune
+from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, grams_of, scores, union
 from .walk import MorphWalk, WordWalk
 
 METRIC_COLUMNS = (
@@ -169,11 +169,12 @@ def run_grid(
     """Evaluate every grid point on a shared raw model.
 
     The two interleaved train halves (for cross-split F1) are counted once,
-    up to the grid's largest order, the full-train model is their sum, and
-    all three are pruned per prune value; each (prune, n, mode) cell scores
-    its gaps once and walks its peak values from the highest down
-    (:class:`~tlab.walk.WordWalk`). Failed trials are recorded with an error
-    marker instead of aborting.
+    up to the grid's largest order, and the full-train model is their sum.
+    The grid is swept one order at a time (:func:`_sweep`), each (n, prune)
+    cell with its own pruned one-order views of the three models; each
+    (n, prune, mode) cell scores its gaps once and walks its peak values
+    from the highest down (:class:`~tlab.walk.WordWalk`). Failed trials are
+    recorded with an error marker instead of aborting.
     """
     top = max(spec.n_values)
     check_order(top, n_max)
@@ -188,33 +189,37 @@ def run_grid(
 def _sweep(spec: GridSpec, raw_models, lines, walk) -> list[TrialRecord]:
     """Record every grid point, sorted.
 
-    The raw models are pruned once per prune value, and the gap scores of
-    every line under each model once per (prune, n, mode) cell; a union cell
-    takes its rises from the forward cell of the same (prune, n), if the grid
-    has one. ``walk`` makes the cell's walker from those scores and the
-    lowest peak; its ``report`` is then called at each peak value from the
-    highest down.
+    Order-major: each line is sliced into n-grams once per order, and each
+    (n, prune) cell prunes a fresh one-order view of every raw model, so the
+    cell's pruned windows and degree tables die with it (prune 0 returns the
+    view itself, whose tables a shared view would keep). Every line's scores
+    under each model are computed from its slices once per (n, prune, mode);
+    a union cell takes its rises from the forward cell, if the grid has one.
+    ``walk`` makes the cell's walker from those scores and the lowest peak;
+    its ``report`` is then called at each peak value from the highest down.
     """
     peaks = sorted(set(spec.peak_values), reverse=True)
+    modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)  # bwd, fwd, then union
     records: list[TrialRecord] = []
-    for prune_threshold in sorted(set(spec.prune_values)):
-        models = [prune(m, prune_threshold) for m in raw_models]
-        for n in sorted(set(spec.n_values)):
+    for n in sorted(set(spec.n_values)):
+        sliced = [grams_of(line, n) for line in lines]
+        for prune_threshold in sorted(set(spec.prune_values)):
+            models = [prune(TransitionModel(m.n_max, {n: m.windows[n]}), prune_threshold) for m in raw_models]
             rises = None  # the forward cell's scores, until the union cell takes them
-            for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):  # bwd, fwd, then union
+            for mode in modes:
                 if mode == "union" and rises is not None:
-                    line_scores = [[union(r, scores(m, line, n, "backward")) for line, r in zip(lines, model_rises)]
-                                   for m, model_rises in zip(models, rises)]
+                    line_scores = [[union(r, scores(m, line, n, "backward", g)) for line, g, r in zip(lines, sliced, rs)]
+                                   for m, rs in zip(models, rises)]
                     rises = None
                 else:
-                    line_scores = [[scores(m, line, n, mode) for line in lines] for m in models]
+                    line_scores = [[scores(m, line, n, mode, g) for line, g in zip(lines, sliced)] for m in models]
                 if mode == "forward":
                     rises = line_scores
                 cell = walk(line_scores, peaks[-1])
                 for peak in peaks:
                     records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune_threshold, mode)))
                 del cell, line_scores  # free this cell's walker before the next one is built
-        del models  # and this level's pruned models before the next level's
+            del models, rises  # and this cell's views, pruned windows and degree tables before the next cell's
     records.sort(key=lambda r: _sort_key(r.params))
     return records
 

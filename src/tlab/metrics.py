@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model, check_order, prune
-from .segmenter import SegmenterParams, scores
+from .segmenter import SegmenterParams, grams_of, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -291,20 +291,20 @@ class ThresholdTally(NamedTuple):
 
 def split_tally(
     prefixes: Iterable[Sequence[int]],
-    scores_a: Iterable[Sequence[float]],
-    scores_b: Iterable[Sequence[float]],
+    score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
     lowest: float,
 ) -> ThresholdTally:
     """Boundary tallies at every threshold from ``lowest`` up between two
     models' cuts of the same lines.
 
-    ``prefixes`` are the lines' :func:`nonspace_prefix` tables. Either role
+    ``prefixes`` are the lines' :func:`nonspace_prefix` tables and
+    ``score_pairs`` each line's gap scores under the two models. Either role
     order gives the same F1: swapping them swaps fp and fn, hence
     precision and recall, which 2*p*r/(p+r) reads the same to the last bit,
     so averaging both orders would change nothing.
     """
     return ThresholdTally.of(
-        ((stripped_maxima(prefix, a), stripped_maxima(prefix, b)) for prefix, a, b in zip(prefixes, scores_a, scores_b)),
+        ((stripped_maxima(prefix, a), stripped_maxima(prefix, b)) for prefix, (a, b) in zip(prefixes, score_pairs)),
         lowest,
     )
 
@@ -322,10 +322,10 @@ def cross_split_f1(
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.direction_mode
     model_a, model_b = (prune(build_model(part, n), params.prune_threshold) for part in split_even_odd(train))
+    sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both models
     tallies = split_tally(
         map(nonspace_prefix, test.lines),
-        (scores(model_a, line, n, mode) for line in test.lines),
-        (scores(model_b, line, n, mode) for line in test.lines),
+        ((scores(model_a, line, n, mode, grams), scores(model_b, line, n, mode, grams)) for line, grams in sliced),
         params.peak_threshold,
     )
     return f1_score(tallies.at(params.peak_threshold))

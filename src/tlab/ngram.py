@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -17,6 +18,8 @@ _CONTROL = ("\t", "\n", "\r")
 # only a window holding "x" or a control character can have a field to escape
 _MAY_ESCAPE = re.compile("[x\t\n\r]").search
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
+# the gram a window is an edge of: forward, w[:-1] followed by w[-1]; backward, w[1:] preceded by w[0]
+_GRAM_OF_WINDOW = {"forward": itemgetter(slice(None, -1)), "backward": itemgetter(slice(1, None))}
 
 
 class ModelFormatError(DataError):
@@ -37,11 +40,7 @@ class _Derived(dict):
 
 def _degree_table(windows: dict[int, Counter[str]], key: tuple[int, str]) -> Counter[str]:
     n, direction = key
-    if direction == "forward":
-        return Counter(w[:-1] for w in windows[n])
-    if direction == "backward":
-        return Counter(w[1:] for w in windows[n])
-    raise KeyError(key)
+    return Counter(map(_GRAM_OF_WINDOW[direction], windows[n]))  # a KeyError for an unknown direction too
 
 
 def _max_degree(degrees: dict[tuple[int, str], Counter[str]], key: tuple[int, str]) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import sub, truediv
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
@@ -53,43 +55,55 @@ def split_at(line: str, cuts: Iterable[int]) -> list[str]:
     return pieces
 
 
-def profile(model: TransitionModel, line: str, n: int, direction: str) -> tuple[float, ...]:
+def grams_of(line: str, n: int) -> list[str]:
+    """Every n-gram of ``line``, in order: one slicing that serves every model and both directions."""
+    return [line[i : i + n] for i in range(len(line) - n + 1)]
+
+
+def profile(
+    model: TransitionModel, line: str, n: int, direction: str, grams: Sequence[str] | None = None
+) -> tuple[float, ...]:
     """Freedom at every gap of ``line``, scaled by the order's max freedom.
 
     Position i scores the n-gram ending at scalar i-1 (forward) or starting
     at scalar i (backward); gaps without a full n-gram of context score 0,
-    as does everything when the order has no grams at all.
+    as does everything when the order has no grams at all. ``grams`` is the
+    line's :func:`grams_of` at order n, when a caller shares one slicing
+    between models and directions.
     """
     maxf = max_freedom(model, n, direction)  # checks the order, for lines of one scalar too
     length = len(line)
     if length < 2:
         return ()
-    if maxf == 0:
+    if maxf == 0 or length <= n:
         return (0.0,) * (length - 1)
-    degree = model.degrees[n, direction].get
-    if direction == "forward":
-        return tuple([degree(line[i - n : i], 0) / maxf if i >= n else 0.0 for i in range(1, length)])
-    return tuple([degree(line[i : i + n], 0) / maxf if i + n <= length else 0.0 for i in range(1, length)])
+    grams = grams_of(line, n) if grams is None else grams
+    degrees = map(model.degrees[n, direction].get, grams[:-1] if direction == "forward" else grams[1:], repeat(0))
+    values, pad = map(truediv, degrees, repeat(maxf)), repeat(0.0, n - 1)
+    # built from a list, the tuple is allocated at its exact size and never resized
+    return tuple([*pad, *values] if direction == "forward" else [*values, *pad])
 
 
-def scores(model: TransitionModel, line: str, n: int, mode: str) -> list[float]:
+def scores(model: TransitionModel, line: str, n: int, mode: str, grams: Sequence[str] | None = None) -> list[float]:
     """The boundary score of every gap of ``line``; a gap is cut iff its score reaches the peak.
 
     Forward scores the rise from the previous gap (virtual 0 before the
     line), backward the drop to the next gap (virtual 0 after it), and union
-    their :func:`union`.
+    their :func:`union`, from one slicing of the line. ``grams`` is as for
+    :func:`profile`.
     """
     if mode == "union":
-        return union(scores(model, line, n, "forward"), scores(model, line, n, "backward"))
-    values = profile(model, line, n, mode)
+        grams = grams_of(line, n) if grams is None else grams
+        return union(scores(model, line, n, "forward", grams), scores(model, line, n, "backward", grams))
+    values = profile(model, line, n, mode, grams)
     if mode == "forward":
-        return [value - before for value, before in zip(values, (0.0, *values))]
-    return [value - after for value, after in zip(values, (*values[1:], 0.0))]
+        return list(map(sub, values, chain((0.0,), values)))
+    return list(map(sub, values, chain(islice(values, 1, None), (0.0,))))
 
 
 def union(rises: Sequence[float], drops: Sequence[float]) -> list[float]:
     """Union scores: the larger of each gap's rise and drop, so that union fires whenever either direction does."""
-    return [max(rise, drop) for rise, drop in zip(rises, drops)]
+    return list(map(max, rises, drops))
 
 
 def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int]:

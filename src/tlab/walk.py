@@ -108,7 +108,7 @@ class WordWalk:
         lowest: float,
     ) -> None:
         self.gold = ThresholdTally.of(zip(map(stripped_maxima, prefixes, scores_m), gold_units), lowest)
-        self.split = split_tally(prefixes, scores_a, scores_b, lowest)
+        self.split = split_tally(prefixes, zip(scores_a, scores_b), lowest)
         self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest, drop_whitespace_tokens=True)
 
     def report(self, threshold: float) -> MetricsReport:

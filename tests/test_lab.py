@@ -1,12 +1,13 @@
 import csv
 import math
+import weakref
 from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from tlab import lab, segmenter
+from tlab import lab, ngram, segmenter
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
     MAX_AXIS_VALUES,
@@ -323,6 +324,46 @@ class TestRunMorphGrid:
         r = summary.pearson_f1_vs["compression_factor"]
         assert r is not None and abs(r) >= 0.3
         assert summary.pearson_f1_vs["csf1"] is None
+
+
+class TestDegreeTableLifetime:
+    """A sweep holds only the degree tables of the cell it is scoring."""
+
+    GRID = "n=1..3;peak=0.2,0.6;prune=0,1,2;mode=fwd,bwd,union"
+
+    def alive_at_each_derivation(self, monkeypatch):
+        """Patch the table derivation; the list it returns gets, at each new
+        derivation, the new table's order and the orders of every derived
+        table still alive, the new one included."""
+        tables, snapshots = [], []
+        real = ngram._degree_table
+
+        def derive(windows, key):
+            table = real(windows, key)
+            tables.append((weakref.ref(table), key[0]))
+            snapshots.append((key[0], [n for ref, n in tables if ref() is not None]))
+            return table
+
+        monkeypatch.setattr(ngram, "_degree_table", derive)
+        return snapshots
+
+    def check(self, snapshots, models):
+        assert {n for n, _ in snapshots} == {1, 2, 3}
+        for n, alive in snapshots:
+            assert set(alive) == {n}
+            assert len(alive) <= 2 * models
+
+    def test_word_grid(self, monkeypatch):
+        train, test, gold = tiny_setup()
+        snapshots = self.alive_at_each_derivation(monkeypatch)
+        run_grid(train, test, gold, parse_grid_spec(self.GRID), 3)
+        self.check(snapshots, models=3)
+
+    def test_morph_grid(self, monkeypatch):
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        snapshots = self.alive_at_each_derivation(monkeypatch)
+        run_morph_grid(lex, inv, parse_grid_spec(self.GRID), 3)
+        self.check(snapshots, models=1)
 
 
 def grid_points(spec):

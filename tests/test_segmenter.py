@@ -1,13 +1,16 @@
 from itertools import accumulate
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tlab.corpus import DataError, TextCorpus
-from tlab.ngram import build_model
+from tlab.ngram import build_model, max_freedom, prune
 from tlab.segmenter import (
+    MODES,
     SegmenterParams,
     detect_boundaries,
+    grams_of,
     profile,
     scores,
     segment,
@@ -76,6 +79,36 @@ class TestProfile:
                 got = profile(m, line, n, direction)
                 expected = bf_profile(lines, weights, line, n, direction)
                 assert list(got) == expected
+
+
+# spaces, tabs and a scalar outside the Basic Multilingual Plane among letters
+MIXED_TEXT = st.text(alphabet="ab \t\U0001d538", min_size=1, max_size=6)
+
+
+class TestSharedSlices:
+    @given(st.lists(st.tuples(MIXED_TEXT, st.integers(1, 3)), min_size=1, max_size=6),
+           st.lists(MIXED_TEXT, min_size=1, max_size=4), orders, prune_thresholds)
+    @example([("ab", 1)], ["a"], 1, 0)  # a line of one scalar
+    @example([("ab", 1), ("b\U0001d538", 2)], ["ab", "a\t\U0001d538"], 2, 0)  # order 2 has no windows
+    @example([("a b", 2), ("a\tb", 1), ("ab", 3)], ["a b\U0001d538", "b"], 1, 2)  # a pruned model
+    def test_caller_slices_score_as_the_line_does(self, train_weights, test_lines, n, prune_t):
+        # scores from a caller's gram slices are the scores that slice the
+        # line themselves, to the last bit, and the brute-force ones
+        train, weights = map(list, zip(*train_weights))
+        model = prune(model_of(train, 4, weights=weights), prune_t)
+        if all(len(line) <= n for line in train):
+            assert max_freedom(model, n, "forward") == max_freedom(model, n, "backward") == 0
+        for line in test_lines:
+            grams = grams_of(line, n)
+            fwd = bf_profile(train, weights, line, n, "forward", prune_t)
+            bwd = bf_profile(train, weights, line, n, "backward", prune_t)
+            assert list(profile(model, line, n, "forward", grams)) == fwd
+            assert list(profile(model, line, n, "backward", grams)) == bwd
+            rises = [value - before for value, before in zip(fwd, [0.0, *fwd])]
+            drops = [value - after for value, after in zip(bwd, [*bwd[1:], 0.0])]
+            expected = {"forward": rises, "backward": drops, "union": [max(r, d) for r, d in zip(rises, drops)]}
+            for mode in MODES:
+                assert scores(model, line, n, mode, grams) == scores(model, line, n, mode) == expected[mode]
 
 
 class TestDetectBoundaries:
