@@ -4,28 +4,22 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class TextCorpus:
+class TextCorpus(NamedTuple):
     """An ordered sequence of non-empty text lines."""
 
     lines: tuple[str, ...]
     source_id: str = ""
 
-    def __len__(self) -> int:
-        return len(self.lines)
 
-
-@dataclass(frozen=True)
-class GoldSegmentation:
+class GoldSegmentation(NamedTuple):
     """Reference tokenization, one token tuple per line.
 
     ``dropped`` counts input lines that contained no tokens and were skipped.
@@ -33,9 +27,6 @@ class GoldSegmentation:
 
     lines: tuple[tuple[str, ...], ...]
     dropped: int = 0
-
-    def __len__(self) -> int:
-        return len(self.lines)
 
 
 def _decode(path: str | Path) -> str:

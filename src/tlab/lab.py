@@ -6,9 +6,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_units, nonspace_prefix
@@ -35,26 +35,24 @@ DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
 MAX_AXIS_VALUES = 100_000
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Value lists whose Cartesian product defines the trial set."""
+class GridSpec(namedtuple("GridSpec", "n_values peak_values prune_values direction_modes")):
+    """Value tuples whose Cartesian product defines the trial set, one per
+    :class:`~tlab.segmenter.SegmenterParams` field; every value is checked by
+    :func:`~tlab.segmenter.check_domain`."""
 
-    n_values: tuple[int, ...]
-    peak_values: tuple[float, ...]
-    prune_values: tuple[int, ...]
-    direction_modes: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        axes = {"n": self.n_values, "peak": self.peak_values, "prune": self.prune_values, "mode": self.direction_modes}
-        for axis, values in axes.items():
+    def __new__(cls, *args, **kwargs) -> GridSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        for axis, values in zip(("n", "peak", "prune", "mode"), spec):
             if not values:
                 raise DataError("every grid axis needs at least one value")
             for value in values:
                 check_domain(axis, value)
+        return spec
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     params: SegmenterParams
     report: MetricsReport | None
     wall_time_ms: int
@@ -65,8 +63,7 @@ class TrialRecord:
         return None if self.report is None else 1.0 / self.report.compression_factor
 
 
-@dataclass(frozen=True)
-class CorrelationSummary:
+class CorrelationSummary(NamedTuple):
     """Pearson of F1 against each metric column, plus argmax params per column."""
 
     pearson_f1_vs: dict[str, float | None]
@@ -171,7 +168,8 @@ def run_grid(
     The two interleaved train halves (for cross-split F1) are counted once,
     up to the grid's largest order, and the full-train model is their sum.
     The grid is swept one order at a time (:func:`_sweep`), each (n, prune)
-    cell with its own pruned one-order views of the three models; each
+    cell with its own pruned one-order views of the three models' windows,
+    and each order's windows freed once its cells are done; each
     (n, prune, mode) cell scores its gaps once and walks its peak values
     from the highest down (:class:`~tlab.walk.WordWalk`). Failed trials are
     recorded with an error marker instead of aborting.
@@ -182,29 +180,41 @@ def run_grid(
     prefixes = [nonspace_prefix(line) for line in test.lines]
     part_a, part_b = split_even_odd(train)
     raw_a, raw_b = build_model(part_a, top), build_model(part_b, top)
-    return _sweep(spec, (raw_a + raw_b, raw_a, raw_b), test.lines,
+    raw_windows = [(raw_a + raw_b).windows, raw_a.windows, raw_b.windows]
+    del raw_a, raw_b  # the sweep takes the windows apart, so no model may still hold them
+    return _sweep(spec, raw_windows, test.lines,
                   lambda line_scores, lowest: WordWalk(test.lines, prefixes, units, *line_scores, lowest))
 
 
-def _sweep(spec: GridSpec, raw_models, lines, walk) -> list[TrialRecord]:
+def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRecord]:
     """Record every grid point, sorted.
 
-    Order-major: each line is sliced into n-grams once per order, and each
-    (n, prune) cell prunes a fresh one-order view of every raw model, so the
-    cell's pruned windows and degree tables die with it (prune 0 returns the
-    view itself, whose tables a shared view would keep). Every line's scores
-    under each model are computed from its slices once per (n, prune, mode);
-    a union cell takes its rises from the forward cell, if the grid has one.
-    ``walk`` makes the cell's walker from those scores and the lowest peak;
-    its ``report`` is then called at each peak value from the highest down.
+    ``raw_windows`` holds each raw model's window tables by order. The sweep
+    frees the orders that are not on the grid at once, and is order-major:
+    each order's tables are taken out of ``raw_windows`` as the order starts
+    and freed as the next one starts, so the caller must keep no other
+    reference to them. Each line is sliced into n-grams once per order, and
+    each (n, prune) cell prunes a fresh one-order view of every raw table,
+    so the cell's pruned windows and degree tables die with it (prune 0
+    returns the view itself, whose tables a shared view would keep). Every
+    line's scores under each model are computed from its slices once per
+    (n, prune, mode); a union cell takes its rises from the forward cell, if
+    the grid has one. ``walk`` makes the cell's walker from those scores and
+    the lowest peak; its ``report`` is then called at each peak value from
+    the highest down.
     """
     peaks = sorted(set(spec.peak_values), reverse=True)
     modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)  # bwd, fwd, then union
     records: list[TrialRecord] = []
-    for n in sorted(set(spec.n_values)):
+    orders = sorted(set(spec.n_values))
+    for windows in raw_windows:  # an order off the grid was counted only to derive the orders below it
+        for n in windows.keys() - orders:
+            del windows[n]
+    for n in orders:
+        tables = [windows.pop(n) for windows in raw_windows]
         sliced = [grams_of(line, n) for line in lines]
         for prune_threshold in sorted(set(spec.prune_values)):
-            models = [prune(TransitionModel(m.n_max, {n: m.windows[n]}), prune_threshold) for m in raw_models]
+            models = [prune(TransitionModel(n, {n: table}), prune_threshold) for table in tables]
             rises = None  # the forward cell's scores, until the union cell takes them
             for mode in modes:
                 if mode == "union" and rises is not None:
@@ -249,10 +259,10 @@ def run_morph_grid(
     """
     top = max(spec.n_values)
     check_order(top, n_max)
-    raw = build_morph_model(lexicon, top)
+    raw_windows = [build_morph_model(lexicon, top).windows]
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
-    return _sweep(spec, (raw,), words,
+    return _sweep(spec, raw_windows, words,
                   lambda line_scores, lowest: MorphWalk(words, freqs, references, *line_scores, lowest))
 
 

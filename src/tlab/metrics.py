@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,8 +30,7 @@ class BoundaryCounts(NamedTuple):
     false_negative: int = 0
 
 
-@dataclass(frozen=True)
-class TokenStats:
+class TokenStats(NamedTuple):
     """Token frequency table of a segmented corpus."""
 
     lexicon: dict[str, int]
@@ -40,8 +38,7 @@ class TokenStats:
     total_chars: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All per-trial metrics; csf1 and avg3 are None where not applicable."""
 
     f1: float
@@ -133,13 +130,6 @@ def f1_score(counts: BoundaryCounts) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def boundary_f1(
-    pred: Sequence[Sequence[str]], gold: GoldSegmentation
-) -> tuple[BoundaryCounts, float]:
-    counts = boundary_counts(pred, gold.lines)
-    return counts, f1_score(counts)
-
-
 def token_spans(tokens: Sequence[str]) -> frozenset[tuple[int, int]]:
     """(start, end) of each token on the stripped stream; empty spans dropped."""
     spans = []
@@ -160,13 +150,6 @@ def token_span_counts(
     Stricter than boundary comparison; kept for sensitivity analysis only.
     """
     return _tally(pred, ref, lambda tokens: (stripped_boundaries(tokens)[0], token_spans(tokens)))
-
-
-def token_span_f1(
-    pred: Sequence[Sequence[str]], gold: GoldSegmentation
-) -> tuple[BoundaryCounts, float]:
-    counts = token_span_counts(pred, gold.lines)
-    return counts, f1_score(counts)
 
 
 def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple], drop_whitespace_tokens: bool) -> TokenStats:

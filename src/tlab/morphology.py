@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .ngram import TransitionModel, build_model, prune
@@ -13,28 +13,26 @@ from .segmenter import SegmenterParams, scores
 from .walk import MorphWalk
 
 
-@dataclass
-class FreqLexicon:
+class FreqLexicon(NamedTuple):
     """word -> occurrence count; words are non-empty and whitespace-free."""
 
     entries: dict[str, int]
 
-    def __len__(self) -> int:
-        return len(self.entries)
 
+class AffixInventory(namedtuple("AffixInventory", "prefixes suffixes min_stem", defaults=(3,))):
+    """Frozensets of non-empty lowercase ``prefixes`` and ``suffixes``, and
+    ``min_stem``, the shortest stem a parse may leave (at least 1)."""
 
-@dataclass(frozen=True)
-class AffixInventory:
-    prefixes: frozenset[str]
-    suffixes: frozenset[str]
-    min_stem: int = 3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.min_stem < 1:
-            raise DataError(f"min_stem must be >= 1, got {self.min_stem}")
-        for affix in (*self.prefixes, *self.suffixes):
+    def __new__(cls, *args, **kwargs) -> AffixInventory:
+        inventory = super().__new__(cls, *args, **kwargs)
+        if inventory.min_stem < 1:
+            raise DataError(f"min_stem must be >= 1, got {inventory.min_stem}")
+        for affix in (*inventory.prefixes, *inventory.suffixes):
             if not affix or affix != affix.casefold():
                 raise DataError(f"affixes must be non-empty and lowercase, got {affix!r}")
+        return inventory
 
 
 def load_lexicon(path: str | Path) -> FreqLexicon:

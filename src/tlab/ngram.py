@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -47,7 +46,6 @@ def _max_degree(degrees: dict[tuple[int, str], Counter[str]], key: tuple[int, st
     return max(degrees[key].values(), default=0)
 
 
-@dataclass
 class TransitionModel:
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
@@ -58,19 +56,22 @@ class TransitionModel:
     ``degrees[n, direction]`` maps each gram to that out-degree and
     ``max_degrees[n, direction]`` holds the order's maximum. Each of these
     tables is derived from ``windows`` the first time it is read, so a model
-    holds only the tables that were used; both are excluded from equality.
-    Treat instances, ``windows`` included, as immutable.
+    holds only the tables that were used; two models are equal when their
+    ``n_max`` and ``windows`` are. Treat instances, ``windows`` included, as
+    immutable.
     """
 
-    n_max: int
-    windows: dict[int, Counter[str]]
-    degrees: dict[tuple[int, str], Counter[str]] = field(init=False, compare=False, repr=False)
-    max_degrees: dict[tuple[int, str], int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, n_max: int, windows: dict[int, Counter[str]]) -> None:
+        self.n_max = n_max
+        self.windows = windows
         # the derivations hold the tables, not the model, so a model is freed without a cycle collection
-        self.degrees = _Derived(partial(_degree_table, self.windows))
-        self.max_degrees = _Derived(partial(_max_degree, self.degrees))
+        self.degrees: dict[tuple[int, str], Counter[str]] = _Derived(partial(_degree_table, windows))
+        self.max_degrees: dict[tuple[int, str], int] = _Derived(partial(_max_degree, self.degrees))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransitionModel):
+            return NotImplemented
+        return (self.n_max, self.windows) == (other.n_max, other.windows)
 
     def __add__(self, other: TransitionModel) -> TransitionModel:
         """The model of the two corpora concatenated; both must share ``n_max``."""
@@ -151,12 +152,6 @@ def check_order(n: int, n_max: int) -> None:
     """Reject an order that a model counted up to ``n_max`` does not hold."""
     if not 1 <= n <= n_max:
         raise DataError(f"order {n} outside the model's range 1..{n_max}")
-
-
-def freedom(model: TransitionModel, gram: str, direction: str) -> int:
-    """Out-degree of ``gram``: how many distinct characters continue it."""
-    check_order(len(gram), model.n_max)
-    return model.degrees[len(gram), direction].get(gram, 0)
 
 
 def max_freedom(model: TransitionModel, n: int, direction: str) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import sub, truediv
 from typing import Iterable, Sequence
@@ -30,18 +30,20 @@ def check_domain(axis: str, value) -> None:
         raise DataError(f"{rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SegmenterParams:
-    """The hyper-parameters of one segmentation run."""
+class SegmenterParams(
+    namedtuple("SegmenterParams", "n peak_threshold prune_threshold direction_mode", defaults=("union",))
+):
+    """The hyper-parameters of one segmentation run, each checked by :func:`check_domain`:
+    the order ``n`` (int), ``peak_threshold`` (float), ``prune_threshold``
+    (int) and ``direction_mode`` (a long name of :data:`MODES`)."""
 
-    n: int
-    peak_threshold: float
-    prune_threshold: int
-    direction_mode: str = "union"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for axis, value in zip(_DOMAINS, (self.n, self.peak_threshold, self.prune_threshold, self.direction_mode)):
+    def __new__(cls, *args, **kwargs) -> SegmenterParams:
+        params = super().__new__(cls, *args, **kwargs)
+        for axis, value in zip(_DOMAINS, params):
             check_domain(axis, value)
+        return params
 
 
 def split_at(line: str, cuts: Iterable[int]) -> list[str]:

@@ -2,7 +2,7 @@
 
 from tlab.corpus import GoldSegmentation, TextCorpus, load_gold, load_text, save_text
 from tlab.lab import parse_grid_spec, run_grid
-from tlab.metrics import boundary_f1, token_stats
+from tlab.metrics import boundary_counts, f1_score, token_stats
 from tlab.ngram import build_model, load_model, save_model
 from tlab.segmenter import SegmenterParams, segment, segment_corpus
 
@@ -30,7 +30,7 @@ def test_unspaced_cjk_segmentation_recovers_words():
     segs = segment_corpus(model, train, params)
     for seg, line in zip(segs, train.lines):
         assert "".join(seg) == line
-    _, f1 = boundary_f1(segs, gold)
+    f1 = f1_score(boundary_counts(segs, gold.lines))
     assert f1 > 0.9  # three non-overlapping words are easy to find
 
 
@@ -56,7 +56,8 @@ def test_ideographic_space_is_whitespace_for_scoring():
     # U+3000 separates tokens in the prediction; gold has no spaces
     pred = [("你好", "　", "世界")]
     gold = GoldSegmentation((("你好", "世界"),))
-    counts, f1 = boundary_f1(pred, gold)
+    counts = boundary_counts(pred, gold.lines)
+    f1 = f1_score(counts)
     assert f1 == 1.0
     stats = token_stats(pred, drop_whitespace_tokens=True)
     assert "　" not in stats.lexicon

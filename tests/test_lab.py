@@ -26,7 +26,6 @@ from tlab.metrics import (
     TokenStats,
     anti_entropy,
     boundary_counts,
-    boundary_f1,
     compression_factor,
     cross_split_f1,
     derived_metrics,
@@ -207,7 +206,7 @@ class TestRunGrid:
             params = record.params
             model = build_model(train, n_max)
             segs = segment_corpus(model, test, params)
-            _, f1 = boundary_f1(segs, gold)
+            f1 = f1_score(boundary_counts(segs, gold.lines))
             stats = token_stats(segs, drop_whitespace_tokens=True)
             seg_a = segment_corpus(build_model(part_a, n_max), test, params)
             seg_b = segment_corpus(build_model(part_b, n_max), test, params)
@@ -363,6 +362,50 @@ class TestDegreeTableLifetime:
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         snapshots = self.alive_at_each_derivation(monkeypatch)
         run_morph_grid(lex, inv, parse_grid_spec(self.GRID), 3)
+        self.check(snapshots, models=1)
+
+
+class TestRawWindowLifetime:
+    """A sweep frees each order's raw windows once that order's cells are
+    done, and those of an order off the grid (2 here) before it starts."""
+
+    GRID = "n=1,3,4;peak=0.2,0.6;prune=0,1;mode=fwd,union"
+
+    def alive_at_each_derivation(self, monkeypatch):
+        """Patch the sweep to keep a weakref and the order of every raw window
+        table it is given, and the table derivation to record, at each new
+        derivation, the new table's order and the orders of the raw tables
+        still alive."""
+        raw, snapshots = [], []
+        real_sweep, real_derive = lab._sweep, ngram._degree_table
+
+        def sweep(spec, raw_windows, *rest):
+            raw.extend((weakref.ref(table), n) for windows in raw_windows for n, table in windows.items())
+            return real_sweep(spec, raw_windows, *rest)
+
+        def derive(windows, key):
+            snapshots.append((key[0], sorted(n for ref, n in raw if ref() is not None)))
+            return real_derive(windows, key)
+
+        monkeypatch.setattr(lab, "_sweep", sweep)
+        monkeypatch.setattr(ngram, "_degree_table", derive)
+        return snapshots
+
+    def check(self, snapshots, models):
+        assert {n for n, _ in snapshots} == {1, 3, 4}
+        for n, alive in snapshots:
+            assert alive == sorted([order for order in (1, 3, 4) if order >= n] * models)
+
+    def test_word_grid(self, monkeypatch):
+        train, test, gold = tiny_setup()
+        snapshots = self.alive_at_each_derivation(monkeypatch)
+        run_grid(train, test, gold, parse_grid_spec(self.GRID), 4)
+        self.check(snapshots, models=3)
+
+    def test_morph_grid(self, monkeypatch):
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        snapshots = self.alive_at_each_derivation(monkeypatch)
+        run_morph_grid(lex, inv, parse_grid_spec(self.GRID), 4)
         self.check(snapshots, models=1)
 
 

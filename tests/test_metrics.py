@@ -10,7 +10,6 @@ from tlab.metrics import (
     TokenStats,
     anti_entropy,
     boundary_counts,
-    boundary_f1,
     compression_factor,
     cross_split_f1,
     derived_metrics,
@@ -19,6 +18,7 @@ from tlab.metrics import (
     project_cuts,
     stripped_boundaries,
     tally,
+    token_span_counts,
     token_stats,
 )
 from tlab.ngram import build_model
@@ -35,7 +35,8 @@ class TestBoundaryF1:
     def test_identity(self):
         pred = segs(("ab", "cd"), ("x",))
         gold = GoldSegmentation((("ab", "cd"), ("x",)))
-        counts, f1 = boundary_f1(pred, gold)
+        counts = boundary_counts(pred, gold.lines)
+        f1 = f1_score(counts)
         assert f1 == 1.0
         assert counts == BoundaryCounts(1, 0, 0)
 
@@ -43,38 +44,40 @@ class TestBoundaryF1:
         # pred cuts {2}, gold cuts {1,2,3}: P=1, R=1/3, F1=0.5
         pred = segs(("ab", "cd"),)
         gold = GoldSegmentation((("a", "b", "c", "d"),))
-        counts, f1 = boundary_f1(pred, gold)
+        counts = boundary_counts(pred, gold.lines)
+        f1 = f1_score(counts)
         assert counts == BoundaryCounts(1, 0, 2)
         assert f1 == 0.5
 
     def test_pred_only_boundaries(self):
         pred = segs(("ab", "cd"),)
         gold = GoldSegmentation((("abcd",),))
-        _, f1 = boundary_f1(pred, gold)
+        f1 = f1_score(boundary_counts(pred, gold.lines))
         assert f1 == 0.0
 
     def test_both_empty_boundaries(self):
         pred = segs(("abcd",),)
         gold = GoldSegmentation((("abcd",),))
-        _, f1 = boundary_f1(pred, gold)
+        f1 = f1_score(boundary_counts(pred, gold.lines))
         assert f1 == 1.0
 
     def test_whitespace_adjacent_cuts_collapse(self):
         # "ab cd" tokenized three ways all match gold ("ab","cd") after stripping
         gold = GoldSegmentation((("ab", "cd"),))
         for tokens in (("ab", " cd"), ("ab ", "cd"), ("ab", " ", "cd")):
-            counts, f1 = boundary_f1(segs(tokens), gold)
+            counts = boundary_counts(segs(tokens), gold.lines)
+            f1 = f1_score(counts)
             assert f1 == 1.0, tokens
 
     def test_line_count_mismatch(self):
         with pytest.raises(DataError, match="line count"):
-            boundary_f1(segs(("ab",)), GoldSegmentation((("ab",), ("cd",))))
+            f1_score(boundary_counts(segs(("ab",)), GoldSegmentation((("ab",), ("cd",))).lines))
 
     def test_stream_mismatch_reports_line(self):
         pred = segs(("ab",), ("xy",))
         gold = GoldSegmentation((("ab",), ("zz",)))
         with pytest.raises(DataError, match="line 2"):
-            boundary_f1(pred, gold)
+            f1_score(boundary_counts(pred, gold.lines))
 
     @given(
         st.lists(
@@ -121,28 +124,22 @@ class TestStrippedBoundaries:
 
 class TestTokenSpanF1:
     def test_identity(self):
-        from tlab.metrics import token_span_f1
-
         pred = segs(("ab", "cd"))
-        _, f1 = token_span_f1(pred, GoldSegmentation((("ab", "cd"),)))
+        f1 = f1_score(token_span_counts(pred, GoldSegmentation((("ab", "cd"),)).lines))
         assert f1 == 1.0
 
     def test_stricter_than_boundaries(self):
         # one wrong cut spoils both adjacent spans but only one boundary
-        from tlab.metrics import token_span_f1
-
         pred = segs(("a", "bc", "d"))
         gold = GoldSegmentation((("ab", "c", "d"),))
-        _, span_f1 = token_span_f1(pred, gold)
-        _, bound_f1 = boundary_f1(pred, gold)
+        span_f1 = f1_score(token_span_counts(pred, gold.lines))
+        bound_f1 = f1_score(boundary_counts(pred, gold.lines))
         assert span_f1 <= bound_f1
         assert span_f1 == pytest.approx(1 / 3)  # only "d" matches
 
     def test_whitespace_tokens_ignored(self):
-        from tlab.metrics import token_span_f1
-
         pred = segs(("ab", " ", "cd"))
-        _, f1 = token_span_f1(pred, GoldSegmentation((("ab", "cd"),)))
+        f1 = f1_score(token_span_counts(pred, GoldSegmentation((("ab", "cd"),)).lines))
         assert f1 == 1.0
 
 

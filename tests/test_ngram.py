@@ -10,7 +10,6 @@ from tlab.corpus import TextCorpus
 from tlab.ngram import (
     ModelFormatError,
     build_model,
-    freedom,
     load_model,
     max_freedom,
     prune,
@@ -62,7 +61,7 @@ class TestBuildModel:
         assert m.degrees[1, "forward"] == {"a": 1, "b": 2}
         assert m.degrees[1, "backward"] == {"b": 1, "c": 1, "d": 1}
         assert m.degrees[2, "backward"] == {"bc": 1, "bd": 1}
-        assert freedom(m, "ab", "forward") == 2
+        assert m.degrees[2, "forward"].get("ab", 0) == 2
 
     def test_windows_do_not_cross_lines(self):
         m = model_of(["ab", "cd"], 1)
@@ -118,7 +117,7 @@ class TestBuildModel:
             assert m.windows[n] == {g + ch: c for (g, ch), c in forward_pairs.items()}
             for direction in ("forward", "backward"):
                 for gram in m.degrees[n, direction]:
-                    assert freedom(m, gram, direction) == bf_freedom(lines, weights, gram, direction)
+                    assert m.degrees[n, direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction)
                 assert max_freedom(m, n, direction) == bf_max_freedom(lines, weights, n, direction)
 
 
@@ -130,7 +129,7 @@ class TestDerivedTables:
             assert model.degrees == {} and model.max_degrees == {}
         assert max_freedom(m, 2, "backward") == 1
         assert set(m.degrees) == set(m.max_degrees) == {(2, "backward")}
-        assert freedom(m, "ab", "forward") == 2
+        assert m.degrees[2, "forward"].get("ab", 0) == 2
         assert set(m.degrees) == {(2, "backward"), (2, "forward")}
 
     def test_unknown_direction_is_a_missing_key(self):
@@ -168,14 +167,14 @@ class TestPrune:
         assert m.windows[1] == {"ab": 3, "ac": 1}
         pruned = prune(m, 2)
         assert pruned.windows[1] == {"ab": 3}
-        assert freedom(pruned, "a", "forward") == 1
+        assert pruned.degrees[1, "forward"].get("a", 0) == 1
 
     def test_drops_edgeless_grams(self):
         m = model_of(["abc", "abd"], 1)
         pruned = prune(m, 2)
         assert pruned.windows[1] == {"ab": 2}
         assert "b" not in pruned.degrees[1, "forward"]
-        assert freedom(pruned, "b", "forward") == 0
+        assert pruned.degrees[1, "forward"].get("b", 0) == 0
 
     @given(corpora_with_weights(), st.integers(min_value=0, max_value=6))
     def test_monotone_and_idempotent(self, lines_weights, threshold):
@@ -186,22 +185,22 @@ class TestPrune:
         for n in (1, 2):
             for direction in ("forward", "backward"):
                 for gram in m.degrees[n, direction]:
-                    assert freedom(pruned, gram, direction) <= freedom(m, gram, direction)
+                    assert pruned.degrees[n, direction].get(gram, 0) <= m.degrees[n, direction].get(gram, 0)
 
 
 class TestFreedom:
     def test_distinct_successors(self):
         m = model_of(["abc", "abd"], 1)
-        assert freedom(m, "b", "forward") == 2
+        assert m.degrees[1, "forward"].get("b", 0) == 2
 
     def test_absent_gram(self):
         m = model_of(["abc"], 1)
-        assert freedom(m, "z", "forward") == 0
+        assert m.degrees[1, "forward"].get("z", 0) == 0
 
     def test_order_above_n_max(self):
         m = model_of(["abc"], 1)
         with pytest.raises(Exception):
-            freedom(m, "ab", "forward")
+            m.degrees[2, "forward"].get("ab", 0)
 
     def test_max_freedom_examples(self):
         assert max_freedom(model_of(["ab"], 1), 1, "forward") == 1
@@ -216,7 +215,7 @@ class TestFreedom:
             for n in (1, 2):
                 top = max_freedom(m, n, direction)
                 for gram in m.degrees[n, direction]:
-                    assert freedom(m, gram, direction) <= top
+                    assert m.degrees[n, direction].get(gram, 0) <= top
 
 
 class TestPersistence:
