@@ -6,14 +6,14 @@ import io
 import json
 import math
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_units, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import TransitionModel, build_model, check_order, prune
+from .ngram import build_model, check_order, freedom
 from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, grams_of, scores, union
 from .walk import MorphWalk, WordWalk
 
@@ -93,17 +93,11 @@ def _parse_axis(key: str, text: str) -> list:
         def value(k: int) -> float:
             return round(start + k * step, 10)
 
-        # the values rise with k: step the float estimate of the last k whose
-        # value stays within the stop to the exact one, counting no further
-        # than one past the limit
-        limit = stop + 1e-9
-        span = (limit - start) / step
-        last = math.floor(min(span, MAX_AXIS_VALUES)) if span > -1 else -1
-        while last < MAX_AXIS_VALUES and value(last + 1) <= limit:
-            last += 1
-        while last >= 0 and value(last) > limit:
-            last -= 1
-        count = last + 1
+        # the values rise with k, so they stay within the stop up to a count,
+        # which is counted no further than one past the limit
+        count = 0
+        while count <= MAX_AXIS_VALUES and value(count) <= stop + 1e-9:
+            count += 1
     else:
         return text.split(",")
     if count > MAX_AXIS_VALUES:
@@ -166,42 +160,39 @@ def run_grid(
     """Evaluate every grid point on a shared raw model.
 
     The two interleaved train halves (for cross-split F1) are counted once,
-    up to the grid's largest order, and the full-train model is their sum.
-    The grid is swept one order at a time (:func:`_sweep`), each (n, prune)
-    cell with its own pruned one-order views of the three models' windows,
-    and each order's windows freed once its cells are done; each
-    (n, prune, mode) cell scores its gaps once and walks its peak values
-    from the highest down (:class:`~tlab.walk.WordWalk`). Failed trials are
-    recorded with an error marker instead of aborting.
+    up to the grid's largest order, and each full-train window table is the
+    sum of the halves'. The grid is swept one order at a time
+    (:func:`_sweep`), each (n, prune) cell with its own freedom views of the
+    three models' tables, and each order's tables freed once its cells are
+    done; each (n, prune, mode) cell scores its gaps once and walks its peak
+    values from the highest down (:class:`~tlab.walk.WordWalk`). Failed
+    trials are recorded with an error marker instead of aborting.
     """
     top = max(spec.n_values)
     check_order(top, n_max)
     units = gold_units(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
-    part_a, part_b = split_even_odd(train)
-    raw_a, raw_b = build_model(part_a, top), build_model(part_b, top)
-    raw_windows = [(raw_a + raw_b).windows, raw_a.windows, raw_b.windows]
-    del raw_a, raw_b  # the sweep takes the windows apart, so no model may still hold them
-    return _sweep(spec, raw_windows, test.lines,
+    windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
+    windows_m = {n: windows_a.get(n, Counter()) + windows_b.get(n, Counter()) for n in windows_a.keys() | windows_b.keys()}
+    return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
                   lambda line_scores, lowest: WordWalk(test.lines, prefixes, units, *line_scores, lowest))
 
 
 def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRecord]:
     """Record every grid point, sorted.
 
-    ``raw_windows`` holds each raw model's window tables by order. The sweep
-    frees the orders that are not on the grid at once, and is order-major:
-    each order's tables are taken out of ``raw_windows`` as the order starts
-    and freed as the next one starts, so the caller must keep no other
-    reference to them. Each line is sliced into n-grams once per order, and
-    each (n, prune) cell prunes a fresh one-order view of every raw table,
-    so the cell's pruned windows and degree tables die with it (prune 0
-    returns the view itself, whose tables a shared view would keep). Every
-    line's scores under each model are computed from its slices once per
-    (n, prune, mode); a union cell takes its rises from the forward cell, if
-    the grid has one. ``walk`` makes the cell's walker from those scores and
-    the lowest peak; its ``report`` is then called at each peak value from
-    the highest down.
+    ``raw_windows`` holds each raw model's window tables by order (an order
+    with no window has no table). The sweep frees the orders that are not on
+    the grid at once, and is order-major: each order's tables are taken out
+    of ``raw_windows`` as the order starts and freed as the next one starts,
+    so the caller must keep no other reference to them. Each line is sliced
+    into n-grams once per order, and each (n, prune) cell derives its own
+    :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
+    degree tables die with it. Every line's scores under each view are
+    computed from its slices once per (n, prune, mode); a union cell takes
+    its rises from the forward cell, if the grid has one. ``walk`` makes the
+    cell's walker from those scores and the lowest peak; its ``report`` is
+    then called at each peak value from the highest down.
     """
     peaks = sorted(set(spec.peak_values), reverse=True)
     modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)  # bwd, fwd, then union
@@ -211,25 +202,25 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
         for n in windows.keys() - orders:
             del windows[n]
     for n in orders:
-        tables = [windows.pop(n) for windows in raw_windows]
+        tables = [windows.pop(n, {}) for windows in raw_windows]
         sliced = [grams_of(line, n) for line in lines]
         for prune_threshold in sorted(set(spec.prune_values)):
-            models = [prune(TransitionModel(n, {n: table}), prune_threshold) for table in tables]
+            views = [freedom(n, table, prune_threshold) for table in tables]
             rises = None  # the forward cell's scores, until the union cell takes them
             for mode in modes:
                 if mode == "union" and rises is not None:
-                    line_scores = [[union(r, scores(m, line, n, "backward", g)) for line, g, r in zip(lines, sliced, rs)]
-                                   for m, rs in zip(models, rises)]
+                    line_scores = [[union(r, scores(v, line, "backward", g)) for line, g, r in zip(lines, sliced, rs)]
+                                   for v, rs in zip(views, rises)]
                     rises = None
                 else:
-                    line_scores = [[scores(m, line, n, mode, g) for line, g in zip(lines, sliced)] for m in models]
+                    line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
                 if mode == "forward":
                     rises = line_scores
                 cell = walk(line_scores, peaks[-1])
                 for peak in peaks:
                     records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune_threshold, mode)))
                 del cell, line_scores  # free this cell's walker before the next one is built
-            del models, rises  # and this cell's views, pruned windows and degree tables before the next cell's
+            del views, rises  # and this cell's degree tables before the next cell's
     records.sort(key=lambda r: _sort_key(r.params))
     return records
 

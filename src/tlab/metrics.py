@@ -17,7 +17,7 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .ngram import build_model, check_order, prune
+from .ngram import build_model, check_order, order_freedom
 from .segmenter import SegmenterParams, grams_of, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
@@ -304,11 +304,11 @@ def cross_split_f1(
     check_order(params.n, n_max)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.direction_mode
-    model_a, model_b = (prune(build_model(part, n), params.prune_threshold) for part in split_even_odd(train))
-    sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both models
+    view_a, view_b = (order_freedom(build_model(part, n), n, params.prune_threshold) for part in split_even_odd(train))
+    sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
     tallies = split_tally(
         map(nonspace_prefix, test.lines),
-        ((scores(model_a, line, n, mode, grams), scores(model_b, line, n, mode, grams)) for line, grams in sliced),
+        ((scores(view_a, line, mode, grams), scores(view_b, line, mode, grams)) for line, grams in sliced),
         params.peak_threshold,
     )
     return f1_score(tallies.at(params.peak_threshold))

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
-from .ngram import TransitionModel, build_model, prune
+from .ngram import TransitionModel, build_model, order_freedom
 from .segmenter import SegmenterParams, scores
 from .walk import MorphWalk
 
@@ -137,9 +137,9 @@ def weighted_morph_f1(
     parses against the greedy reference (see :class:`~tlab.walk.MorphWalk`)."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
-    pruned = prune(model, params.prune_threshold)
+    view = order_freedom(model, params.n, params.prune_threshold)
     words = tuple(lexicon.entries)
-    word_scores = [scores(pruned, word, params.n, params.direction_mode) for word in words]
+    word_scores = [scores(view, word, params.direction_mode) for word in words]
     walk = MorphWalk(
         words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
     )

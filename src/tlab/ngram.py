@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
-from functools import partial
+from collections import Counter, defaultdict
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import DataError, TextCorpus
 
@@ -25,59 +24,29 @@ class ModelFormatError(DataError):
     """Model file is malformed or carries an unsupported format version."""
 
 
-class _Derived(dict):
-    """A dict that derives each missing value from its key on first read and keeps it."""
-
-    def __init__(self, derive: Callable) -> None:
-        super().__init__()
-        self.derive = derive
-
-    def __missing__(self, key):
-        value = self[key] = self.derive(key)
-        return value
-
-
-def _degree_table(windows: dict[int, Counter[str]], key: tuple[int, str]) -> Counter[str]:
-    n, direction = key
-    return Counter(map(_GRAM_OF_WINDOW[direction], windows[n]))  # a KeyError for an unknown direction too
-
-
-def _max_degree(degrees: dict[tuple[int, str], Counter[str]], key: tuple[int, str]) -> int:
-    return max(degrees[key].values(), default=0)
-
-
-class TransitionModel:
+class TransitionModel(NamedTuple):
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
-    ``windows[n][w]`` sums the line weights of the occurrences of ``w``. A
-    window is both a forward edge (``w[:-1]`` followed by ``w[-1]``) and a
-    backward edge (``w[1:]`` preceded by ``w[0]``), so the successor and
-    predecessor varieties of every gram are read off the same table.
-    ``degrees[n, direction]`` maps each gram to that out-degree and
-    ``max_degrees[n, direction]`` holds the order's maximum. Each of these
-    tables is derived from ``windows`` the first time it is read, so a model
-    holds only the tables that were used; two models are equal when their
-    ``n_max`` and ``windows`` are. Treat instances, ``windows`` included, as
-    immutable.
+    ``windows[n][w]`` sums the line weights of the occurrences of ``w``; an
+    order with no window has no table, so ``n_max`` is only the declared
+    bound. A window is both a forward edge (``w[:-1]`` followed by ``w[-1]``)
+    and a backward edge (``w[1:]`` preceded by ``w[0]``), so the successor
+    and predecessor varieties of every gram are read off the same table (see
+    :func:`freedom`). Treat instances, ``windows`` included, as immutable.
     """
 
-    def __init__(self, n_max: int, windows: dict[int, Counter[str]]) -> None:
-        self.n_max = n_max
-        self.windows = windows
-        # the derivations hold the tables, not the model, so a model is freed without a cycle collection
-        self.degrees: dict[tuple[int, str], Counter[str]] = _Derived(partial(_degree_table, windows))
-        self.max_degrees: dict[tuple[int, str], int] = _Derived(partial(_max_degree, self.degrees))
+    n_max: int
+    windows: dict[int, Counter[str]]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionModel):
-            return NotImplemented
-        return (self.n_max, self.windows) == (other.n_max, other.windows)
 
-    def __add__(self, other: TransitionModel) -> TransitionModel:
-        """The model of the two corpora concatenated; both must share ``n_max``."""
-        return TransitionModel(
-            self.n_max, {n: c + other.windows[n] for n, c in self.windows.items()}
-        )
+class Freedom(NamedTuple):
+    """One order's freedom view: ``degrees[direction]`` maps each gram of order
+    ``n`` to its out-degree in that direction, and ``top[direction]`` is the
+    largest of them (0 when the order has no edge)."""
+
+    n: int
+    degrees: dict[str, Counter[str]]
+    top: dict[str, int]
 
 
 def build_model(
@@ -88,7 +57,8 @@ def build_model(
     Windows never cross line boundaries and whitespace is an ordinary
     character. Each occurrence adds the line's weight (default 1).
 
-    Only the top order, ``n_max``, is counted by scanning the lines; each
+    Only the top order that has a window, ``n_max`` or the longest line's
+    length less one if that is lower, is counted by scanning the lines; each
     lower order n is derived top-down from order n+1. An (n+1)-character
     window either starts an (n+2)-character window at the same position or
     is its line's last n+1 characters, so ``windows[n]`` is the count of
@@ -107,16 +77,19 @@ def build_model(
 
     lines = corpus.lines
     weights = line_weights if line_weights is not None else (1,) * len(lines)
+    top = min(n_max, max(map(len, lines), default=0) - 1)
+    if top < 1:
+        return TransitionModel(n_max, {})
     counts: Counter[str] = Counter()
     for line, w in zip(lines, weights):
-        grams = (line[i : i + n_max + 1] for i in range(len(line) - n_max))
+        grams = (line[i : i + top + 1] for i in range(len(line) - top))
         if w == 1:
             counts.update(grams)
         else:
             for gram in grams:
                 counts[gram] += w
-    windows = {n_max: counts}
-    for n in range(n_max - 1, 0, -1):
+    windows = {top: counts}
+    for n in range(top - 1, 0, -1):
         lower: Counter[str] = Counter()
         get = lower.get  # dict.get skips Counter.__missing__ on every new key
         for gram, c in counts.items():
@@ -130,22 +103,20 @@ def build_model(
     return TransitionModel(n_max, windows)
 
 
-def prune(model: TransitionModel, min_count: int) -> TransitionModel:
-    """Drop every window with count < ``min_count``, and with it its edges.
-
-    ``min_count`` of 0 returns the input model unchanged.
-    """
+def prune(windows: dict[str, int], min_count: int) -> dict[str, int]:
+    """One order's windows with count >= ``min_count``; 0 returns ``windows`` itself."""
     if min_count < 0:
         raise DataError(f"prune threshold must be >= 0, got {min_count}")
     if min_count == 0:
-        return model
-    return TransitionModel(
-        model.n_max,
-        {
-            n: Counter({w: c for w, c in counts.items() if c >= min_count})
-            for n, counts in model.windows.items()
-        },
-    )
+        return windows
+    return {w: c for w, c in windows.items() if c >= min_count}
+
+
+def freedom(n: int, windows: dict[str, int], min_count: int) -> Freedom:
+    """The freedom view of order ``n``'s window table, pruned at ``min_count``."""
+    kept = prune(windows, min_count)
+    degrees = {direction: Counter(map(gram_of, kept)) for direction, gram_of in _GRAM_OF_WINDOW.items()}
+    return Freedom(n, degrees, {direction: max(table.values(), default=0) for direction, table in degrees.items()})
 
 
 def check_order(n: int, n_max: int) -> None:
@@ -154,10 +125,10 @@ def check_order(n: int, n_max: int) -> None:
         raise DataError(f"order {n} outside the model's range 1..{n_max}")
 
 
-def max_freedom(model: TransitionModel, n: int, direction: str) -> int:
-    """Largest out-degree over all grams of order ``n``; 0 for an empty order."""
+def order_freedom(model: TransitionModel, n: int, min_count: int) -> Freedom:
+    """The freedom view of ``model``'s order ``n``, which must be within its ``n_max``."""
     check_order(n, model.n_max)
-    return model.max_degrees[n, direction]
+    return freedom(n, model.windows.get(n, {}), min_count)
 
 
 def _escape(text: str) -> str:
@@ -228,9 +199,10 @@ def load_model(path: str | Path) -> TransitionModel:
         n_max = int(header.group(1))
         if n_max < 1:
             raise ModelFormatError(f"{path}: n_max must be >= 1")
-        forward: dict[int, Counter[str]] = {n: Counter() for n in range(1, n_max + 1)}
-        backward: dict[int, dict[str, int]] = {n: {} for n in range(1, n_max + 1)}
-        orders = {str(n): n for n in range(1, n_max + 1)}
+        # an order's table is made at its first record, so only orders that have one get a table
+        forward: dict[int, Counter[str]] = defaultdict(Counter)
+        backward: dict[int, dict[str, int]] = defaultdict(dict)
+        orders: dict[str, int] = {}  # each order field's text, parsed once
         for lineno, record in enumerate(lines, start=2):
             # the line's "\n" stays on the count field, which int() reads as it reads a trailing CR
             parts = record.split("\t")
@@ -244,7 +216,7 @@ def load_model(path: str | Path) -> TransitionModel:
             else:
                 raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
             try:
-                n = orders.get(n_text) or int(n_text)
+                n = orders.get(n_text) or orders.setdefault(n_text, int(n_text))
                 count = int(count_text)
             except ValueError as exc:
                 raise ModelFormatError(f"{path}:{lineno}: non-integer field") from exc
@@ -264,6 +236,6 @@ def load_model(path: str | Path) -> TransitionModel:
                 raise ModelFormatError(f"{path}:{lineno}: duplicate record")
             table[window] = count
     # plain dict equality, in C; Counter's == also equates a missing key with a zero count, which no record holds
-    if any(not dict.__eq__(forward[n], backward[n]) for n in forward):
+    if forward.keys() != backward.keys() or any(not dict.__eq__(table, backward[n]) for n, table in forward.items()):
         raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
-    return TransitionModel(n_max, forward)
+    return TransitionModel(n_max, dict(forward))

@@ -8,7 +8,7 @@ from operator import sub, truediv
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
-from .ngram import TransitionModel, check_order, max_freedom, prune
+from .ngram import Freedom, TransitionModel, order_freedom
 
 # each direction mode's short name, as the command line and the trial files write it
 MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
@@ -62,31 +62,29 @@ def grams_of(line: str, n: int) -> list[str]:
     return [line[i : i + n] for i in range(len(line) - n + 1)]
 
 
-def profile(
-    model: TransitionModel, line: str, n: int, direction: str, grams: Sequence[str] | None = None
-) -> tuple[float, ...]:
+def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | None = None) -> tuple[float, ...]:
     """Freedom at every gap of ``line``, scaled by the order's max freedom.
 
     Position i scores the n-gram ending at scalar i-1 (forward) or starting
-    at scalar i (backward); gaps without a full n-gram of context score 0,
-    as does everything when the order has no grams at all. ``grams`` is the
-    line's :func:`grams_of` at order n, when a caller shares one slicing
-    between models and directions.
+    at scalar i (backward), n being the view's order; gaps without a full
+    n-gram of context score 0, as does everything when the order has no
+    grams at all. ``grams`` is the line's :func:`grams_of` at order n, when
+    a caller shares one slicing between views and directions.
     """
-    maxf = max_freedom(model, n, direction)  # checks the order, for lines of one scalar too
+    n, maxf = view.n, view.top[direction]
     length = len(line)
     if length < 2:
         return ()
     if maxf == 0 or length <= n:
         return (0.0,) * (length - 1)
     grams = grams_of(line, n) if grams is None else grams
-    degrees = map(model.degrees[n, direction].get, grams[:-1] if direction == "forward" else grams[1:], repeat(0))
+    degrees = map(view.degrees[direction].get, grams[:-1] if direction == "forward" else grams[1:], repeat(0))
     values, pad = map(truediv, degrees, repeat(maxf)), repeat(0.0, n - 1)
     # built from a list, the tuple is allocated at its exact size and never resized
     return tuple([*pad, *values] if direction == "forward" else [*values, *pad])
 
 
-def scores(model: TransitionModel, line: str, n: int, mode: str, grams: Sequence[str] | None = None) -> list[float]:
+def scores(view: Freedom, line: str, mode: str, grams: Sequence[str] | None = None) -> list[float]:
     """The boundary score of every gap of ``line``; a gap is cut iff its score reaches the peak.
 
     Forward scores the rise from the previous gap (virtual 0 before the
@@ -95,9 +93,9 @@ def scores(model: TransitionModel, line: str, n: int, mode: str, grams: Sequence
     :func:`profile`.
     """
     if mode == "union":
-        grams = grams_of(line, n) if grams is None else grams
-        return union(scores(model, line, n, "forward", grams), scores(model, line, n, "backward", grams))
-    values = profile(model, line, n, mode, grams)
+        grams = grams_of(line, view.n) if grams is None else grams
+        return union(scores(view, line, "forward", grams), scores(view, line, "backward", grams))
+    values = profile(view, line, mode, grams)
     if mode == "forward":
         return list(map(sub, values, chain((0.0,), values)))
     return list(map(sub, values, chain(islice(values, 1, None), (0.0,))))
@@ -113,16 +111,16 @@ def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int
     return [k for k, score in enumerate(gap_scores, 1) if score >= threshold]
 
 
-def _cut(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
+def _cut(view: Freedom, line: str, params: SegmenterParams) -> tuple[str, ...]:
     if not line:
         raise DataError("cannot segment an empty line")
-    gap_scores = scores(model, line, params.n, params.direction_mode)
+    gap_scores = scores(view, line, params.direction_mode)
     return tuple(split_at(line, detect_boundaries(gap_scores, params.peak_threshold)))
 
 
 def segment(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
-    """Prune, score and cut one line. Single-scalar lines stay whole."""
-    return _cut(prune(model, params.prune_threshold), line, params)
+    """Score and cut one line with its order's freedom view. Single-scalar lines stay whole."""
+    return _cut(order_freedom(model, params.n, params.prune_threshold), line, params)
 
 
 def segment_corpus(
@@ -131,14 +129,13 @@ def segment_corpus(
     params: SegmenterParams,
 ) -> list[tuple[str, ...]]:
     """Each line's tokens, in order; line errors are aggregated."""
-    check_order(params.n, model.n_max)
-    pruned = prune(model, params.prune_threshold)
+    view = order_freedom(model, params.n, params.prune_threshold)
 
     results = []
     failures = []
     for i, line in enumerate(corpus.lines):
         try:
-            results.append(_cut(pruned, line, params))
+            results.append(_cut(view, line, params))
         except Exception as exc:  # noqa: BLE001 - aggregated below
             failures.append((i, exc))
     if failures:

@@ -27,7 +27,7 @@ from tlab.metrics import (
     token_stats,
 )
 from tlab.morphology import AffixInventory, greedy_parse
-from tlab.ngram import build_model, load_model, max_freedom, prune, save_model
+from tlab.ngram import build_model, load_model, order_freedom, save_model
 from tlab.segmenter import SegmenterParams, profile, segment, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
@@ -246,12 +246,12 @@ def test_a7_property_suites():
     def prune_monotonicity(lines_weights, threshold):
         lines, weights = lines_weights
         model = model_of(lines, weights)
-        pruned = prune(model, threshold)
-        for direction in ("forward", "backward"):
-            for n in (1, 2, 3):
-                assert max_freedom(pruned, n, direction) <= max_freedom(model, n, direction)
-                for gram in model.degrees[n, direction]:
-                    assert pruned.degrees[n, direction].get(gram, 0) <= model.degrees[n, direction].get(gram, 0)
+        for n in (1, 2, 3):
+            full, pruned = order_freedom(model, n, 0), order_freedom(model, n, threshold)
+            for direction in ("forward", "backward"):
+                assert pruned.top[direction] <= full.top[direction]
+                for gram in full.degrees[direction]:
+                    assert pruned.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(corpora_with_weights(), orders, prune_thresholds, modes)
@@ -283,8 +283,8 @@ def test_a7_property_suites():
         model = model_of(lines, weights, n_max=4)
         model_rev = model_of([l[::-1] for l in lines], weights, n_max=4)
         for line in lines[:3]:
-            backward = profile(model, line, n, "backward")
-            forward_rev = profile(model_rev, line[::-1], n, "forward")
+            backward = profile(order_freedom(model, n, 0), line, "backward")
+            forward_rev = profile(order_freedom(model_rev, n, 0), line[::-1], "forward")
             assert backward == tuple(reversed(forward_rev))
 
     @settings(max_examples=100, deadline=None)

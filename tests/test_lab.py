@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from tlab import lab, ngram, segmenter
+from tlab import lab, segmenter
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
     MAX_AXIS_VALUES,
@@ -44,7 +44,7 @@ from tlab.morphology import (
     reference_cuts,
     weighted_morph_f1,
 )
-from tlab.ngram import build_model, prune
+from tlab.ngram import build_model, order_freedom
 from tlab.segmenter import (
     MODE_SHORT,
     MODES,
@@ -224,7 +224,7 @@ class TestRunGrid:
         train, test, gold = tiny_setup()
         directions = []
         real = segmenter.profile
-        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[3]) or real(*args))
+        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
         per_direction = len(test.lines) * 3 * 2 * 2  # lines x models x prune values x orders
         assert Counter(directions) == {"forward": per_direction, "backward": per_direction}
@@ -267,7 +267,7 @@ class TestRunMorphGrid:
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         directions, orders = [], []
         real_profile, real_build = segmenter.profile, lab.build_morph_model
-        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[3]) or real_profile(*args))
+        monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real_profile(*args))
         monkeypatch.setattr(lab, "build_morph_model", lambda *args: orders.append(args[1]) or real_build(*args))
         run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"), 7)
         per_direction = len(lex.entries) * 3  # words x orders
@@ -331,19 +331,19 @@ class TestDegreeTableLifetime:
     GRID = "n=1..3;peak=0.2,0.6;prune=0,1,2;mode=fwd,bwd,union"
 
     def alive_at_each_derivation(self, monkeypatch):
-        """Patch the table derivation; the list it returns gets, at each new
-        derivation, the new table's order and the orders of every derived
-        table still alive, the new one included."""
+        """Patch the sweep's freedom views; the list it returns gets, at each
+        new view, the view's order and the orders of every degree table
+        still alive, the new view's two included."""
         tables, snapshots = [], []
-        real = ngram._degree_table
+        real = lab.freedom
 
-        def derive(windows, key):
-            table = real(windows, key)
-            tables.append((weakref.ref(table), key[0]))
-            snapshots.append((key[0], [n for ref, n in tables if ref() is not None]))
-            return table
+        def derive(n, windows, min_count):
+            view = real(n, windows, min_count)
+            tables.extend((weakref.ref(table), n) for table in view.degrees.values())
+            snapshots.append((n, [order for ref, order in tables if ref() is not None]))
+            return view
 
-        monkeypatch.setattr(ngram, "_degree_table", derive)
+        monkeypatch.setattr(lab, "freedom", derive)
         return snapshots
 
     def check(self, snapshots, models):
@@ -351,6 +351,7 @@ class TestDegreeTableLifetime:
         for n, alive in snapshots:
             assert set(alive) == {n}
             assert len(alive) <= 2 * models
+        assert max(len(alive) for _, alive in snapshots) == 2 * models
 
     def test_word_grid(self, monkeypatch):
         train, test, gold = tiny_setup()
@@ -373,22 +374,21 @@ class TestRawWindowLifetime:
 
     def alive_at_each_derivation(self, monkeypatch):
         """Patch the sweep to keep a weakref and the order of every raw window
-        table it is given, and the table derivation to record, at each new
-        derivation, the new table's order and the orders of the raw tables
-        still alive."""
+        table it is given, and its freedom views to record, at each new view,
+        the view's order and the orders of the raw tables still alive."""
         raw, snapshots = [], []
-        real_sweep, real_derive = lab._sweep, ngram._degree_table
+        real_sweep, real_freedom = lab._sweep, lab.freedom
 
         def sweep(spec, raw_windows, *rest):
             raw.extend((weakref.ref(table), n) for windows in raw_windows for n, table in windows.items())
             return real_sweep(spec, raw_windows, *rest)
 
-        def derive(windows, key):
-            snapshots.append((key[0], sorted(n for ref, n in raw if ref() is not None)))
-            return real_derive(windows, key)
+        def derive(n, windows, min_count):
+            snapshots.append((n, sorted(order for ref, order in raw if ref() is not None)))
+            return real_freedom(n, windows, min_count)
 
         monkeypatch.setattr(lab, "_sweep", sweep)
-        monkeypatch.setattr(ngram, "_degree_table", derive)
+        monkeypatch.setattr(lab, "freedom", derive)
         return snapshots
 
     def check(self, snapshots, models):
@@ -428,9 +428,8 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     for params in grid_points(spec):
         peak = params.peak_threshold
         cuts_m, cuts_a, cuts_b = (
-            [detect_boundaries(scores(prune(m, params.prune_threshold), line, params.n, params.direction_mode), peak)
-             for line in test.lines]
-            for m in raw
+            [detect_boundaries(scores(view, line, params.direction_mode), peak) for line in test.lines]
+            for view in (order_freedom(m, params.n, params.prune_threshold) for m in raw)
         )
         f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
         csf1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_a), map(project_cuts, prefixes, cuts_b))))
@@ -450,11 +449,11 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
     references = reference_cuts(lexicon, inventory)
     records = []
     for params in grid_points(spec):
-        model = prune(raw, params.prune_threshold)
+        view = order_freedom(raw, params.n, params.prune_threshold)
         f1_weighted = 0.0
         pieces = []
         for (word, freq), reference in zip(lexicon.entries.items(), references):
-            cuts = detect_boundaries(scores(model, word, params.n, params.direction_mode), params.peak_threshold)
+            cuts = detect_boundaries(scores(view, word, params.direction_mode), params.peak_threshold)
             hits = len(reference.intersection(cuts))
             f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
             pieces += [split_at(word, cuts)] * freq  # a word's pieces occur as often as the word
@@ -474,7 +473,7 @@ def draw_peaks(data, models, lines, n_values):
         for n in n_values
         for mode in MODES
         for line in lines
-        for score in scores(model, line, n, mode)
+        for score in scores(order_freedom(model, n, 0), line, mode)
         if 0.0 <= score <= 1.0
     })
     pool = st.sampled_from([0.0, 0.25, 0.5, 1.0, *gap_scores])

@@ -1,17 +1,19 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from tlab.corpus import TextCorpus
+from tlab.corpus import DataError, TextCorpus
 from tlab.ngram import (
     ModelFormatError,
     build_model,
+    freedom,
     load_model,
-    max_freedom,
+    order_freedom,
     prune,
     save_model,
 )
@@ -23,6 +25,10 @@ from strategies import corpora_with_weights, small_lines, weights_for
 
 def model_of(lines, n_max=2, weights=None):
     return build_model(TextCorpus(tuple(lines), "t"), n_max, line_weights=weights)
+
+
+def view_of(m, n, min_count=0):
+    return order_freedom(m, n, min_count)
 
 
 def synth_model():
@@ -46,8 +52,7 @@ class TestBuildModel:
     def test_single_bigram_line(self):
         m = model_of(["ab"], 1)
         assert m.windows[1] == {"ab": 1}
-        assert m.degrees[1, "forward"] == {"a": 1}
-        assert m.degrees[1, "backward"] == {"b": 1}
+        assert view_of(m, 1).degrees == {"forward": {"a": 1}, "backward": {"b": 1}}
 
     def test_line_weight(self):
         m = model_of(["ab"], 1, weights=[5])
@@ -58,15 +63,14 @@ class TestBuildModel:
         m = model_of(["abc", "abd"], 2)
         assert m.windows[1] == {"ab": 2, "bc": 1, "bd": 1}
         assert m.windows[2] == {"abc": 1, "abd": 1}
-        assert m.degrees[1, "forward"] == {"a": 1, "b": 2}
-        assert m.degrees[1, "backward"] == {"b": 1, "c": 1, "d": 1}
-        assert m.degrees[2, "backward"] == {"bc": 1, "bd": 1}
-        assert m.degrees[2, "forward"].get("ab", 0) == 2
+        assert view_of(m, 1).degrees == {"forward": {"a": 1, "b": 2}, "backward": {"b": 1, "c": 1, "d": 1}}
+        assert view_of(m, 2).degrees["backward"] == {"bc": 1, "bd": 1}
+        assert view_of(m, 2).degrees["forward"].get("ab", 0) == 2
 
     def test_windows_do_not_cross_lines(self):
         m = model_of(["ab", "cd"], 1)
         assert m.windows[1] == {"ab": 1, "cd": 1}  # "b" has no in-line successor
-        assert "b" not in m.degrees[1, "forward"]
+        assert "b" not in view_of(m, 1).degrees["forward"]
 
     def test_whitespace_is_ordinary(self):
         m = model_of(["a b"], 1)
@@ -87,10 +91,11 @@ class TestBuildModel:
         m = model_of(lines, n_max, weights=weights)
         for n in range(1, n_max + 1):
             expected = sum(w * max(0, len(l) - n) for l, w in zip(lines, weights))
-            assert sum(m.windows[n].values()) == expected
+            windows = m.windows.get(n, {})
+            assert sum(windows.values()) == expected
             # every distinct window is one edge in each direction
-            assert sum(m.degrees[n, "forward"].values()) == len(m.windows[n])
-            assert sum(m.degrees[n, "backward"].values()) == len(m.windows[n])
+            degrees = view_of(m, n).degrees
+            assert sum(degrees["forward"].values()) == sum(degrees["backward"].values()) == len(windows)
 
     @given(small_lines(), st.integers(min_value=0, max_value=2**32))
     def test_line_order_independent(self, lines, seed):
@@ -111,111 +116,137 @@ class TestBuildModel:
     def test_matches_bruteforce_counts(self, case):
         n_max, (lines, weights) = case
         m = model_of(lines, n_max, weights=weights)
-        assert sorted(m.windows) == list(range(1, n_max + 1))
+        # only the orders that have a window get a table
+        assert sorted(m.windows) == [n for n in range(1, n_max + 1) if window_counts(lines, weights, n, "forward")]
         for n in range(1, n_max + 1):
             forward_pairs = window_counts(lines, weights, n, "forward")
-            assert m.windows[n] == {g + ch: c for (g, ch), c in forward_pairs.items()}
+            assert m.windows.get(n, {}) == {g + ch: c for (g, ch), c in forward_pairs.items()}
+            view = view_of(m, n)
             for direction in ("forward", "backward"):
-                for gram in m.degrees[n, direction]:
-                    assert m.degrees[n, direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction)
-                assert max_freedom(m, n, direction) == bf_max_freedom(lines, weights, n, direction)
+                for gram in view.degrees[direction]:
+                    assert view.degrees[direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction)
+                assert view.top[direction] == bf_max_freedom(lines, weights, n, direction)
+
+    def test_huge_order_bound_allocates_in_proportion_to_the_lines(self):
+        lines = ("abc", "abd", "x y", "b")
+        peak = traced_peak(lambda: model_of(lines, 10**9))
+        assert peak < 2**20
+        m = model_of(lines, 10**9)
+        assert m == model_of(lines, 2)._replace(n_max=10**9)
+        assert m.windows.keys() == {1, 2}
 
 
 class TestDerivedTables:
     def test_no_table_derived_until_read(self, tmp_path):
+        # a model holds its window tables only; a view derives one order's
+        # degree tables, for both directions, when it is asked for
         m = model_of(["abc", "abd", "abd"], 3)
         save_model(m, tmp_path / "m.tsv")
-        for model in (m, load_model(tmp_path / "m.tsv"), prune(m, 2), m + m):
-            assert model.degrees == {} and model.max_degrees == {}
-        assert max_freedom(m, 2, "backward") == 1
-        assert set(m.degrees) == set(m.max_degrees) == {(2, "backward")}
-        assert m.degrees[2, "forward"].get("ab", 0) == 2
-        assert set(m.degrees) == {(2, "backward"), (2, "forward")}
+        for model in (m, load_model(tmp_path / "m.tsv")):
+            assert model._fields == ("n_max", "windows")
+        view = view_of(m, 2)
+        assert view.n == 2
+        assert view.degrees.keys() == view.top.keys() == {"forward", "backward"}
+        assert all(len(gram) == 2 for table in view.degrees.values() for gram in table)
+        assert view.top["backward"] == 1
+        assert view.degrees["forward"].get("ab", 0) == 2
 
     def test_unknown_direction_is_a_missing_key(self):
         m = model_of(["ab"], 1)
         with pytest.raises(KeyError):
-            m.degrees[1, "sideways"]
-        with pytest.raises(KeyError):
-            m.degrees[2, "forward"]
-        assert m.degrees == {}
+            view_of(m, 1).degrees["sideways"]
+        with pytest.raises(DataError, match="order 2 outside the model's range 1..1"):
+            view_of(m, 2)
 
 
 class TestAddition:
     @given(corpora_with_weights(), st.integers(min_value=0, max_value=8))
     def test_sum_of_parts_is_model_of_whole(self, lines_weights, cut):
+        # window counts add up over a split of the lines, as the word grid's
+        # full-train tables are summed from its two halves
         lines, weights = lines_weights
         cut = min(cut, len(lines))
         whole = model_of(lines, 3, weights=weights)
-        parts = model_of(lines[:cut], 3, weights=weights[:cut]) + model_of(
-            lines[cut:], 3, weights=weights[cut:]
-        )
-        assert parts == whole
+        part_a = model_of(lines[:cut], 3, weights=weights[:cut]).windows
+        part_b = model_of(lines[cut:], 3, weights=weights[cut:]).windows
+        parts = {n: part_a.get(n, Counter()) + part_b.get(n, Counter()) for n in part_a.keys() | part_b.keys()}
+        assert parts == whole.windows
         for n in (1, 2, 3):
-            for direction in ("forward", "backward"):
-                assert parts.degrees[n, direction] == whole.degrees[n, direction]
-                assert max_freedom(parts, n, direction) == max_freedom(whole, n, direction)
+            assert freedom(n, parts.get(n, {}), 0) == view_of(whole, n)
 
 
 class TestPrune:
     def test_zero_is_identity(self):
         m = model_of(["abc", "abd"], 2)
-        assert prune(m, 0) == m
+        for table in m.windows.values():
+            assert prune(table, 0) is table
 
     def test_drops_low_edges(self):
         m = model_of(["ab", "ab", "ab", "ac"], 1)
         assert m.windows[1] == {"ab": 3, "ac": 1}
-        pruned = prune(m, 2)
-        assert pruned.windows[1] == {"ab": 3}
-        assert pruned.degrees[1, "forward"].get("a", 0) == 1
+        assert prune(m.windows[1], 2) == {"ab": 3}
+        assert view_of(m, 1, 2).degrees["forward"].get("a", 0) == 1
 
     def test_drops_edgeless_grams(self):
         m = model_of(["abc", "abd"], 1)
-        pruned = prune(m, 2)
-        assert pruned.windows[1] == {"ab": 2}
-        assert "b" not in pruned.degrees[1, "forward"]
-        assert pruned.degrees[1, "forward"].get("b", 0) == 0
+        assert prune(m.windows[1], 2) == {"ab": 2}
+        pruned = view_of(m, 1, 2)
+        assert "b" not in pruned.degrees["forward"]
+        assert pruned.degrees["forward"].get("b", 0) == 0
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(DataError, match="prune threshold must be >= 0, got -1"):
+            prune({"ab": 1}, -1)
 
     @given(corpora_with_weights(), st.integers(min_value=0, max_value=6))
     def test_monotone_and_idempotent(self, lines_weights, threshold):
         lines, weights = lines_weights
         m = model_of(lines, 2, weights=weights)
-        pruned = prune(m, threshold)
-        assert prune(pruned, threshold) == pruned
         for n in (1, 2):
+            table = m.windows.get(n, {})
+            pruned = prune(table, threshold)
+            assert prune(pruned, threshold) == pruned
+            assert freedom(n, pruned, threshold) == freedom(n, table, threshold)
+            full, kept = view_of(m, n), view_of(m, n, threshold)
             for direction in ("forward", "backward"):
-                for gram in m.degrees[n, direction]:
-                    assert pruned.degrees[n, direction].get(gram, 0) <= m.degrees[n, direction].get(gram, 0)
+                assert kept.top[direction] <= full.top[direction]
+                for gram in full.degrees[direction]:
+                    assert kept.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
+                    assert kept.degrees[direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction, threshold)
 
 
 class TestFreedom:
     def test_distinct_successors(self):
         m = model_of(["abc", "abd"], 1)
-        assert m.degrees[1, "forward"].get("b", 0) == 2
+        assert view_of(m, 1).degrees["forward"].get("b", 0) == 2
 
     def test_absent_gram(self):
         m = model_of(["abc"], 1)
-        assert m.degrees[1, "forward"].get("z", 0) == 0
+        assert view_of(m, 1).degrees["forward"].get("z", 0) == 0
 
     def test_order_above_n_max(self):
         m = model_of(["abc"], 1)
-        with pytest.raises(Exception):
-            m.degrees[2, "forward"].get("ab", 0)
+        with pytest.raises(DataError):
+            view_of(m, 2)
 
     def test_max_freedom_examples(self):
-        assert max_freedom(model_of(["ab"], 1), 1, "forward") == 1
-        assert max_freedom(model_of([], 1), 1, "forward") == 0
-        assert max_freedom(model_of(["abc", "abd", "abe"], 2), 2, "forward") == 3
+        assert view_of(model_of(["ab"], 1), 1).top["forward"] == 1
+        assert view_of(model_of([], 1), 1).top == {"forward": 0, "backward": 0}
+        assert view_of(model_of(["abc", "abd", "abe"], 2), 2).top == {"forward": 3, "backward": 1}
+        # an order below n_max that no line is long enough for
+        assert view_of(model_of(["ab"], 3), 3).top == {"forward": 0, "backward": 0}
 
     @given(corpora_with_weights(max_lines=6))
     def test_freedom_bounded_by_max(self, lines_weights):
         lines, weights = lines_weights
         m = model_of(lines, 2, weights=weights)
-        for direction in ("forward", "backward"):
-            for n in (1, 2):
-                top = max_freedom(m, n, direction)
-                for gram in m.degrees[n, direction]:
-                    assert m.degrees[n, direction].get(gram, 0) <= top
+        for n in (1, 2):
+            view = view_of(m, n)
+            for direction in ("forward", "backward"):
+                top = view.top[direction]
+                assert top == max(view.degrees[direction].values(), default=0)
+                for gram in view.degrees[direction]:
+                    assert view.degrees[direction].get(gram, 0) <= top
 
 
 class TestPersistence:
@@ -342,6 +373,20 @@ class TestPersistence:
         path = tmp_path / "m.tsv"
         peak = traced_peak(lambda: save_model(m, path))
         assert peak < 2 * path.stat().st_size
+
+    def test_huge_order_bound_loads_in_proportion_to_the_file(self, tmp_path):
+        path = tmp_path / "huge.tsv"
+        path.write_text("tlab-model v1 n_max=1000000000\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\n")
+        peak = traced_peak(lambda: load_model(path))
+        assert peak < 2**20
+        assert load_model(path) == (10**9, {1: {"ab": 1}})
+
+    def test_orders_of_the_two_directions_must_match(self, tmp_path):
+        path = tmp_path / "orders.tsv"
+        # order 2 mirrors, and order 1 has backward records only
+        path.write_text("tlab-model v1 n_max=2\nb\t1\tb\ta\t1\nb\t2\tbc\ta\t1\nf\t2\tab\tc\t1\n")
+        with pytest.raises(ModelFormatError, match="do not mirror"):
+            load_model(path)
 
     def test_load_peak_memory_under_ten_times_the_file(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from tlab import ngram
 from tlab.corpus import DataError, TextCorpus
-from tlab.ngram import build_model, max_freedom, prune
+from tlab.ngram import build_model, order_freedom
 from tlab.segmenter import (
     MODES,
     SegmenterParams,
@@ -25,6 +26,10 @@ from strategies import (
     peak_thresholds,
     prune_thresholds,
 )
+
+
+def view_of(m, n, min_count=0):
+    return order_freedom(m, n, min_count)
 
 
 def model_of(lines, n_max=2, weights=None):
@@ -51,23 +56,23 @@ class TestProfile:
     def test_shared_prefix_scores_full(self):
         # two lines "ab"/"ac": context "a" continues 2 ways, the maximum
         m = model_of(["ab", "ac"], 1)
-        assert profile(m, "ab", 1, "forward") == (1.0,)
+        assert profile(view_of(m, 1), "ab", "forward") == (1.0,)
 
     def test_absent_gram_scores_zero(self):
         m = model_of(["ab", "ac"], 1)
-        assert profile(m, "zb", 1, "forward") == (0.0,)
+        assert profile(view_of(m, 1), "zb", "forward") == (0.0,)
 
     def test_length_two_line(self):
         m = model_of(["ab"], 1)
-        assert len(profile(m, "xy", 1, "forward")) == 1
+        assert len(profile(view_of(m, 1), "xy", "forward")) == 1
 
     def test_short_line_empty_profile(self):
         m = model_of(["ab"], 1)
-        assert profile(m, "a", 1, "forward") == ()
+        assert profile(view_of(m, 1), "a", "forward") == ()
 
     def test_incomplete_context_scores_zero(self):
         m = model_of(["abcd"], 3)
-        p = profile(m, "abcd", 3, "forward")
+        p = profile(view_of(m, 3), "abcd", "forward")
         assert p[0] == 0.0 and p[1] == 0.0
 
     @given(corpora_with_weights(max_lines=8), orders)
@@ -76,7 +81,7 @@ class TestProfile:
         m = model_of(lines, 4, weights=weights)
         for direction in ("forward", "backward"):
             for line in lines[:3]:
-                got = profile(m, line, n, direction)
+                got = profile(view_of(m, n), line, direction)
                 expected = bf_profile(lines, weights, line, n, direction)
                 assert list(got) == expected
 
@@ -95,26 +100,26 @@ class TestSharedSlices:
         # scores from a caller's gram slices are the scores that slice the
         # line themselves, to the last bit, and the brute-force ones
         train, weights = map(list, zip(*train_weights))
-        model = prune(model_of(train, 4, weights=weights), prune_t)
+        view = view_of(model_of(train, 4, weights=weights), n, prune_t)
         if all(len(line) <= n for line in train):
-            assert max_freedom(model, n, "forward") == max_freedom(model, n, "backward") == 0
+            assert view.top == {"forward": 0, "backward": 0}
         for line in test_lines:
             grams = grams_of(line, n)
             fwd = bf_profile(train, weights, line, n, "forward", prune_t)
             bwd = bf_profile(train, weights, line, n, "backward", prune_t)
-            assert list(profile(model, line, n, "forward", grams)) == fwd
-            assert list(profile(model, line, n, "backward", grams)) == bwd
+            assert list(profile(view, line, "forward", grams)) == fwd
+            assert list(profile(view, line, "backward", grams)) == bwd
             rises = [value - before for value, before in zip(fwd, [0.0, *fwd])]
             drops = [value - after for value, after in zip(bwd, [*bwd[1:], 0.0])]
             expected = {"forward": rises, "backward": drops, "union": [max(r, d) for r, d in zip(rises, drops)]}
             for mode in MODES:
-                assert scores(model, line, n, mode, grams) == scores(model, line, n, mode) == expected[mode]
+                assert scores(view, line, mode, grams) == scores(view, line, mode) == expected[mode]
 
 
 class TestDetectBoundaries:
     def test_all_zero_profiles(self):
         m = model_of(["ab"], 1)
-        assert scores(m, "zzzz", 1, "union") == [0.0, 0.0, 0.0]
+        assert scores(view_of(m, 1), "zzzz", "union") == [0.0, 0.0, 0.0]
         assert detect_boundaries([0.0, 0.0, 0.0], 0.5) == []
 
     def test_zero_threshold_marks_nonnegative(self):
@@ -123,26 +128,26 @@ class TestDetectBoundaries:
 
     def test_rising_edge(self):
         m = model_of(["ab", "ac"], 1)
-        assert detect_boundaries(scores(m, "ab", 1, "forward"), 0.5) == [1]
+        assert detect_boundaries(scores(view_of(m, 1), "ab", "forward"), 0.5) == [1]
 
     def test_scores_are_rises_drops_and_their_max(self):
         # "abc"/"abd": "a" has 1 successor of the maximum 2 ("b" -> c|d);
         # every gram has exactly 1 predecessor
         m = model_of(["abc", "abd"], 1)
-        assert profile(m, "abc", 1, "forward") == (0.5, 1.0)
-        assert profile(m, "abc", 1, "backward") == (1.0, 1.0)
-        assert scores(m, "abc", 1, "forward") == [0.5, 0.5]
-        assert scores(m, "abc", 1, "backward") == [0.0, 1.0]
-        assert scores(m, "abc", 1, "union") == [0.5, 1.0]
+        assert profile(view_of(m, 1), "abc", "forward") == (0.5, 1.0)
+        assert profile(view_of(m, 1), "abc", "backward") == (1.0, 1.0)
+        assert scores(view_of(m, 1), "abc", "forward") == [0.5, 0.5]
+        assert scores(view_of(m, 1), "abc", "backward") == [0.0, 1.0]
+        assert scores(view_of(m, 1), "abc", "union") == [0.5, 1.0]
 
     @given(corpora_with_weights(max_lines=8), orders, peak_thresholds)
     def test_union_contains_single_modes(self, lines_weights, n, peak):
         lines, weights = lines_weights
         m = model_of(lines, 4, weights=weights)
         for line in lines[:3]:
-            union = set(detect_boundaries(scores(m, line, n, "union"), peak))
-            fwd_only = set(detect_boundaries(scores(m, line, n, "forward"), peak))
-            bwd_only = set(detect_boundaries(scores(m, line, n, "backward"), peak))
+            union = set(detect_boundaries(scores(view_of(m, n), line, "union"), peak))
+            fwd_only = set(detect_boundaries(scores(view_of(m, n), line, "forward"), peak))
+            bwd_only = set(detect_boundaries(scores(view_of(m, n), line, "backward"), peak))
             assert fwd_only <= union and bwd_only <= union
             assert union == fwd_only | bwd_only
 
@@ -202,8 +207,8 @@ class TestSegment:
         reversed_lines = [l[::-1] for l in lines]
         m_rev = model_of(reversed_lines, 4, weights=weights)
         for line in lines[:3]:
-            bwd = profile(m, line, n, "backward")
-            fwd_rev = profile(m_rev, line[::-1], n, "forward")
+            bwd = profile(view_of(m, n), line, "backward")
+            fwd_rev = profile(view_of(m_rev, n), line[::-1], "forward")
             assert bwd == tuple(reversed(fwd_rev))
 
 
@@ -224,8 +229,11 @@ class TestSegmentCorpus:
         assert len(segs) == 1000
         assert all("".join(s) == l for s, l in zip(segs, corpus.lines))
 
-    def test_union_derives_only_its_order(self):
+    def test_union_derives_only_its_order(self, monkeypatch):
+        # one view of order n, both directions, serves every line
+        derived = []
+        real = ngram.freedom
+        monkeypatch.setattr(ngram, "freedom", lambda *args: derived.append(args[:1] + args[2:]) or real(*args))
         m = model_of(["abcab", "abd", "cabd"], 3)
-        segment_corpus(m, TextCorpus(("abcd", "dcab"), "t"), params(n=2, mode="union"))
-        assert set(m.degrees) == {(2, "forward"), (2, "backward")}
-        assert set(m.max_degrees) == {(2, "forward"), (2, "backward")}
+        segment_corpus(m, TextCorpus(("abcd", "dcab"), "t"), params(n=2, prune=1, mode="union"))
+        assert derived == [(2, 1)]
