@@ -49,7 +49,7 @@ def run_variant(words, weights, args, spaces, out_dir):
     valid = [r for r in records if r.error is None]
     f1s = [r.report.f1 for r in valid]
     recip_avg3 = [
-        (r.report.anti_entropy + r.reciprocal_cf + r.report.csf1) / 3 for r in valid
+        (r.report.anti_entropy + r.report.reciprocal_cf + r.report.csf1) / 3 for r in valid
     ]
     print(f"[{tag}] {len(valid)}/{len(records)} valid trials, max F1 {max(f1s):.4f}")
     for name, r_value in summary.pearson_f1_vs.items():
@@ -57,7 +57,7 @@ def run_variant(words, weights, args, spaces, out_dir):
         print(f"[{tag}]   pearson(F1, {name}) = {shown}")
     r_recip = pearson(f1s, recip_avg3)
     print(f"[{tag}]   pearson(F1, avg3 with 1/C%) = {r_recip:+.4f}")
-    best = max(valid, key=lambda r: (r.report.anti_entropy + r.reciprocal_cf + r.report.csf1) / 3)
+    best = max(valid, key=lambda r: (r.report.anti_entropy + r.report.reciprocal_cf + r.report.csf1) / 3)
     print(f"[{tag}]   argmax-avg3(1/C%) trial: F1 {best.report.f1:.4f} at "
           f"n={best.params.n} peak={best.params.peak_threshold} "
           f"prune={best.params.prune_threshold} mode={best.params.direction_mode}")

@@ -20,7 +20,6 @@ from .corpus import (
 )
 from .lab import (
     DEFAULT_GRID,
-    METRIC_COLUMNS,
     _round9,
     parse_grid_spec,
     run_grid,
@@ -30,17 +29,18 @@ from .lab import (
     write_trials_csv,
 )
 from .metrics import (
+    MetricsReport,
     anti_entropy,
     boundary_counts,
     compression_factor,
     cross_split_f1,
-    derived_metrics,
     f1_score,
     token_span_counts,
     token_stats,
 )
 from .morphology import (
     AffixInventory,
+    FreqLexicon,
     build_morph_model,
     filter_lexicon,
     load_affixes,
@@ -78,8 +78,12 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit_json(payload: dict) -> None:
+def _emit_metrics(values: dict, args: argparse.Namespace) -> int:
+    """Print the metric values, rounded to 9 significant digits, and the config as one JSON line."""
+    payload = {k: _round9(v) for k, v in values.items()}
+    payload["config"] = _config_dict(args)
     print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 def cmd_build_model(args: argparse.Namespace) -> int:
@@ -104,7 +108,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     selected = args.metrics
     pred = load_segmented(args.pred)
-    report = dict.fromkeys(("f1", *METRIC_COLUMNS))
+    report = dict.fromkeys(MetricsReport._fields)
 
     if selected in ("all", "f1"):
         if not args.gold:
@@ -118,6 +122,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             report["anti_entropy"] = anti_entropy(stats)
         if selected in ("all", "cf"):
             report["compression_factor"] = compression_factor(stats)
+        if selected == "cf":
             report["reciprocal_cf"] = 1.0 / report["compression_factor"]
     if selected in ("all", "csf1"):
         needed = [args.train, args.test, args.n, args.peak]
@@ -125,15 +130,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise UsageError("--train, --test, --n and --peak are required for the csf1 metric")
         report["csf1"] = cross_split_f1(load_text(args.train), load_text(args.test), _params_from(args), args.n_max)
     if selected == "all":
-        avg3, avg2, product = derived_metrics(
-            report["anti_entropy"], report["compression_factor"], report["csf1"]
-        )
-        report["avg3"], report["avg2"], report["product"] = avg3, avg2, product
-
-    payload = {k: _round9(v) for k, v in report.items()}
-    payload["config"] = _config_dict(args)
-    _emit_json(payload)
-    return 0
+        report = MetricsReport.of(report["f1"], report["anti_entropy"], report["compression_factor"],
+                                  report["csf1"])._asdict()
+    return _emit_metrics(report, args)
 
 
 def _sampled(test: TextCorpus, gold: GoldSegmentation, count: int | None, seed: int):
@@ -152,7 +151,11 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     test = load_text(args.test)
     gold = load_gold(args.gold)
     test, gold = _sampled(test, gold, args.sample_test, args.seed)
-    records = run_grid(train, test, gold, spec, args.n_max)
+    return _write_records(run_grid(train, test, gold, spec, args.n_max), args)
+
+
+def _write_records(records: list, args: argparse.Namespace) -> int:
+    """Write a grid's trial CSV and, with --out-summary, its summary JSON, each with the config."""
     config = _config_dict(args)
     write_trials_csv(records, args.out_csv, config, timings=args.timings)
     if args.out_summary:
@@ -161,39 +164,28 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inventory_from(args: argparse.Namespace) -> AffixInventory:
+def _lexicon_from(args: argparse.Namespace) -> tuple[FreqLexicon, AffixInventory]:
+    """The lexicon without its words of at most --min-word-len scalars, and the affix inventory."""
+    lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
     prefixes = load_affixes(args.prefixes) if args.prefixes else frozenset()
     suffixes = load_affixes(args.suffixes) if args.suffixes else frozenset()
-    return AffixInventory(prefixes, suffixes, min_stem=args.min_stem)
+    return lexicon, AffixInventory(prefixes, suffixes, min_stem=args.min_stem)
 
 
 def cmd_morph_eval(args: argparse.Namespace) -> int:
-    lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
-    inventory = _inventory_from(args)
+    lexicon, inventory = _lexicon_from(args)
     params = _params_from(args)
     check_order(params.n, args.n_max)
     # only order --n is read, and its counts do not depend on the orders above it
-    model = build_morph_model(lexicon, params.n)
-    f1, s_value, c_value = weighted_morph_f1(model, lexicon, inventory, params)
-    _, avg2, product = derived_metrics(s_value, c_value)
-    values = dict(f1=f1, anti_entropy=s_value, compression_factor=c_value, avg2=avg2, product=product)
-    payload = {k: _round9(v) for k, v in values.items()}
-    payload["config"] = _config_dict(args)
-    _emit_json(payload)
-    return 0
+    report = weighted_morph_f1(build_morph_model(lexicon, params.n), lexicon, inventory, params)
+    keys = ("f1", "anti_entropy", "compression_factor", "avg2", "product")
+    return _emit_metrics({k: getattr(report, k) for k in keys}, args)
 
 
 def cmd_morph_grid(args: argparse.Namespace) -> int:
     spec = parse_grid_spec(args.grid, args.n_max)
-    lexicon = filter_lexicon(load_lexicon(args.lexicon), args.min_word_len)
-    inventory = _inventory_from(args)
-    records = run_morph_grid(lexicon, inventory, spec, args.n_max)
-    config = _config_dict(args)
-    write_trials_csv(records, args.out_csv, config, timings=args.timings)
-    if args.out_summary:
-        write_summary_json(summarize(records), args.out_summary, config)
-    print(f"{len(records)} trials -> {args.out_csv}", file=sys.stderr)
-    return 0
+    lexicon, inventory = _lexicon_from(args)
+    return _write_records(run_morph_grid(lexicon, inventory, spec, args.n_max), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,17 +17,9 @@ from .ngram import build_model, check_order, freedom
 from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, grams_of, scores, union
 from .walk import MorphWalk, WordWalk
 
-METRIC_COLUMNS = (
-    "anti_entropy",
-    "compression_factor",
-    "reciprocal_cf",
-    "csf1",
-    "avg3",
-    "avg2",
-    "product",
-)
+METRIC_COLUMNS = MetricsReport._fields[1:]  # every report field but F1, which they are correlated with
 
-CSV_HEADER = ",".join(("n", "peak", "prune", "mode", "f1", *METRIC_COLUMNS, "wall_time_ms", "error"))
+CSV_HEADER = ",".join(("n", "peak", "prune", "mode", *MetricsReport._fields, "wall_time_ms", "error"))
 
 DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
 
@@ -57,10 +49,6 @@ class TrialRecord(NamedTuple):
     report: MetricsReport | None
     wall_time_ms: int
     error: str | None = None
-
-    @property
-    def reciprocal_cf(self) -> float | None:
-        return None if self.report is None else 1.0 / self.report.compression_factor
 
 
 class CorrelationSummary(NamedTuple):
@@ -275,11 +263,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
-def _column_value(record: TrialRecord, column: str) -> float | None:
-    """F1 or a metric column of a trial; None where it failed or the column does not apply."""
-    return getattr(record if column == "reciprocal_cf" else record.report, column, None)
-
-
 def summarize(records: Sequence[TrialRecord]) -> CorrelationSummary:
     """Correlate F1 with every metric column and find each column's argmax."""
     valid = [r for r in records if r.error is None and r.report is not None]
@@ -288,8 +271,7 @@ def summarize(records: Sequence[TrialRecord]) -> CorrelationSummary:
     correlations: dict[str, float | None] = {}
     argmax: dict[str, SegmenterParams | None] = {}
     for column in METRIC_COLUMNS:
-        scored = [(r, _column_value(r, column)) for r in valid]
-        scored = [(r, v) for r, v in scored if v is not None]
+        scored = [(r, v) for r in valid if (v := getattr(r.report, column)) is not None]
         if len(scored) >= 2:
             correlations[column] = pearson([r.report.f1 for r, _ in scored], [v for _, v in scored])
         else:
@@ -336,7 +318,7 @@ def write_trials_csv(
             _format_field(r.params.peak_threshold),
             str(r.params.prune_threshold),
             MODE_SHORT[r.params.direction_mode],
-            *(_format_field(_column_value(r, column)) for column in ("f1", *METRIC_COLUMNS)),
+            *(_format_field(getattr(r.report, column, None)) for column in MetricsReport._fields),
             str(r.wall_time_ms if timings else 0),
             (r.error or "").replace("\n", " ").replace(",", ";"),
         ]

@@ -39,15 +39,25 @@ class TokenStats(NamedTuple):
 
 
 class MetricsReport(NamedTuple):
-    """All per-trial metrics; csf1 and avg3 are None where not applicable."""
+    """One trial's metrics: F1, then the trial CSV's metric columns in order.
+    csf1 and avg3 are None where there is no cross-split F1."""
 
     f1: float
     anti_entropy: float
     compression_factor: float
+    reciprocal_cf: float
     csf1: float | None
     avg3: float | None
     avg2: float
     product: float
+
+    @classmethod
+    def of(cls, f1: float, s: float, c: float, csf1: float | None = None) -> "MetricsReport":
+        """From F1, anti-entropy ``s``, compression factor ``c`` and cross-split
+        F1: derives 1/c, the mean of s, c and csf1 (None without a csf1),
+        the mean of s and c, and their product."""
+        avg3 = None if csf1 is None else (s + c + csf1) / 3
+        return cls(f1, s, c, 1.0 / c, csf1, avg3, (s + c) / 2, s * c)
 
 
 def nonspace_prefix(line: str) -> tuple[int, ...]:
@@ -313,12 +323,3 @@ def cross_split_f1(
     )
     return f1_score(tallies.at(params.peak_threshold))
 
-
-def derived_metrics(
-    anti_entropy_value: float, compression_value: float, csf1_value: float | None = None
-) -> tuple[float | None, float, float]:
-    """Mean of all three (None without a csf1), mean of the first two, and product of the first two."""
-    avg3 = None if csf1_value is None else (anti_entropy_value + compression_value + csf1_value) / 3
-    avg2 = (anti_entropy_value + compression_value) / 2
-    product = anti_entropy_value * compression_value
-    return avg3, avg2, product

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
+from .metrics import MetricsReport
 from .ngram import TransitionModel, build_model, order_freedom
 from .segmenter import SegmenterParams, scores
 from .walk import MorphWalk
@@ -132,16 +133,15 @@ def weighted_morph_f1(
     lexicon: FreqLexicon,
     inventory: AffixInventory,
     params: SegmenterParams,
-) -> tuple[float, float, float]:
-    """Frequency-weighted F1, anti-entropy and compression factor of freedom-peak
-    parses against the greedy reference (see :class:`~tlab.walk.MorphWalk`)."""
+) -> MetricsReport:
+    """The :class:`~tlab.walk.MorphWalk` report of freedom-peak parses against
+    the greedy reference: frequency-weighted F1, anti-entropy, compression
+    factor and the columns derived from them; csf1 and avg3 are None."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
     view = order_freedom(model, params.n, params.prune_threshold)
     words = tuple(lexicon.entries)
     word_scores = [scores(view, word, params.direction_mode) for word in words]
-    walk = MorphWalk(
+    return MorphWalk(
         words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
-    )
-    report = walk.report(params.peak_threshold)
-    return report.f1, report.anti_entropy, report.compression_factor
+    ).report(params.peak_threshold)

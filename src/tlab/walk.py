@@ -7,7 +7,8 @@ score, and splits one token of a running lexicon in two; boundary tallies at
 any threshold are counts over scores sorted once per cell
 (:class:`~tlab.metrics.ThresholdTally`). Every metric is still computed by
 the :mod:`tlab.metrics` functions, from the same integers and tables as a
-per-peak pass, so every float is the same.
+per-peak pass, and every report by :meth:`~tlab.metrics.MetricsReport.of`,
+so every float is the same.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .metrics import (
     anti_entropy,
     compression_factor,
     count_tokens,
-    derived_metrics,
     f1_score,
     split_tally,
     stripped_maxima,
@@ -113,11 +113,11 @@ class WordWalk:
 
     def report(self, threshold: float) -> MetricsReport:
         self.tokens.advance(threshold)
-        f1 = f1_score(self.gold.at(threshold))
         stats = self.tokens.stats
-        s_value, c_value = anti_entropy(stats), compression_factor(stats)
-        csf1 = f1_score(self.split.at(threshold))
-        return MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1))
+        return MetricsReport.of(
+            f1_score(self.gold.at(threshold)), anti_entropy(stats), compression_factor(stats),
+            f1_score(self.split.at(threshold)),
+        )
 
 
 class MorphWalk:
@@ -160,5 +160,4 @@ class MorphWalk:
         for term in self.terms:  # a running sum in lexicon order, not sum(), which may compensate
             f1_weighted += term
         stats = self.tokens.stats
-        s_value, c_value = anti_entropy(stats), compression_factor(stats)
-        return MetricsReport(f1_weighted / self.total_freq, s_value, c_value, None, *derived_metrics(s_value, c_value))
+        return MetricsReport.of(f1_weighted / self.total_freq, anti_entropy(stats), compression_factor(stats))

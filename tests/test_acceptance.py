@@ -114,7 +114,7 @@ def _a3_variant(spaces):
         return record.report.avg3
 
     def avg3_reciprocal(record):
-        return (record.report.anti_entropy + record.reciprocal_cf + record.report.csf1) / 3
+        return (record.report.anti_entropy + record.report.reciprocal_cf + record.report.csf1) / 3
 
     outcome = {}
     for label, column in (("C%", avg3_as_written), ("1/C%", avg3_reciprocal)):

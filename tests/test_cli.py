@@ -1,5 +1,7 @@
+import csv
 import json
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from tlab import cli
 from tlab.cli import main
 from tlab.corpus import TextCorpus, save_segmented, save_text
+from tlab.metrics import MetricsReport
 from tlab.morphology import build_morph_model
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
@@ -321,6 +324,26 @@ MALFORMED_GRIDS = (
 )
 
 
+def small_or_huge(low, high):
+    """Flag values: small ones mixed with values near 10**9."""
+    return st.integers(low, high) | st.integers(10**9 - 2, 10**9 + 2)
+
+
+# the most bytes a command may allocate at once: a constant, plus a multiple of the corpus bytes
+PEAK_BYTES = 1_000_000
+PEAK_BYTES_PER_CORPUS_BYTE = 10_000
+
+
+def traced_main(argv):
+    """``main(argv)`` and the peak bytes it allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     corpus=st.one_of(
@@ -329,44 +352,52 @@ MALFORMED_GRIDS = (
         st.lists(st.text(alphabet="abc\\x0", min_size=1, max_size=8), max_size=8).map("\n".join).map(str.encode),
     ),
     command=st.sampled_from(["tokenize", "evaluate", "grid-search", "morph-eval", "morph-grid"]),
-    n=st.integers(0, 4),
+    n=small_or_huge(0, 4),
+    n_max=small_or_huge(0, 4),
     peak=st.sampled_from(["-1", "0", "0.5", "2"]),
-    prune=st.integers(-1, 3),
-    sample=st.integers(-1, 3),
+    prune=small_or_huge(-1, 3),
+    sample=small_or_huge(-1, 3),
+    min_stem=small_or_huge(-1, 3),
+    min_word_len=small_or_huge(-1, 3),
     grid=st.just(FUZZ_GRID) | st.sampled_from(MALFORMED_GRIDS),
 )
-def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path, capsys, corpus, command, n, peak, prune,
-                                                     sample, grid):
-    # any corpus bytes and bounded flag values: exit 0, 1 or 2, never a
-    # traceback, and a data error is one JSON object on stderr
+def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path, capsys, corpus, command, n, n_max, peak, prune,
+                                                     sample, min_stem, min_word_len, grid):
+    # any corpus bytes and any flag values, small or near 10**9: exit 0, 1 or
+    # 2, never a traceback, a data error is one JSON object on stderr, and no
+    # command allocates more than in proportion to its input
     capsys.readouterr()
     path = tmp_path / "corpus.txt"
     path.write_bytes(corpus)
     model = tmp_path / "model.tsv"
     params = ["--n", str(n), "--peak", peak, "--prune", str(prune)]
+    morph = ["--min-stem", str(min_stem), "--min-word-len", str(min_word_len), "--n-max", str(n_max)]
     argv = {
         "tokenize": ["tokenize", "--model", str(model), *params, str(path)],
         "evaluate": ["evaluate", "--pred", str(path), "--gold", str(path), "--train", str(path),
-                     "--test", str(path), *params, "--n-max", "3"],
+                     "--test", str(path), *params, "--n-max", str(n_max)],
         "grid-search": ["grid-search", "--train", str(path), "--test", str(path), "--gold", str(path),
-                        "--n-max", str(n), "--grid", grid, "--sample-test", str(sample),
+                        "--n-max", str(n_max), "--grid", grid, "--sample-test", str(sample),
                         "--out-csv", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json")],
-        "morph-eval": ["morph-eval", "--lexicon", str(path), "--suffixes", str(path), *params,
-                       "--n-max", "3"],
-        "morph-grid": ["morph-grid", "--lexicon", str(path), "--prefixes", str(path), "--grid", grid,
-                       "--n-max", str(n), "--out-csv", str(tmp_path / "t.csv")],
+        "morph-eval": ["morph-eval", "--lexicon", str(path), "--suffixes", str(path), *params, *morph],
+        "morph-grid": ["morph-grid", "--lexicon", str(path), "--prefixes", str(path), "--grid", grid, *morph,
+                       "--out-csv", str(tmp_path / "t.csv")],
     }[command]
+    peaks = []
     if command == "tokenize":
         model.unlink(missing_ok=True)
-        build = main(["build-model", "--in", str(path), "--n-max", str(n), "--out", str(model)])
+        build, peak_bytes = traced_main(["build-model", "--in", str(path), "--n-max", str(n_max), "--out", str(model)])
         assert build in (0, 2)
+        peaks.append(peak_bytes)
         capsys.readouterr()
-    code = main(argv)
+    code, peak_bytes = traced_main(argv)
+    peaks.append(peak_bytes)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 2:
         payload = json.loads(err.strip())
         assert set(payload) == {"error", "message"}
+    assert max(peaks) <= PEAK_BYTES + PEAK_BYTES_PER_CORPUS_BYTE * len(corpus)
 
 
 @pytest.fixture
@@ -456,3 +487,60 @@ def test_morph_grid_csv(morph_files, tmp_path, capsys):
     assert len(lines) == 2 + 2 * 2
     first = lines[2].split(",")
     assert first[8] == "" and first[9] == ""  # csf1 and avg3 not applicable
+
+
+def grid_rows(csv_path):
+    """The trial rows of a grid CSV, keyed by (n, peak, prune, mode) as written."""
+    lines = csv_path.read_text().splitlines()[1:]  # past the config comment
+    return {(row["n"], row["peak"], row["prune"], row["mode"]): row for row in csv.DictReader(lines)}
+
+
+def assert_row_matches(row, payload, keys):
+    assert row["error"] == ""
+    for key in keys:
+        assert (None if row[key] == "" else float(row[key])) == payload[key], key
+
+
+@pytest.mark.parametrize("spaces", [True, False])
+def test_evaluate_matches_the_grid_search_row(tmp_path, capsys, spaces):
+    # tokenize then evaluate --metrics all reports, to 9 significant digits,
+    # every metric of the grid-search row at the same grid point
+    words, weights = make_vocabulary(5, size=12, min_len=2, max_len=4, alphabet="abcdef")
+    train, _ = make_segmented_corpus(words, weights, 11, lines=60, min_words=3, max_words=6, spaces=spaces)
+    test, gold = make_segmented_corpus(words, weights, 12, lines=10, min_words=3, max_words=6, spaces=spaces)
+    paths = {name: tmp_path / f"{name}.txt" for name in ("train", "test", "gold", "pred")}
+    save_text(train, paths["train"])
+    save_text(test, paths["test"])
+    save_segmented(gold.lines, paths["gold"])
+    model, out_csv = tmp_path / "model.tsv", tmp_path / "trials.csv"
+    data = ["--train", str(paths["train"]), "--test", str(paths["test"]), "--gold", str(paths["gold"])]
+    assert main(["grid-search", *data, "--n-max", "3", "--out-csv", str(out_csv),
+                 "--grid", "n=1..3;peak=0.2,0.5;prune=0,2;mode=fwd,bwd,union"]) == 0
+    assert main(["build-model", "--in", str(paths["train"]), "--n-max", "3", "--out", str(model)]) == 0
+    rows = grid_rows(out_csv)
+    for n, peak, prune, mode in (("1", "0.5", "0", "union"), ("2", "0.2", "2", "fwd"),
+                                 ("3", "0.5", "0", "bwd"), ("3", "0.2", "2", "union")):
+        params = ["--n", n, "--peak", peak, "--prune", prune, "--mode", mode]
+        assert main(["tokenize", "--model", str(model), *params, str(paths["test"]),
+                     "--out", str(paths["pred"])]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--pred", str(paths["pred"]), *data, "--metrics", "all", *params,
+                     "--n-max", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert_row_matches(rows[n, peak, prune, mode], payload, MetricsReport._fields)
+
+
+def test_morph_eval_matches_the_morph_grid_row(morph_files, tmp_path, capsys):
+    lex_path, suffix_path = morph_files
+    out_csv = tmp_path / "trials.csv"
+    common = ["--lexicon", str(lex_path), "--suffixes", str(suffix_path), "--min-stem", "2",
+              "--min-word-len", "3", "--n-max", "3"]
+    assert main(["morph-grid", *common, "--out-csv", str(out_csv),
+                 "--grid", "n=1..3;peak=0.3,0.7;prune=0,3;mode=fwd,bwd,union"]) == 0
+    rows = grid_rows(out_csv)
+    for n, peak, prune, mode in (("1", "0.3", "0", "union"), ("2", "0.7", "3", "fwd"), ("2", "0.3", "3", "bwd")):
+        capsys.readouterr()
+        assert main(["morph-eval", *common, "--n", n, "--peak", peak, "--prune", prune, "--mode", mode]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"f1", "anti_entropy", "compression_factor", "avg2", "product", "config"}
+        assert_row_matches(rows[n, peak, prune, mode], payload, set(payload) - {"config"})

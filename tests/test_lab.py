@@ -28,7 +28,6 @@ from tlab.metrics import (
     boundary_counts,
     compression_factor,
     cross_split_f1,
-    derived_metrics,
     f1_score,
     nonspace_prefix,
     project_cuts,
@@ -186,9 +185,7 @@ class TestRunGrid:
         spec = parse_grid_spec("n=2,1;peak=0.6,0.2;prune=0;mode=union,fwd")
         a = run_grid(train, test, gold, spec, 2)
         b = run_grid(train, test, gold, spec, 2)
-        assert [(r.params, r.report, r.reciprocal_cf, r.error) for r in a] == [
-            (r.params, r.report, r.reciprocal_cf, r.error) for r in b
-        ]
+        assert [(r.params, r.report, r.error) for r in a] == [(r.params, r.report, r.error) for r in b]
         keys = [(r.params.n, r.params.peak_threshold, r.params.prune_threshold) for r in a]
         assert keys == sorted(keys)
 
@@ -215,7 +212,7 @@ class TestRunGrid:
             assert record.report.anti_entropy == anti_entropy(stats)
             assert record.report.compression_factor == compression_factor(stats)
             assert record.report.csf1 == csf1
-            assert record.reciprocal_cf == 1.0 / record.report.compression_factor
+            assert record.report.reciprocal_cf == 1.0 / record.report.compression_factor
             assert cross_split_f1(train, test, params, n_max) == csf1
 
     def test_union_cell_reuses_the_forward_scores(self, monkeypatch):
@@ -306,12 +303,11 @@ class TestRunMorphGrid:
             stats = TokenStats(piece_counts, total_tokens, total_chars)
             expected = (f1_weighted / total_weight, anti_entropy(stats), compression_factor(stats))
             report = record.report
-            got = (report.f1, report.anti_entropy, report.compression_factor)
-            assert got == expected
-            assert got == weighted_morph_f1(build_morph_model(lex, n_max), lex, inv, params)
+            assert (report.f1, report.anti_entropy, report.compression_factor) == expected
+            assert report == weighted_morph_f1(build_morph_model(lex, n_max), lex, inv, params)
             s_value, c_value = expected[1:]
             assert (report.avg2, report.product) == ((s_value + c_value) / 2, s_value * c_value)
-            assert record.reciprocal_cf == 1.0 / c_value
+            assert report.reciprocal_cf == 1.0 / c_value
 
     def test_correlation_has_definite_sign(self):
         # correct morph cuts shrink the piece dictionary, so F1 and the
@@ -439,7 +435,7 @@ def per_peak_word_records(train, test, gold, spec, n_max):
         except DataError as exc:
             records.append((params, None, f"DataError: {exc}"))
             continue
-        records.append((params, MetricsReport(f1, s_value, c_value, csf1, *derived_metrics(s_value, c_value, csf1)), None))
+        records.append((params, MetricsReport.of(f1, s_value, c_value, csf1), None))
     return records
 
 
@@ -460,7 +456,7 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
         stats = token_stats(pieces)
         f1 = f1_weighted / sum(lexicon.entries.values())
         s_value, c_value = anti_entropy(stats), compression_factor(stats)
-        records.append((params, MetricsReport(f1, s_value, c_value, None, *derived_metrics(s_value, c_value)), None))
+        records.append((params, MetricsReport.of(f1, s_value, c_value), None))
     return records
 
 
@@ -545,9 +541,7 @@ class TestDescendingWalk:
 class TestSummarize:
     @staticmethod
     def fake_record(n, f1, se, cf, csf1):
-        avg3 = (se + cf + csf1) / 3
-        report = MetricsReport(f1, se, cf, csf1, avg3, (se + cf) / 2, se * cf)
-        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), report, 0, None)
+        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), MetricsReport.of(f1, se, cf, csf1), 0, None)
 
     def test_perfect_avg3_correlation(self):
         records = [
@@ -620,7 +614,7 @@ class TestTrialCsv:
         assert fields[12] == "0"  # wall time suppressed by default
 
     def test_nine_significant_digits(self, tmp_path):
-        report = MetricsReport(1 / 3, 2 / 3, 1.25, 0.5, 0.80555555555, 0.958333333333, 5 / 6)
+        report = MetricsReport.of(1 / 3, 2 / 3, 1.25, 0.5)
         record = TrialRecord(SegmenterParams(1, 0.1, 0, "forward"), report, 1234, None)
         path = tmp_path / "t.csv"
         write_trials_csv([record], path)

@@ -7,12 +7,12 @@ from hypothesis import given
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus
 from tlab.metrics import (
     BoundaryCounts,
+    MetricsReport,
     TokenStats,
     anti_entropy,
     boundary_counts,
     compression_factor,
     cross_split_f1,
-    derived_metrics,
     f1_score,
     nonspace_prefix,
     project_cuts,
@@ -279,15 +279,20 @@ class TestCrossSplitF1:
 
 
 class TestDerivedMetrics:
+    """The columns that :meth:`MetricsReport.of` derives from F1, anti-entropy, compression factor and csf1."""
+
     def test_without_csf1_avg3_is_none(self):
-        assert derived_metrics(0.2, 0.8) == (None, 0.5, 0.2 * 0.8)
+        assert MetricsReport.of(0.9, 0.2, 0.8) == (0.9, 0.2, 0.8, 1 / 0.8, None, None, 0.5, 0.2 * 0.8)
 
     def test_corners(self):
-        assert derived_metrics(0, 0, 0) == (0, 0, 0)
-        assert derived_metrics(1, 1, 1) == (1, 1, 1)
+        # c = 0 cannot occur: any character makes at least one token
+        assert MetricsReport.of(0, 0, 1, 0) == (0, 0, 1, 1, 0, 1 / 3, 0.5, 0)
+        assert MetricsReport.of(1, 1, 1, 1) == (1, 1, 1, 1, 1, 1, 1, 1)
 
     def test_arithmetic(self):
-        avg3, avg2, product = derived_metrics(0.2, 0.8, 0.5)
-        assert avg3 == pytest.approx(0.5)
-        assert avg2 == pytest.approx(0.5)
-        assert product == pytest.approx(0.16)
+        report = MetricsReport.of(0.7, 0.2, 0.8, 0.5)
+        assert report.f1 == 0.7 and report.csf1 == 0.5
+        assert report.reciprocal_cf == 1.0 / 0.8
+        assert report.avg3 == pytest.approx(0.5)
+        assert report.avg2 == pytest.approx(0.5)
+        assert report.product == pytest.approx(0.16)

@@ -148,9 +148,9 @@ class TestWeightedMorphF1:
         m = build_model(TextCorpus(("xa", "xb", "xc"), "t"), 1)
         lex = FreqLexicon({"nnxa": 3, "mmxb": 2})
         inv = AffixInventory(frozenset(), frozenset({"a", "b"}), min_stem=3)
-        f1, s_value, c_value = weighted_morph_f1(m, lex, inv, SegmenterParams(1, 0.5, 0, "forward"))
-        assert f1 == 1.0
-        assert 0.0 <= s_value <= 1.0 and c_value > 0.0
+        report = weighted_morph_f1(m, lex, inv, SegmenterParams(1, 0.5, 0, "forward"))
+        assert report.f1 == 1.0
+        assert 0.0 <= report.anti_entropy <= 1.0 and report.compression_factor > 0.0
 
     def test_weighted_mean_three_to_one(self):
         # "bxa" (freq 3) parses exactly like the reference, "bax" (freq 1)
@@ -172,7 +172,7 @@ class TestWeightedMorphF1:
             for word in lex.entries
         }
         assert per_word == {"bxa": 1.0, "bax": 0.0}
-        f1, _, _ = weighted_morph_f1(m, lex, inv, params)
+        f1 = weighted_morph_f1(m, lex, inv, params).f1
         assert f1 == pytest.approx(0.75)
 
     def test_tally_matches_independent_loop(self):
@@ -183,7 +183,8 @@ class TestWeightedMorphF1:
         inv = AffixInventory(frozenset(), frozenset(suffixes), min_stem=3)
         m = build_morph_model(lex, 3)
         params = SegmenterParams(2, 0.4, 0, "union")
-        f1, s_value, c_value = weighted_morph_f1(m, lex, inv, params)
+        report = weighted_morph_f1(m, lex, inv, params)
+        f1, s_value, c_value = report.f1, report.anti_entropy, report.compression_factor
 
         words = list(lex.entries)
         weights = [lex.entries[w] for w in words]
@@ -214,7 +215,7 @@ class TestWeightedMorphF1:
         inv = AffixInventory(frozenset(), frozenset(suffixes), min_stem=3)
         m = build_morph_model(lex, 2)
         params = SegmenterParams(2, 0.3, 0, "union")
-        f1, _, _ = weighted_morph_f1(m, lex, inv, params)
+        f1 = weighted_morph_f1(m, lex, inv, params).f1
         from tlab.segmenter import segment
 
         per_word = [
