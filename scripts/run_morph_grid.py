@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tlab.corpus import TextCorpus, save_text
 from tlab.lab import parse_grid_spec, run_morph_grid, summarize, write_summary_json, write_trials_csv
 from tlab.synth import make_affixed_lexicon
 
@@ -29,9 +30,8 @@ def main():
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lexicon, inventory = make_affixed_lexicon(args.seed, stems=args.stems, suffixes=args.suffixes)
-    lex_path = out_dir / "lexicon.txt"
-    lex_path.write_text("".join(f"{w}\t{c}\n" for w, c in lexicon.entries.items()))
-    (out_dir / "suffixes.txt").write_text("".join(f"{s}\n" for s in sorted(inventory.suffixes)))
+    save_text(TextCorpus(tuple(f"{w}\t{c}" for w, c in lexicon.entries.items())), out_dir / "lexicon.txt")
+    save_text(TextCorpus(tuple(sorted(inventory.suffixes))), out_dir / "suffixes.txt")
     print(f"{len(lexicon.entries)} words from {args.stems} stems x {sorted(inventory.suffixes)}")
 
     spec = parse_grid_spec(args.grid, args.n_max)

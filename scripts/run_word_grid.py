@@ -59,8 +59,8 @@ def run_variant(words, weights, args, spaces, out_dir):
     print(f"[{tag}]   pearson(F1, avg3 with 1/C%) = {r_recip:+.4f}")
     best = max(valid, key=lambda r: (r.report.anti_entropy + r.report.reciprocal_cf + r.report.csf1) / 3)
     print(f"[{tag}]   argmax-avg3(1/C%) trial: F1 {best.report.f1:.4f} at "
-          f"n={best.params.n} peak={best.params.peak_threshold} "
-          f"prune={best.params.prune_threshold} mode={best.params.direction_mode}")
+          f"n={best.params.n} peak={best.params.peak} "
+          f"prune={best.params.prune} mode={best.params.mode}")
 
 
 def main():

@@ -48,7 +48,7 @@ from .morphology import (
     weighted_morph_f1,
 )
 from .ngram import build_model, check_order, load_model, save_model
-from .segmenter import MODE_LONG, SegmenterParams, segment_corpus
+from .segmenter import MODES, SegmenterParams, segment_corpus
 
 
 class UsageError(Exception):
@@ -66,11 +66,11 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="n-gram order")
     parser.add_argument("--peak", type=float, required=True, help="peak threshold in [0,1]")
     parser.add_argument("--prune", type=int, default=0, help="minimum edge count kept")
-    parser.add_argument("--mode", choices=tuple(MODE_LONG), default="union")
+    parser.add_argument("--mode", choices=MODES, default="union")
 
 
 def _params_from(args: argparse.Namespace) -> SegmenterParams:
-    return SegmenterParams(args.n, args.peak, args.prune, MODE_LONG[args.mode])
+    return SegmenterParams(args.n, args.peak, args.prune, args.mode)
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="order for csf1 segmentation")
     p.add_argument("--peak", type=float, help="peak threshold for csf1 segmentation")
     p.add_argument("--prune", type=int, default=0)
-    p.add_argument("--mode", choices=tuple(MODE_LONG), default="union")
+    p.add_argument("--mode", choices=MODES, default="union")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--keep-ws-tokens", action="store_true",
                    help="keep whitespace-only tokens in token statistics")

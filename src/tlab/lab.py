@@ -14,12 +14,12 @@ from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_units, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
 from .ngram import build_model, check_order, freedom
-from .segmenter import MODE_LONG, MODE_SHORT, SegmenterParams, check_domain, grams_of, scores, union
+from .segmenter import SegmenterParams, check_domain, grams_of, scores, union
 from .walk import MorphWalk, WordWalk
 
 METRIC_COLUMNS = MetricsReport._fields[1:]  # every report field but F1, which they are correlated with
 
-CSV_HEADER = ",".join(("n", "peak", "prune", "mode", *MetricsReport._fields, "wall_time_ms", "error"))
+CSV_HEADER = ",".join((*SegmenterParams._fields, *MetricsReport._fields, "wall_time_ms", "error"))
 
 DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
 
@@ -27,16 +27,16 @@ DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
 MAX_AXIS_VALUES = 100_000
 
 
-class GridSpec(namedtuple("GridSpec", "n_values peak_values prune_values direction_modes")):
+class GridSpec(namedtuple("GridSpec", SegmenterParams._fields)):
     """Value tuples whose Cartesian product defines the trial set, one per
-    :class:`~tlab.segmenter.SegmenterParams` field; every value is checked by
-    :func:`~tlab.segmenter.check_domain`."""
+    :class:`~tlab.segmenter.SegmenterParams` field and named as it is; every
+    value is checked by :func:`~tlab.segmenter.check_domain`."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> GridSpec:
         spec = super().__new__(cls, *args, **kwargs)
-        for axis, values in zip(("n", "peak", "prune", "mode"), spec):
+        for axis, values in zip(cls._fields, spec):
             if not values:
                 raise DataError("every grid axis needs at least one value")
             for value in values:
@@ -109,7 +109,7 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
             continue
         key, sep, value = clause.partition("=")
         key = key.strip()
-        if not sep or key not in ("n", "peak", "prune", "mode"):
+        if not sep or key not in GridSpec._fields:
             raise DataError(f"bad grid clause {clause!r}")
         try:
             values = _parse_axis(key, value.strip())
@@ -118,24 +118,18 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
         if key in axes:
             raise DataError(f"grid axis {key!r} given twice in {text!r}")
         axes[key] = values
-    missing = {"n", "peak", "prune", "mode"} - set(axes)
+    missing = set(GridSpec._fields) - set(axes)
     if missing:
         raise DataError(f"grid spec missing axes: {', '.join(sorted(missing))}")
     try:
-        n_values = tuple(int(v) for v in axes["n"])
-        peak_values = tuple(float(v) for v in axes["peak"])
-        prune_values = tuple(int(v) for v in axes["prune"])
+        kinds = zip(GridSpec._fields, (int, float, int, str.strip))
+        values = [tuple(map(kind, axes[axis])) for axis, kind in kinds]
     except (TypeError, ValueError) as exc:
         raise DataError(f"non-numeric grid value in {text!r}") from exc
-    modes = tuple(MODE_LONG.get(mode.strip(), mode.strip()) for mode in axes["mode"])
-    spec = GridSpec(n_values, peak_values, prune_values, modes)
+    spec = GridSpec(*values)
     if n_max is not None:
-        check_order(max(n_values), n_max)
+        check_order(max(spec.n), n_max)
     return spec
-
-
-def _sort_key(params: SegmenterParams) -> tuple:
-    return (params.n, params.peak_threshold, params.prune_threshold, MODE_SHORT[params.direction_mode])
 
 
 def run_grid(
@@ -156,7 +150,7 @@ def run_grid(
     values from the highest down (:class:`~tlab.walk.WordWalk`). Failed
     trials are recorded with an error marker instead of aborting.
     """
-    top = max(spec.n_values)
+    top = max(spec.n)
     check_order(top, n_max)
     units = gold_units(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
@@ -178,38 +172,38 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
     degree tables die with it. Every line's scores under each view are
     computed from its slices once per (n, prune, mode); a union cell takes
-    its rises from the forward cell, if the grid has one. ``walk`` makes the
+    its rises from the fwd cell, if the grid has one. ``walk`` makes the
     cell's walker from those scores and the lowest peak; its ``report`` is
     then called at each peak value from the highest down.
     """
-    peaks = sorted(set(spec.peak_values), reverse=True)
-    modes = sorted(set(spec.direction_modes), key=MODE_SHORT.get)  # bwd, fwd, then union
+    peaks = sorted(set(spec.peak), reverse=True)
+    modes = sorted(set(spec.mode))  # bwd, fwd, then union
     records: list[TrialRecord] = []
-    orders = sorted(set(spec.n_values))
+    orders = sorted(set(spec.n))
     for windows in raw_windows:  # an order off the grid was counted only to derive the orders below it
         for n in windows.keys() - orders:
             del windows[n]
     for n in orders:
         tables = [windows.pop(n, {}) for windows in raw_windows]
         sliced = [grams_of(line, n) for line in lines]
-        for prune_threshold in sorted(set(spec.prune_values)):
-            views = [freedom(n, table, prune_threshold) for table in tables]
-            rises = None  # the forward cell's scores, until the union cell takes them
+        for prune in sorted(set(spec.prune)):
+            views = [freedom(n, table, prune) for table in tables]
+            rises = None  # the fwd cell's scores, until the union cell takes them
             for mode in modes:
                 if mode == "union" and rises is not None:
-                    line_scores = [[union(r, scores(v, line, "backward", g)) for line, g, r in zip(lines, sliced, rs)]
+                    line_scores = [[union(r, scores(v, line, "bwd", g)) for line, g, r in zip(lines, sliced, rs)]
                                    for v, rs in zip(views, rises)]
                     rises = None
                 else:
                     line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
-                if mode == "forward":
+                if mode == "fwd":
                     rises = line_scores
                 cell = walk(line_scores, peaks[-1])
                 for peak in peaks:
-                    records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune_threshold, mode)))
+                    records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
                 del cell, line_scores  # free this cell's walker before the next one is built
             del views, rises  # and this cell's degree tables before the next cell's
-    records.sort(key=lambda r: _sort_key(r.params))
+    records.sort(key=lambda r: r.params)
     return records
 
 
@@ -217,7 +211,7 @@ def _timed_trial(report: Callable[[float], MetricsReport], params: SegmenterPara
     """Score one grid point, recording its wall time and any error instead of raising."""
     start = time.perf_counter()
     try:
-        result = report(params.peak_threshold)
+        result = report(params.peak)
         error = None
     except Exception as exc:  # noqa: BLE001 - recorded per trial
         result, error = None, f"{type(exc).__name__}: {exc}"
@@ -236,7 +230,7 @@ def run_morph_grid(
     The model is counted up to the grid's largest order, and the greedy
     reference cuts are parsed once for the whole grid.
     """
-    top = max(spec.n_values)
+    top = max(spec.n)
     check_order(top, n_max)
     raw_windows = [build_morph_model(lexicon, top).windows]
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
@@ -288,15 +282,6 @@ def _format_field(value: float | None) -> str:
     return "" if value is None else format(value, ".9g")
 
 
-def params_to_dict(params: SegmenterParams) -> dict:
-    return {
-        "n": params.n,
-        "peak": _round9(params.peak_threshold),
-        "prune": params.prune_threshold,
-        "mode": MODE_SHORT[params.direction_mode],
-    }
-
-
 def write_trials_csv(
     records: Sequence[TrialRecord],
     path: str | Path,
@@ -315,9 +300,9 @@ def write_trials_csv(
     for r in records:
         fields = [
             str(r.params.n),
-            _format_field(r.params.peak_threshold),
-            str(r.params.prune_threshold),
-            MODE_SHORT[r.params.direction_mode],
+            _format_field(r.params.peak),
+            str(r.params.prune),
+            r.params.mode,
             *(_format_field(getattr(r.report, column, None)) for column in MetricsReport._fields),
             str(r.wall_time_ms if timings else 0),
             (r.error or "").replace("\n", " ").replace(",", ";"),
@@ -330,7 +315,7 @@ def summary_to_dict(summary: CorrelationSummary) -> dict:
     return {
         "pearson_f1_vs": {k: _round9(v) for k, v in summary.pearson_f1_vs.items()},
         "argmax_params": {
-            k: (params_to_dict(p) if p is not None else None)
+            k: (None if p is None else p._asdict() | {"peak": _round9(p.peak)})
             for k, p in summary.argmax_params.items()
         },
     }

@@ -313,13 +313,13 @@ def cross_split_f1(
         raise DataError("cannot segment an empty line")
     check_order(params.n, n_max)
     # only order n is read, and its counts do not depend on the orders above it
-    n, mode = params.n, params.direction_mode
-    view_a, view_b = (order_freedom(build_model(part, n), n, params.prune_threshold) for part in split_even_odd(train))
+    n, mode = params.n, params.mode
+    view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))
     sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
     tallies = split_tally(
         map(nonspace_prefix, test.lines),
         ((scores(view_a, line, mode, grams), scores(view_b, line, mode, grams)) for line, grams in sliced),
-        params.peak_threshold,
+        params.peak,
     )
-    return f1_score(tallies.at(params.peak_threshold))
+    return f1_score(tallies.at(params.peak))
 

@@ -139,9 +139,9 @@ def weighted_morph_f1(
     factor and the columns derived from them; csf1 and avg3 are None."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
-    view = order_freedom(model, params.n, params.prune_threshold)
+    view = order_freedom(model, params.n, params.prune)
     words = tuple(lexicon.entries)
-    word_scores = [scores(view, word, params.direction_mode) for word in words]
+    word_scores = [scores(view, word, params.mode) for word in words]
     return MorphWalk(
-        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak_threshold
-    ).report(params.peak_threshold)
+        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak
+    ).report(params.peak)

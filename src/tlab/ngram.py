@@ -16,8 +16,8 @@ _CONTROL = ("\t", "\n", "\r")
 # only a window holding "x" or a control character can have a field to escape
 _MAY_ESCAPE = re.compile("[x\t\n\r]").search
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
-# the gram a window is an edge of: forward, w[:-1] followed by w[-1]; backward, w[1:] preceded by w[0]
-_GRAM_OF_WINDOW = {"forward": itemgetter(slice(None, -1)), "backward": itemgetter(slice(1, None))}
+# the gram a window is an edge of: fwd, w[:-1] followed by w[-1]; bwd, w[1:] preceded by w[0]
+_GRAM_OF_WINDOW = {"fwd": itemgetter(slice(None, -1)), "bwd": itemgetter(slice(1, None))}
 
 
 class ModelFormatError(DataError):
@@ -41,8 +41,8 @@ class TransitionModel(NamedTuple):
 
 class Freedom(NamedTuple):
     """One order's freedom view: ``degrees[direction]`` maps each gram of order
-    ``n`` to its out-degree in that direction, and ``top[direction]`` is the
-    largest of them (0 when the order has no edge)."""
+    ``n`` to its out-degree in that direction (``"fwd"`` or ``"bwd"``), and
+    ``top[direction]`` is the largest of them (0 when the order has no edge)."""
 
     n: int
     degrees: dict[str, Counter[str]]
@@ -156,25 +156,20 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
     are formatted, so only one order's text is held at a time.
     """
     orders = sorted(model.windows.items())
+    # each tag's gram and char of a window, and a key sorting its records by (gram, char):
+    # for equal-length windows, w[1:] + w[0] sorts as (w[1:], w[0]) and w itself as (w[:-1], w[-1])
+    tags = (("b", slice(1, None), 0, lambda w: w[1:] + w[0]), ("f", slice(None, -1), -1, None))
     with open(path, "wb") as out:
         out.write(f"{FORMAT_HEADER} n_max={model.n_max}\n".encode("utf-8"))
-        for n, counts in orders:
-            # for equal-length strings this is the order of (w[1:], w[0])
-            text = "".join([
-                f"b\t{n}\t{_escape(w[1:])}\t{_escape(w[0])}\t{counts[w]}\n"
-                if _MAY_ESCAPE(w)
-                else f"b\t{n}\t{w[1:]}\t{w[0]}\t{counts[w]}\n"
-                for w in sorted(counts, key=lambda w: w[1:] + w[0])
-            ])
-            out.write(text.encode("utf-8"))
-        for n, counts in orders:
-            text = "".join([
-                f"f\t{n}\t{_escape(w[:-1])}\t{_escape(w[-1])}\t{counts[w]}\n"
-                if _MAY_ESCAPE(w)
-                else f"f\t{n}\t{w[:-1]}\t{w[-1]}\t{counts[w]}\n"
-                for w in sorted(counts)
-            ])
-            out.write(text.encode("utf-8"))
+        for tag, gram, ch, key in tags:
+            for n, counts in orders:
+                text = "".join([
+                    f"{tag}\t{n}\t{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
+                    if _MAY_ESCAPE(w)
+                    else f"{tag}\t{n}\t{w[gram]}\t{w[ch]}\t{counts[w]}\n"
+                    for w in sorted(counts, key=key)
+                ])
+                out.write(text.encode("utf-8"))
 
 
 def load_model(path: str | Path) -> TransitionModel:

@@ -10,10 +10,8 @@ from typing import Iterable, Sequence
 from .corpus import DataError, TextCorpus
 from .ngram import Freedom, TransitionModel, order_freedom
 
-# each direction mode's short name, as the command line and the trial files write it
-MODE_SHORT = {"forward": "fwd", "backward": "bwd", "union": "union"}
-MODES = tuple(MODE_SHORT)
-MODE_LONG = {short: long for long, short in MODE_SHORT.items()}
+# the direction modes, sorted: a grid cell sweeps fwd before union, which reuses its rises
+MODES = ("bwd", "fwd", "union")
 
 _DOMAINS = {
     "n": ("n must be >= 1", lambda value: value >= 1),
@@ -30,12 +28,11 @@ def check_domain(axis: str, value) -> None:
         raise DataError(f"{rule}, got {value!r}")
 
 
-class SegmenterParams(
-    namedtuple("SegmenterParams", "n peak_threshold prune_threshold direction_mode", defaults=("union",))
-):
-    """The hyper-parameters of one segmentation run, each checked by :func:`check_domain`:
-    the order ``n`` (int), ``peak_threshold`` (float), ``prune_threshold``
-    (int) and ``direction_mode`` (a long name of :data:`MODES`)."""
+class SegmenterParams(namedtuple("SegmenterParams", tuple(_DOMAINS), defaults=("union",))):
+    """The hyper-parameters of one segmentation run, named as the command line
+    names them and each checked by :func:`check_domain`: the order ``n``
+    (int), the ``peak`` threshold (float), the ``prune`` threshold (int) and
+    the direction ``mode`` (one of :data:`MODES`)."""
 
     __slots__ = ()
 
@@ -65,8 +62,8 @@ def grams_of(line: str, n: int) -> list[str]:
 def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | None = None) -> tuple[float, ...]:
     """Freedom at every gap of ``line``, scaled by the order's max freedom.
 
-    Position i scores the n-gram ending at scalar i-1 (forward) or starting
-    at scalar i (backward), n being the view's order; gaps without a full
+    Position i scores the n-gram ending at scalar i-1 (``"fwd"``) or starting
+    at scalar i (``"bwd"``), n being the view's order; gaps without a full
     n-gram of context score 0, as does everything when the order has no
     grams at all. ``grams`` is the line's :func:`grams_of` at order n, when
     a caller shares one slicing between views and directions.
@@ -78,25 +75,25 @@ def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | Non
     if maxf == 0 or length <= n:
         return (0.0,) * (length - 1)
     grams = grams_of(line, n) if grams is None else grams
-    degrees = map(view.degrees[direction].get, grams[:-1] if direction == "forward" else grams[1:], repeat(0))
+    degrees = map(view.degrees[direction].get, grams[:-1] if direction == "fwd" else grams[1:], repeat(0))
     values, pad = map(truediv, degrees, repeat(maxf)), repeat(0.0, n - 1)
     # built from a list, the tuple is allocated at its exact size and never resized
-    return tuple([*pad, *values] if direction == "forward" else [*values, *pad])
+    return tuple([*pad, *values] if direction == "fwd" else [*values, *pad])
 
 
 def scores(view: Freedom, line: str, mode: str, grams: Sequence[str] | None = None) -> list[float]:
     """The boundary score of every gap of ``line``; a gap is cut iff its score reaches the peak.
 
-    Forward scores the rise from the previous gap (virtual 0 before the
-    line), backward the drop to the next gap (virtual 0 after it), and union
-    their :func:`union`, from one slicing of the line. ``grams`` is as for
-    :func:`profile`.
+    ``"fwd"`` scores the rise from the previous gap (virtual 0 before the
+    line), ``"bwd"`` the drop to the next gap (virtual 0 after it), and
+    ``"union"`` their :func:`union`, from one slicing of the line.
+    ``grams`` is as for :func:`profile`.
     """
     if mode == "union":
         grams = grams_of(line, view.n) if grams is None else grams
-        return union(scores(view, line, "forward", grams), scores(view, line, "backward", grams))
+        return union(scores(view, line, "fwd", grams), scores(view, line, "bwd", grams))
     values = profile(view, line, mode, grams)
-    if mode == "forward":
+    if mode == "fwd":
         return list(map(sub, values, chain((0.0,), values)))
     return list(map(sub, values, chain(islice(values, 1, None), (0.0,))))
 
@@ -114,13 +111,13 @@ def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int
 def _cut(view: Freedom, line: str, params: SegmenterParams) -> tuple[str, ...]:
     if not line:
         raise DataError("cannot segment an empty line")
-    gap_scores = scores(view, line, params.direction_mode)
-    return tuple(split_at(line, detect_boundaries(gap_scores, params.peak_threshold)))
+    gap_scores = scores(view, line, params.mode)
+    return tuple(split_at(line, detect_boundaries(gap_scores, params.peak)))
 
 
 def segment(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
     """Score and cut one line with its order's freedom view. Single-scalar lines stay whole."""
-    return _cut(order_freedom(model, params.n, params.prune_threshold), line, params)
+    return _cut(order_freedom(model, params.n, params.prune), line, params)
 
 
 def segment_corpus(
@@ -129,7 +126,7 @@ def segment_corpus(
     params: SegmenterParams,
 ) -> list[tuple[str, ...]]:
     """Each line's tokens, in order; line errors are aggregated."""
-    view = order_freedom(model, params.n, params.prune_threshold)
+    view = order_freedom(model, params.n, params.prune)
 
     results = []
     failures = []

@@ -13,7 +13,7 @@ def window_counts(lines, weights, n, direction):
     counts = {}
     for line, w in zip(lines, weights):
         for i in range(len(line) - n):
-            if direction == "forward":
+            if direction == "fwd":
                 pair = (line[i : i + n], line[i + n])
             else:
                 pair = (line[i + 1 : i + 1 + n], line[i])
@@ -47,7 +47,7 @@ def bf_profile(lines, weights, line, n, direction, min_count=0):
     top = bf_max_freedom(lines, weights, n, direction, min_count)
     values = []
     for i in range(1, length):
-        if direction == "forward":
+        if direction == "fwd":
             gram = line[i - n : i] if i >= n else None
         else:
             gram = line[i : i + n] if i + n <= length else None
@@ -62,16 +62,16 @@ def bf_segment(lines, weights, line, n, theta, min_count, mode):
     length = len(line)
     if length == 1:
         return [line]
-    fwd = bf_profile(lines, weights, line, n, "forward", min_count)
-    bwd = bf_profile(lines, weights, line, n, "backward", min_count)
+    fwd = bf_profile(lines, weights, line, n, "fwd", min_count)
+    bwd = bf_profile(lines, weights, line, n, "bwd", min_count)
     cuts = []
     for i in range(1, length):
         hit = False
-        if mode in ("forward", "union"):
+        if mode in ("fwd", "union"):
             rise = fwd[i - 1] - (fwd[i - 2] if i >= 2 else 0.0)
             if rise >= theta:
                 hit = True
-        if not hit and mode in ("backward", "union"):
+        if not hit and mode in ("bwd", "union"):
             drop = bwd[i - 1] - (bwd[i] if i <= length - 2 else 0.0)
             if drop >= theta:
                 hit = True

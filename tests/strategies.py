@@ -30,4 +30,4 @@ def corpora_with_weights(**kwargs):
 peak_thresholds = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
 prune_thresholds = st.integers(min_value=0, max_value=4)
 orders = st.integers(min_value=1, max_value=4)
-modes = st.sampled_from(["forward", "backward", "union"])
+modes = st.sampled_from(["fwd", "bwd", "union"])

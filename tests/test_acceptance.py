@@ -76,7 +76,7 @@ def test_a1_metric_exactness():
 def test_a2_oracle_equivalence():
     start = time.perf_counter()
     peaks = (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0)
-    all_modes = ("forward", "backward", "union")
+    all_modes = ("fwd", "bwd", "union")
     for case in range(100):
         rng = random.Random(20_000 + case)
         alphabet = "abcdef"[: rng.randint(2, 6)]
@@ -248,7 +248,7 @@ def test_a7_property_suites():
         model = model_of(lines, weights)
         for n in (1, 2, 3):
             full, pruned = order_freedom(model, n, 0), order_freedom(model, n, threshold)
-            for direction in ("forward", "backward"):
+            for direction in ("fwd", "bwd"):
                 assert pruned.top[direction] <= full.top[direction]
                 for gram in full.degrees[direction]:
                     assert pruned.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
@@ -283,8 +283,8 @@ def test_a7_property_suites():
         model = model_of(lines, weights, n_max=4)
         model_rev = model_of([l[::-1] for l in lines], weights, n_max=4)
         for line in lines[:3]:
-            backward = profile(order_freedom(model, n, 0), line, "backward")
-            forward_rev = profile(order_freedom(model_rev, n, 0), line[::-1], "forward")
+            backward = profile(order_freedom(model, n, 0), line, "bwd")
+            forward_rev = profile(order_freedom(model_rev, n, 0), line[::-1], "fwd")
             assert backward == tuple(reversed(forward_rev))
 
     @settings(max_examples=100, deadline=None)

@@ -9,9 +9,12 @@ from hypothesis import HealthCheck, given, settings
 
 from tlab import cli
 from tlab.cli import main
-from tlab.corpus import TextCorpus, save_segmented, save_text
+from tlab.corpus import TextCorpus, format_segmented, load_text, save_segmented, save_text
+from tlab.lab import GridSpec
 from tlab.metrics import MetricsReport
 from tlab.morphology import build_morph_model
+from tlab.ngram import load_model
+from tlab.segmenter import MODES, SegmenterParams, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 
@@ -246,6 +249,10 @@ def assert_data_error(capsys):
     assert len(err) == 1
     payload = json.loads(err[0])
     assert payload["error"] == "DataError" and payload["message"]
+    return payload["message"]
+
+
+BAD_MODES = ("forward", "sideways")  # a long direction name is no alias of its mode
 
 
 @pytest.mark.parametrize("grid", [
@@ -257,13 +264,16 @@ def assert_data_error(capsys):
     "n=1;peak=0:1:inf;prune=0;mode=union",
     "n=1..3;peak=0.5;prune=0;mode=fwd;n=5",
     "n=1;peak=0.5;prune=0;mode=fwd;mode=union",
+    *(f"n=1;peak=0.5;prune=0;mode={mode}" for mode in BAD_MODES),
 ])
 def test_grid_search_bad_grid_is_data_error(word_data, tmp_path, capsys, grid):
     argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
             "--gold", str(word_data["gold"]), "--n-max", "1", "--grid", grid,
             "--out-csv", str(tmp_path / "t.csv")]
     assert main(argv) == 2
-    assert_data_error(capsys)
+    message = assert_data_error(capsys)
+    if grid.endswith(BAD_MODES):  # the message names the modes the grid syntax writes
+        assert f"must be one of {MODES}, got {grid.rpartition('=')[2]!r}" in message
 
 
 @pytest.mark.parametrize("grid", [
@@ -544,3 +554,25 @@ def test_morph_eval_matches_the_morph_grid_row(morph_files, tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"f1", "anti_entropy", "compression_factor", "avg2", "product", "config"}
         assert_row_matches(rows[n, peak, prune, mode], payload, set(payload) - {"config"})
+
+
+def test_run_parameters_have_one_vocabulary(word_data, tmp_path, capsys):
+    # the four parameters keep their names, and each mode its spelling, from the
+    # tokenize flag through the grid spec to the trial CSV and the summary JSON
+    model, out_csv, out_summary = tmp_path / "model.tsv", tmp_path / "trials.csv", tmp_path / "summary.json"
+    data = ["--train", str(word_data["train"]), "--test", str(word_data["test"]), "--gold", str(word_data["gold"])]
+    assert main(["build-model", "--in", str(word_data["train"]), "--n-max", "2", "--out", str(model)]) == 0
+    for mode in MODES:
+        capsys.readouterr()
+        assert main(["tokenize", "--model", str(model), "--n", "2", "--peak", "0.4", "--mode", mode,
+                     str(word_data["test"])]) == 0
+        expected = segment_corpus(load_model(model), load_text(word_data["test"]), SegmenterParams(2, 0.4, 0, mode))
+        assert capsys.readouterr().out == format_segmented(expected)
+        assert main(["grid-search", *data, "--n-max", "2", "--grid", f"n=1,2;peak=0.2,0.6;prune=0;mode={mode}",
+                     "--out-csv", str(out_csv), "--out-summary", str(out_summary)]) == 0
+        header = out_csv.read_text().splitlines()[1].split(",")
+        assert SegmenterParams._fields == GridSpec._fields == tuple(header[:4])
+        assert {params[-1] for params in grid_rows(out_csv)} == {mode}
+        argmax = json.loads(out_summary.read_text())["argmax_params"]
+        assert all(params.keys() == set(SegmenterParams._fields) for params in argmax.values())
+        assert {params["mode"] for params in argmax.values()} == {mode}

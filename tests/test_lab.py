@@ -45,7 +45,6 @@ from tlab.morphology import (
 )
 from tlab.ngram import build_model, order_freedom
 from tlab.segmenter import (
-    MODE_SHORT,
     MODES,
     SegmenterParams,
     detect_boundaries,
@@ -67,16 +66,16 @@ def tiny_setup(spaces=True, train_lines=60, test_lines=12):
 class TestParseGridSpec:
     def test_full_syntax(self):
         spec = parse_grid_spec("n=1..3;peak=0:0.4:0.2;prune=0,2;mode=fwd,union")
-        assert spec.n_values == (1, 2, 3)
-        assert spec.peak_values == (0.0, 0.2, 0.4)
-        assert spec.prune_values == (0, 2)
-        assert spec.direction_modes == ("forward", "union")
+        assert spec.n == (1, 2, 3)
+        assert spec.peak == (0.0, 0.2, 0.4)
+        assert spec.prune == (0, 2)
+        assert spec.mode == ("fwd", "union")
 
     def test_comma_lists(self):
         spec = parse_grid_spec("n=2,4;peak=0.1,0.9;prune=1;mode=bwd")
-        assert spec.n_values == (2, 4)
-        assert spec.peak_values == (0.1, 0.9)
-        assert spec.direction_modes == ("backward",)
+        assert spec.n == (2, 4)
+        assert spec.peak == (0.1, 0.9)
+        assert spec.mode == ("bwd",)
 
     def test_missing_axis_rejected(self):
         with pytest.raises(DataError, match="missing"):
@@ -92,12 +91,12 @@ class TestParseGridSpec:
 
     def test_cardinality(self):
         spec = parse_grid_spec("n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union")
-        axes = (spec.n_values, spec.peak_values, spec.prune_values, spec.direction_modes)
+        axes = (spec.n, spec.peak, spec.prune, spec.mode)
         assert tuple(map(len, axes)) == (7, 10, 3, 2)
 
     def test_axis_value_limit(self):
         spec = parse_grid_spec(f"n=1;peak=0.5;prune=0..{MAX_AXIS_VALUES - 1};mode=fwd")
-        assert len(spec.prune_values) == MAX_AXIS_VALUES
+        assert len(spec.prune) == MAX_AXIS_VALUES
         for axis in (f"prune=0..{MAX_AXIS_VALUES}", "peak=0:1:0.00001"):  # one value more
             with pytest.raises(DataError, match="more than"):
                 parse_grid_spec(f"n=1;peak=0.5;prune=0;mode=fwd;{axis}")
@@ -118,7 +117,7 @@ class TestParseGridSpec:
             stepped.append(value)
         text = f"n=1;peak={start!r}:{stop!r}:{step!r};prune=0;mode=fwd"
         if stepped:
-            assert parse_grid_spec(text).peak_values == tuple(stepped)
+            assert parse_grid_spec(text).peak == tuple(stepped)
         else:
             with pytest.raises(DataError, match="empty range"):
                 parse_grid_spec(text)
@@ -186,8 +185,8 @@ class TestRunGrid:
         a = run_grid(train, test, gold, spec, 2)
         b = run_grid(train, test, gold, spec, 2)
         assert [(r.params, r.report, r.error) for r in a] == [(r.params, r.report, r.error) for r in b]
-        keys = [(r.params.n, r.params.peak_threshold, r.params.prune_threshold) for r in a]
-        assert keys == sorted(keys)
+        points = [r.params for r in a]
+        assert points == sorted(points)
 
     def test_matches_naive_per_trial_pipeline(self):
         # identical results whether models are pruned from a shared raw model
@@ -224,7 +223,7 @@ class TestRunGrid:
         monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
         per_direction = len(test.lines) * 3 * 2 * 2  # lines x models x prune values x orders
-        assert Counter(directions) == {"forward": per_direction, "backward": per_direction}
+        assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
         train, test, gold = tiny_setup()
@@ -268,7 +267,7 @@ class TestRunMorphGrid:
         monkeypatch.setattr(lab, "build_morph_model", lambda *args: orders.append(args[1]) or real_build(*args))
         run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"), 7)
         per_direction = len(lex.entries) * 3  # words x orders
-        assert Counter(directions) == {"forward": per_direction, "backward": 2 * per_direction}
+        assert Counter(directions) == {"fwd": per_direction, "bwd": 2 * per_direction}
         assert orders == [3]
 
     def test_matches_per_word_pipeline(self):
@@ -407,11 +406,11 @@ class TestRawWindowLifetime:
 
 def grid_points(spec):
     """Every distinct grid point in the order the grids sort their records."""
-    for n in sorted(set(spec.n_values)):
-        for peak in sorted(set(spec.peak_values)):
-            for prune_threshold in sorted(set(spec.prune_values)):
-                for mode in sorted(set(spec.direction_modes), key=MODE_SHORT.get):
-                    yield SegmenterParams(n, peak, prune_threshold, mode)
+    for n in sorted(set(spec.n)):
+        for peak in sorted(set(spec.peak)):
+            for prune in sorted(set(spec.prune)):
+                for mode in sorted(set(spec.mode)):
+                    yield SegmenterParams(n, peak, prune, mode)
 
 
 def per_peak_word_records(train, test, gold, spec, n_max):
@@ -422,10 +421,10 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     gold_bounds = [stripped_boundaries(tokens)[1] for tokens in gold.lines]
     records = []
     for params in grid_points(spec):
-        peak = params.peak_threshold
+        peak = params.peak
         cuts_m, cuts_a, cuts_b = (
-            [detect_boundaries(scores(view, line, params.direction_mode), peak) for line in test.lines]
-            for view in (order_freedom(m, params.n, params.prune_threshold) for m in raw)
+            [detect_boundaries(scores(view, line, params.mode), peak) for line in test.lines]
+            for view in (order_freedom(m, params.n, params.prune) for m in raw)
         )
         f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
         csf1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_a), map(project_cuts, prefixes, cuts_b))))
@@ -445,11 +444,11 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
     references = reference_cuts(lexicon, inventory)
     records = []
     for params in grid_points(spec):
-        view = order_freedom(raw, params.n, params.prune_threshold)
+        view = order_freedom(raw, params.n, params.prune)
         f1_weighted = 0.0
         pieces = []
         for (word, freq), reference in zip(lexicon.entries.items(), references):
-            cuts = detect_boundaries(scores(view, word, params.direction_mode), params.peak_threshold)
+            cuts = detect_boundaries(scores(view, word, params.mode), params.peak)
             hits = len(reference.intersection(cuts))
             f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
             pieces += [split_at(word, cuts)] * freq  # a word's pieces occur as often as the word
@@ -615,7 +614,7 @@ class TestTrialCsv:
 
     def test_nine_significant_digits(self, tmp_path):
         report = MetricsReport.of(1 / 3, 2 / 3, 1.25, 0.5)
-        record = TrialRecord(SegmenterParams(1, 0.1, 0, "forward"), report, 1234, None)
+        record = TrialRecord(SegmenterParams(1, 0.1, 0, "fwd"), report, 1234, None)
         path = tmp_path / "t.csv"
         write_trials_csv([record], path)
         row = path.read_text().splitlines()[1].split(",")

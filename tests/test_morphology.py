@@ -52,7 +52,7 @@ class TestBuildMorphModel:
 
     def test_freedom_counts_words(self):
         m = build_morph_model(FreqLexicon({"ab": 1, "ac": 1}), 1)
-        assert order_freedom(m, 1, 0).degrees["forward"].get("a", 0) == 2
+        assert order_freedom(m, 1, 0).degrees["fwd"].get("a", 0) == 2
 
     def test_doubling_frequencies_keeps_freedom(self):
         lex = {"ab": 2, "ac": 3, "abc": 1}
@@ -148,7 +148,7 @@ class TestWeightedMorphF1:
         m = build_model(TextCorpus(("xa", "xb", "xc"), "t"), 1)
         lex = FreqLexicon({"nnxa": 3, "mmxb": 2})
         inv = AffixInventory(frozenset(), frozenset({"a", "b"}), min_stem=3)
-        report = weighted_morph_f1(m, lex, inv, SegmenterParams(1, 0.5, 0, "forward"))
+        report = weighted_morph_f1(m, lex, inv, SegmenterParams(1, 0.5, 0, "fwd"))
         assert report.f1 == 1.0
         assert 0.0 <= report.anti_entropy <= 1.0 and report.compression_factor > 0.0
 
@@ -162,7 +162,7 @@ class TestWeightedMorphF1:
         m = build_model(TextCorpus(("xa", "xb", "xc"), "t"), 1)
         lex = FreqLexicon({"bxa": 3, "bax": 1})
         inv = AffixInventory(frozenset(), frozenset({"a", "x"}), min_stem=2)
-        params = SegmenterParams(1, 0.5, 0, "forward")
+        params = SegmenterParams(1, 0.5, 0, "fwd")
         per_word = {
             word: f1_score(
                 boundary_counts(

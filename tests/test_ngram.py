@@ -52,7 +52,7 @@ class TestBuildModel:
     def test_single_bigram_line(self):
         m = model_of(["ab"], 1)
         assert m.windows[1] == {"ab": 1}
-        assert view_of(m, 1).degrees == {"forward": {"a": 1}, "backward": {"b": 1}}
+        assert view_of(m, 1).degrees == {"fwd": {"a": 1}, "bwd": {"b": 1}}
 
     def test_line_weight(self):
         m = model_of(["ab"], 1, weights=[5])
@@ -63,14 +63,14 @@ class TestBuildModel:
         m = model_of(["abc", "abd"], 2)
         assert m.windows[1] == {"ab": 2, "bc": 1, "bd": 1}
         assert m.windows[2] == {"abc": 1, "abd": 1}
-        assert view_of(m, 1).degrees == {"forward": {"a": 1, "b": 2}, "backward": {"b": 1, "c": 1, "d": 1}}
-        assert view_of(m, 2).degrees["backward"] == {"bc": 1, "bd": 1}
-        assert view_of(m, 2).degrees["forward"].get("ab", 0) == 2
+        assert view_of(m, 1).degrees == {"fwd": {"a": 1, "b": 2}, "bwd": {"b": 1, "c": 1, "d": 1}}
+        assert view_of(m, 2).degrees["bwd"] == {"bc": 1, "bd": 1}
+        assert view_of(m, 2).degrees["fwd"].get("ab", 0) == 2
 
     def test_windows_do_not_cross_lines(self):
         m = model_of(["ab", "cd"], 1)
         assert m.windows[1] == {"ab": 1, "cd": 1}  # "b" has no in-line successor
-        assert "b" not in view_of(m, 1).degrees["forward"]
+        assert "b" not in view_of(m, 1).degrees["fwd"]
 
     def test_whitespace_is_ordinary(self):
         m = model_of(["a b"], 1)
@@ -95,7 +95,7 @@ class TestBuildModel:
             assert sum(windows.values()) == expected
             # every distinct window is one edge in each direction
             degrees = view_of(m, n).degrees
-            assert sum(degrees["forward"].values()) == sum(degrees["backward"].values()) == len(windows)
+            assert sum(degrees["fwd"].values()) == sum(degrees["bwd"].values()) == len(windows)
 
     @given(small_lines(), st.integers(min_value=0, max_value=2**32))
     def test_line_order_independent(self, lines, seed):
@@ -117,12 +117,12 @@ class TestBuildModel:
         n_max, (lines, weights) = case
         m = model_of(lines, n_max, weights=weights)
         # only the orders that have a window get a table
-        assert sorted(m.windows) == [n for n in range(1, n_max + 1) if window_counts(lines, weights, n, "forward")]
+        assert sorted(m.windows) == [n for n in range(1, n_max + 1) if window_counts(lines, weights, n, "fwd")]
         for n in range(1, n_max + 1):
-            forward_pairs = window_counts(lines, weights, n, "forward")
+            forward_pairs = window_counts(lines, weights, n, "fwd")
             assert m.windows.get(n, {}) == {g + ch: c for (g, ch), c in forward_pairs.items()}
             view = view_of(m, n)
-            for direction in ("forward", "backward"):
+            for direction in ("fwd", "bwd"):
                 for gram in view.degrees[direction]:
                     assert view.degrees[direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction)
                 assert view.top[direction] == bf_max_freedom(lines, weights, n, direction)
@@ -146,10 +146,10 @@ class TestDerivedTables:
             assert model._fields == ("n_max", "windows")
         view = view_of(m, 2)
         assert view.n == 2
-        assert view.degrees.keys() == view.top.keys() == {"forward", "backward"}
+        assert view.degrees.keys() == view.top.keys() == {"fwd", "bwd"}
         assert all(len(gram) == 2 for table in view.degrees.values() for gram in table)
-        assert view.top["backward"] == 1
-        assert view.degrees["forward"].get("ab", 0) == 2
+        assert view.top["bwd"] == 1
+        assert view.degrees["fwd"].get("ab", 0) == 2
 
     def test_unknown_direction_is_a_missing_key(self):
         m = model_of(["ab"], 1)
@@ -185,14 +185,14 @@ class TestPrune:
         m = model_of(["ab", "ab", "ab", "ac"], 1)
         assert m.windows[1] == {"ab": 3, "ac": 1}
         assert prune(m.windows[1], 2) == {"ab": 3}
-        assert view_of(m, 1, 2).degrees["forward"].get("a", 0) == 1
+        assert view_of(m, 1, 2).degrees["fwd"].get("a", 0) == 1
 
     def test_drops_edgeless_grams(self):
         m = model_of(["abc", "abd"], 1)
         assert prune(m.windows[1], 2) == {"ab": 2}
         pruned = view_of(m, 1, 2)
-        assert "b" not in pruned.degrees["forward"]
-        assert pruned.degrees["forward"].get("b", 0) == 0
+        assert "b" not in pruned.degrees["fwd"]
+        assert pruned.degrees["fwd"].get("b", 0) == 0
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(DataError, match="prune threshold must be >= 0, got -1"):
@@ -208,7 +208,7 @@ class TestPrune:
             assert prune(pruned, threshold) == pruned
             assert freedom(n, pruned, threshold) == freedom(n, table, threshold)
             full, kept = view_of(m, n), view_of(m, n, threshold)
-            for direction in ("forward", "backward"):
+            for direction in ("fwd", "bwd"):
                 assert kept.top[direction] <= full.top[direction]
                 for gram in full.degrees[direction]:
                     assert kept.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
@@ -218,11 +218,11 @@ class TestPrune:
 class TestFreedom:
     def test_distinct_successors(self):
         m = model_of(["abc", "abd"], 1)
-        assert view_of(m, 1).degrees["forward"].get("b", 0) == 2
+        assert view_of(m, 1).degrees["fwd"].get("b", 0) == 2
 
     def test_absent_gram(self):
         m = model_of(["abc"], 1)
-        assert view_of(m, 1).degrees["forward"].get("z", 0) == 0
+        assert view_of(m, 1).degrees["fwd"].get("z", 0) == 0
 
     def test_order_above_n_max(self):
         m = model_of(["abc"], 1)
@@ -230,11 +230,11 @@ class TestFreedom:
             view_of(m, 2)
 
     def test_max_freedom_examples(self):
-        assert view_of(model_of(["ab"], 1), 1).top["forward"] == 1
-        assert view_of(model_of([], 1), 1).top == {"forward": 0, "backward": 0}
-        assert view_of(model_of(["abc", "abd", "abe"], 2), 2).top == {"forward": 3, "backward": 1}
+        assert view_of(model_of(["ab"], 1), 1).top["fwd"] == 1
+        assert view_of(model_of([], 1), 1).top == {"fwd": 0, "bwd": 0}
+        assert view_of(model_of(["abc", "abd", "abe"], 2), 2).top == {"fwd": 3, "bwd": 1}
         # an order below n_max that no line is long enough for
-        assert view_of(model_of(["ab"], 3), 3).top == {"forward": 0, "backward": 0}
+        assert view_of(model_of(["ab"], 3), 3).top == {"fwd": 0, "bwd": 0}
 
     @given(corpora_with_weights(max_lines=6))
     def test_freedom_bounded_by_max(self, lines_weights):
@@ -242,7 +242,7 @@ class TestFreedom:
         m = model_of(lines, 2, weights=weights)
         for n in (1, 2):
             view = view_of(m, n)
-            for direction in ("forward", "backward"):
+            for direction in ("fwd", "bwd"):
                 top = view.top[direction]
                 assert top == max(view.degrees[direction].values(), default=0)
                 for gram in view.degrees[direction]:

@@ -56,30 +56,30 @@ class TestProfile:
     def test_shared_prefix_scores_full(self):
         # two lines "ab"/"ac": context "a" continues 2 ways, the maximum
         m = model_of(["ab", "ac"], 1)
-        assert profile(view_of(m, 1), "ab", "forward") == (1.0,)
+        assert profile(view_of(m, 1), "ab", "fwd") == (1.0,)
 
     def test_absent_gram_scores_zero(self):
         m = model_of(["ab", "ac"], 1)
-        assert profile(view_of(m, 1), "zb", "forward") == (0.0,)
+        assert profile(view_of(m, 1), "zb", "fwd") == (0.0,)
 
     def test_length_two_line(self):
         m = model_of(["ab"], 1)
-        assert len(profile(view_of(m, 1), "xy", "forward")) == 1
+        assert len(profile(view_of(m, 1), "xy", "fwd")) == 1
 
     def test_short_line_empty_profile(self):
         m = model_of(["ab"], 1)
-        assert profile(view_of(m, 1), "a", "forward") == ()
+        assert profile(view_of(m, 1), "a", "fwd") == ()
 
     def test_incomplete_context_scores_zero(self):
         m = model_of(["abcd"], 3)
-        p = profile(view_of(m, 3), "abcd", "forward")
+        p = profile(view_of(m, 3), "abcd", "fwd")
         assert p[0] == 0.0 and p[1] == 0.0
 
     @given(corpora_with_weights(max_lines=8), orders)
     def test_matches_bruteforce(self, lines_weights, n):
         lines, weights = lines_weights
         m = model_of(lines, 4, weights=weights)
-        for direction in ("forward", "backward"):
+        for direction in ("fwd", "bwd"):
             for line in lines[:3]:
                 got = profile(view_of(m, n), line, direction)
                 expected = bf_profile(lines, weights, line, n, direction)
@@ -102,16 +102,16 @@ class TestSharedSlices:
         train, weights = map(list, zip(*train_weights))
         view = view_of(model_of(train, 4, weights=weights), n, prune_t)
         if all(len(line) <= n for line in train):
-            assert view.top == {"forward": 0, "backward": 0}
+            assert view.top == {"fwd": 0, "bwd": 0}
         for line in test_lines:
             grams = grams_of(line, n)
-            fwd = bf_profile(train, weights, line, n, "forward", prune_t)
-            bwd = bf_profile(train, weights, line, n, "backward", prune_t)
-            assert list(profile(view, line, "forward", grams)) == fwd
-            assert list(profile(view, line, "backward", grams)) == bwd
+            fwd = bf_profile(train, weights, line, n, "fwd", prune_t)
+            bwd = bf_profile(train, weights, line, n, "bwd", prune_t)
+            assert list(profile(view, line, "fwd", grams)) == fwd
+            assert list(profile(view, line, "bwd", grams)) == bwd
             rises = [value - before for value, before in zip(fwd, [0.0, *fwd])]
             drops = [value - after for value, after in zip(bwd, [*bwd[1:], 0.0])]
-            expected = {"forward": rises, "backward": drops, "union": [max(r, d) for r, d in zip(rises, drops)]}
+            expected = {"fwd": rises, "bwd": drops, "union": [max(r, d) for r, d in zip(rises, drops)]}
             for mode in MODES:
                 assert scores(view, line, mode, grams) == scores(view, line, mode) == expected[mode]
 
@@ -128,16 +128,16 @@ class TestDetectBoundaries:
 
     def test_rising_edge(self):
         m = model_of(["ab", "ac"], 1)
-        assert detect_boundaries(scores(view_of(m, 1), "ab", "forward"), 0.5) == [1]
+        assert detect_boundaries(scores(view_of(m, 1), "ab", "fwd"), 0.5) == [1]
 
     def test_scores_are_rises_drops_and_their_max(self):
         # "abc"/"abd": "a" has 1 successor of the maximum 2 ("b" -> c|d);
         # every gram has exactly 1 predecessor
         m = model_of(["abc", "abd"], 1)
-        assert profile(view_of(m, 1), "abc", "forward") == (0.5, 1.0)
-        assert profile(view_of(m, 1), "abc", "backward") == (1.0, 1.0)
-        assert scores(view_of(m, 1), "abc", "forward") == [0.5, 0.5]
-        assert scores(view_of(m, 1), "abc", "backward") == [0.0, 1.0]
+        assert profile(view_of(m, 1), "abc", "fwd") == (0.5, 1.0)
+        assert profile(view_of(m, 1), "abc", "bwd") == (1.0, 1.0)
+        assert scores(view_of(m, 1), "abc", "fwd") == [0.5, 0.5]
+        assert scores(view_of(m, 1), "abc", "bwd") == [0.0, 1.0]
         assert scores(view_of(m, 1), "abc", "union") == [0.5, 1.0]
 
     @given(corpora_with_weights(max_lines=8), orders, peak_thresholds)
@@ -146,8 +146,8 @@ class TestDetectBoundaries:
         m = model_of(lines, 4, weights=weights)
         for line in lines[:3]:
             union = set(detect_boundaries(scores(view_of(m, n), line, "union"), peak))
-            fwd_only = set(detect_boundaries(scores(view_of(m, n), line, "forward"), peak))
-            bwd_only = set(detect_boundaries(scores(view_of(m, n), line, "backward"), peak))
+            fwd_only = set(detect_boundaries(scores(view_of(m, n), line, "fwd"), peak))
+            bwd_only = set(detect_boundaries(scores(view_of(m, n), line, "bwd"), peak))
             assert fwd_only <= union and bwd_only <= union
             assert union == fwd_only | bwd_only
 
@@ -175,8 +175,8 @@ class TestSegment:
         # both edges while "x" keeps the max, so the profile drops to 0
         lines = ["ab", "ac"] + ["xb", "xc", "xd"] * 3
         m = model_of(lines, 1)
-        assert segment(m, "ab", params(peak=0.5, mode="forward")) == ("a", "b")
-        assert segment(m, "ab", params(peak=0.5, prune=2, mode="forward")) == ("ab",)
+        assert segment(m, "ab", params(peak=0.5, mode="fwd")) == ("a", "b")
+        assert segment(m, "ab", params(peak=0.5, prune=2, mode="fwd")) == ("ab",)
 
     @given(corpora_with_weights(max_lines=8), orders, peak_thresholds, prune_thresholds, modes)
     def test_lossless(self, lines_weights, n, peak, prune_t, mode):
@@ -207,8 +207,8 @@ class TestSegment:
         reversed_lines = [l[::-1] for l in lines]
         m_rev = model_of(reversed_lines, 4, weights=weights)
         for line in lines[:3]:
-            bwd = profile(view_of(m, n), line, "backward")
-            fwd_rev = profile(view_of(m_rev, n), line[::-1], "forward")
+            bwd = profile(view_of(m, n), line, "bwd")
+            fwd_rev = profile(view_of(m_rev, n), line[::-1], "fwd")
             assert bwd == tuple(reversed(fwd_rev))
 
 
