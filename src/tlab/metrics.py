@@ -263,16 +263,18 @@ class ThresholdTally(NamedTuple):
     @classmethod
     def of(cls, pairs: Iterable[tuple[Sequence[float], Sequence[float]]], lowest: float) -> "ThresholdTally":
         """From (predicted, reference) scores of the same units, one pair per
-        line; only thresholds of at least ``lowest`` can be asked for."""
+        line; only thresholds of at least ``lowest`` can be asked for, so a
+        score below it, which counts at none of them, is never kept."""
         both: list[float] = []
         predicted: list[float] = []
         reference: list[float] = []
         for pred, ref in pairs:
-            predicted += pred
-            reference += ref
-            both += [p if p < r else r for p, r in zip(pred, ref)]
-        # a score below the lowest threshold counts at none of them
-        return cls(lowest, *(sorted([v for v in values if v >= lowest]) for values in (both, predicted, reference)))
+            predicted += [p for p in pred if p >= lowest]
+            reference += [r for r in ref if r >= lowest]
+            both += [p if p < r else r for p, r in zip(pred, ref) if p >= lowest and r >= lowest]
+        for values in (both, predicted, reference):
+            values.sort()
+        return cls(lowest, both, predicted, reference)
 
     def at(self, threshold: float) -> BoundaryCounts:
         if threshold < self.lowest:

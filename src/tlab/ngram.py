@@ -175,8 +175,13 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TransitionModel:
     """Read a model file; its ``b`` records must mirror its ``f`` records exactly.
 
-    The file is read one record at a time. A record that repeats an earlier
-    one (same tag, order, gram and char) is rejected whatever its count.
+    The file is read one record at a time into one window table per order. A
+    ``b`` record stores its count negated, meaning not yet mirrored, and the
+    ``f`` record of the same window stores it back as positive. An ``f``
+    record that comes before its ``b`` waits in ``pending``, which stays
+    empty for every file :func:`save_model` writes. A record that repeats an
+    earlier one (same tag, order, gram and char) is rejected whatever its
+    count.
     """
     with open(path, "rb") as raw:
         try:
@@ -195,8 +200,9 @@ def load_model(path: str | Path) -> TransitionModel:
         if n_max < 1:
             raise ModelFormatError(f"{path}: n_max must be >= 1")
         # an order's table is made at its first record, so only orders that have one get a table
-        forward: dict[int, Counter[str]] = defaultdict(Counter)
-        backward: dict[int, dict[str, int]] = defaultdict(dict)
+        tables: dict[int, Counter[str]] = defaultdict(Counter)
+        pending: dict[tuple[int, str], int] = {}  # f records whose b record has not come yet
+        confirmed = 0  # windows whose b and f records have both come, with the same count
         orders: dict[str, int] = {}  # each order field's text, parsed once
         for lineno, record in enumerate(lines, start=2):
             # the line's "\n" stays on the count field, which int() reads as it reads a trailing CR
@@ -204,11 +210,7 @@ def load_model(path: str | Path) -> TransitionModel:
             if len(parts) != 5:
                 raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
             tag, n_text, gram, ch, count_text = parts
-            if tag == "f":
-                tables = forward
-            elif tag == "b":
-                tables = backward
-            else:
+            if tag != "f" and tag != "b":
                 raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
             try:
                 n = orders.get(n_text) or orders.setdefault(n_text, int(n_text))
@@ -219,18 +221,35 @@ def load_model(path: str | Path) -> TransitionModel:
                 raise ModelFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
             if count < 1:
                 raise ModelFormatError(f"{path}:{lineno}: count must be positive")
-            if gram.startswith("x"):
-                gram = _unescape(gram)
-            if ch.startswith("x"):
-                ch = _unescape(ch)
+            if "x" in record:  # an escaped field starts with "x", and the fields parsed above hold none
+                if gram.startswith("x"):
+                    gram = _unescape(gram)
+                if ch.startswith("x"):
+                    ch = _unescape(ch)
             if len(gram) != n or len(ch) != 1:
                 raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
-            window = gram + ch if tables is forward else ch + gram
             table = tables[n]
-            if window in table:
-                raise ModelFormatError(f"{path}:{lineno}: duplicate record")
-            table[window] = count
-    # plain dict equality, in C; Counter's == also equates a missing key with a zero count, which no record holds
-    if forward.keys() != backward.keys() or any(not dict.__eq__(table, backward[n]) for n, table in forward.items()):
+            # a window is in the table once its b record has come, and positive once its f record has too;
+            # a count mismatch leaves the window unconfirmed, so it fails only after every line is checked
+            if tag == "b":
+                window = ch + gram
+                if window in table:
+                    raise ModelFormatError(f"{path}:{lineno}: duplicate record")
+                if pending and (n, window) in pending:
+                    confirmed += pending.pop((n, window)) == count
+                    table[window] = count
+                else:
+                    table[window] = -count
+            else:
+                window = gram + ch
+                stored = table[window]  # a Counter reads 0 for a window whose b record has not come
+                if stored < 0:
+                    confirmed += stored + count == 0
+                    table[window] = count
+                elif stored or (n, window) in pending:
+                    raise ModelFormatError(f"{path}:{lineno}: duplicate record")
+                else:
+                    pending[n, window] = count
+    if pending or confirmed != sum(map(len, tables.values())):
         raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
-    return TransitionModel(n_max, dict(forward))
+    return TransitionModel(n_max, dict(tables))

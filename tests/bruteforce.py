@@ -2,10 +2,14 @@
 
 Everything here recomputes window counts, freedom values, profiles and
 derivatives directly from the raw training lines on every call. It shares
-no code with the package under test.
+no code with the package under test. :func:`bf_load_model` reads a model
+file the plain way, one table per record tag, as the reference for the
+one-table reader.
 """
 
 from __future__ import annotations
+
+import re
 
 
 def window_counts(lines, weights, n, direction):
@@ -84,3 +88,69 @@ def bf_segment(lines, weights, line, n, theta, min_count, mode):
         prev = cut
     tokens.append(line[prev:])
     return tokens
+
+
+class BfFormatError(Exception):
+    """A model file the reference reader rejects; its message is the one ``load_model`` gives."""
+
+
+def _bf_unescape(field):
+    if field.startswith("x") and len(field) > 1:
+        try:
+            return bytes.fromhex(field[1:]).decode("utf-8")
+        except ValueError:
+            pass
+    return field
+
+
+def bf_load_model(path):
+    """Read a model file into one table per record tag and compare the two at the end.
+
+    Returns ``(n_max, {n: {window: count}})`` with a table for each order
+    that has a record, or raises :class:`BfFormatError`.
+    """
+    with open(path, "rb") as raw:
+        data = raw.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BfFormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    if not text:
+        raise BfFormatError(f"{path}: empty model file")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line and starts none
+    header = re.match(r"^tlab-model v1 n_max=(\d+)$", lines[0])
+    if header is None:
+        raise BfFormatError(f"{path}: bad header {lines[0]!r}; expected 'tlab-model v1 n_max=<k>'")
+    n_max = int(header.group(1))
+    if n_max < 1:
+        raise BfFormatError(f"{path}: n_max must be >= 1")
+    tables = {"f": {}, "b": {}}
+    for lineno, record in enumerate(lines[1:], start=2):
+        parts = record.split("\t")
+        if len(parts) != 5:
+            raise BfFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
+        tag, n_text, gram, ch, count_text = parts
+        if tag not in tables:
+            raise BfFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
+        try:
+            n = int(n_text)
+            count = int(count_text)
+        except ValueError as exc:
+            raise BfFormatError(f"{path}:{lineno}: non-integer field") from exc
+        if n < 1 or n > n_max:
+            raise BfFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
+        if count < 1:
+            raise BfFormatError(f"{path}:{lineno}: count must be positive")
+        gram, ch = _bf_unescape(gram), _bf_unescape(ch)
+        if len(gram) != n or len(ch) != 1:
+            raise BfFormatError(f"{path}:{lineno}: field lengths disagree with order")
+        window = gram + ch if tag == "f" else ch + gram
+        table = tables[tag].setdefault(n, {})
+        if window in table:
+            raise BfFormatError(f"{path}:{lineno}: duplicate record")
+        table[window] = count
+    if tables["f"] != tables["b"]:
+        raise BfFormatError(f"{path}: backward records do not mirror the forward records")
+    return n_max, tables["f"]

@@ -60,8 +60,8 @@ def test_build_tokenize_round_trip(word_data, tmp_path, capsys):
     assert main(["tokenize", "--model", str(model_path), "--n", "2", "--peak", "0.4",
                  "--prune", "0", "--mode", "union", str(word_data["test"]),
                  "--out", str(out_path)]) == 0
-    produced = out_path.read_text().splitlines()
-    raw = word_data["test"].read_text().splitlines()
+    produced = out_path.read_text(encoding="utf-8").splitlines()
+    raw = word_data["test"].read_text(encoding="utf-8").splitlines()
     assert len(produced) == len(raw)
     for seg_line, raw_line in zip(produced, raw):
         rebuilt = "".join(seg_line.split()).replace("\\s", " ")
@@ -71,7 +71,7 @@ def test_build_tokenize_round_trip(word_data, tmp_path, capsys):
 
 def test_model_with_literal_hex_like_gram_loads(tmp_path, capsys):
     corpus_path = tmp_path / "x.txt"
-    corpus_path.write_text("ab x0a cd\n")
+    corpus_path.write_text("ab x0a cd\n", encoding="utf-8")
     model_path = tmp_path / "m.tsv"
     assert main(["build-model", "--in", str(corpus_path), "--n-max", "3",
                  "--out", str(model_path)]) == 0
@@ -82,9 +82,9 @@ def test_model_with_literal_hex_like_gram_loads(tmp_path, capsys):
 
 def test_tokenize_rejects_duplicate_model_record(tmp_path, capsys):
     corpus_path = tmp_path / "c.txt"
-    corpus_path.write_text("ab\n")
+    corpus_path.write_text("ab\n", encoding="utf-8")
     model_path = tmp_path / "m.tsv"
-    model_path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\n")
+    model_path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\n", encoding="utf-8")
     assert main(["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5",
                  str(corpus_path)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -94,7 +94,7 @@ def test_tokenize_rejects_duplicate_model_record(tmp_path, capsys):
 
 def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
     corpus_path = tmp_path / "win.txt"
-    corpus_path.write_text("C:\\sdir x\nC:\\sdir\n")
+    corpus_path.write_text("C:\\sdir x\nC:\\sdir\n", encoding="utf-8")
     model_path = tmp_path / "m.tsv"
     pred_path = tmp_path / "pred.txt"
     assert main(["build-model", "--in", str(corpus_path), "--n-max", "2",
@@ -152,7 +152,7 @@ def test_grid_search_scores_backslash_gold(tmp_path, capsys):
                      "--gold", str(tmp_path / f"{name}-gold.txt"), "--n-max", "2",
                      "--grid", "n=1,2;peak=0:0.6:0.3;prune=0;mode=fwd,union",
                      "--out-csv", str(out_csv)]) == 0
-        rows.append(out_csv.read_text().splitlines()[1:])
+        rows.append(out_csv.read_text(encoding="utf-8").splitlines()[1:])
     capsys.readouterr()
     assert rows[0] == rows[1]
     assert all(row.endswith(",0,") for row in rows[0][1:])  # no trial failed
@@ -198,7 +198,7 @@ def test_evaluate_span_f1_flag(tmp_path, capsys):
     pred_path = tmp_path / "pred.txt"
     gold_path = tmp_path / "gold.txt"
     save_segmented([("a", "bc", "d")], pred_path)
-    gold_path.write_text("ab c d\n")
+    gold_path.write_text("ab c d\n", encoding="utf-8")
     assert main(["evaluate", "--pred", str(pred_path), "--gold", str(gold_path),
                  "--metrics", "f1"]) == 0
     boundary = json.loads(capsys.readouterr().out.strip())["f1"]
@@ -221,14 +221,14 @@ def test_grid_search_row_count_and_determinism(word_data, tmp_path, capsys):
     assert main(argv_b) == 0
     capsys.readouterr()
 
-    lines_a = csv_a.read_text().splitlines()
+    lines_a = csv_a.read_text(encoding="utf-8").splitlines()
     assert lines_a[0].startswith("# config:")
     assert len(lines_a) == 2 + 2 * 3 * 2 * 2  # comment + header + cardinality
     body_a = "\n".join(lines_a[1:])
-    body_b = "\n".join(csv_b.read_text().splitlines()[1:])
+    body_b = "\n".join(csv_b.read_text(encoding="utf-8").splitlines()[1:])
     assert body_a == body_b  # identical apart from the echoed output path
 
-    summary = json.loads(summary_path.read_text())
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
     assert "pearson_f1_vs" in summary and "argmax_params" in summary
     assert summary["config"]["grid"] == grid
 
@@ -310,9 +310,9 @@ def test_grid_search_sample_count_below_one_is_data_error(word_data, tmp_path, c
 
 
 def test_grid_search_sample_with_misaligned_gold_is_data_error(tmp_path, capsys):
-    (tmp_path / "train.txt").write_text("ab cd\ncd ab\nab\n")
-    (tmp_path / "test.txt").write_text("ab cd\nab\ncd ab\n")
-    (tmp_path / "gold.txt").write_text("ab cd\n")
+    (tmp_path / "train.txt").write_text("ab cd\ncd ab\nab\n", encoding="utf-8")
+    (tmp_path / "test.txt").write_text("ab cd\nab\ncd ab\n", encoding="utf-8")
+    (tmp_path / "gold.txt").write_text("ab cd\n", encoding="utf-8")
     argv = ["grid-search", "--train", str(tmp_path / "train.txt"), "--test", str(tmp_path / "test.txt"),
             "--gold", str(tmp_path / "gold.txt"), "--n-max", "1", "--grid", "n=1;peak=0.5;prune=0;mode=fwd",
             "--sample-test", "2", "--out-csv", str(tmp_path / "t.csv")]
@@ -414,9 +414,9 @@ def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path, capsys, corpus, c
 def morph_files(tmp_path):
     lex, inv = make_affixed_lexicon(3, stems=6, suffixes=2)
     lex_path = tmp_path / "lexicon.txt"
-    lex_path.write_text("".join(f"{w}\t{c}\n" for w, c in lex.entries.items()))
+    lex_path.write_text("".join(f"{w}\t{c}\n" for w, c in lex.entries.items()), encoding="utf-8")
     suffix_path = tmp_path / "suffixes.txt"
-    suffix_path.write_text("# test suffixes\n" + "".join(f"{s}\n" for s in sorted(inv.suffixes)))
+    suffix_path.write_text("# test suffixes\n" + "".join(f"{s}\n" for s in sorted(inv.suffixes)), encoding="utf-8")
     return lex_path, suffix_path
 
 
@@ -459,7 +459,7 @@ def test_grid_search_timings_flag(word_data, tmp_path, capsys):
             "--out-csv", str(out_csv), "--timings"]
     assert main(argv) == 0
     capsys.readouterr()
-    rows = [line.split(",") for line in out_csv.read_text().splitlines()[2:]]
+    rows = [line.split(",") for line in out_csv.read_text(encoding="utf-8").splitlines()[2:]]
     assert all(int(row[12]) >= 0 for row in rows)  # real times recorded
 
 
@@ -475,9 +475,9 @@ def test_evaluate_single_metric(tmp_path, capsys, metric, key):
 
 def test_morph_eval_with_prefix_file(tmp_path, capsys):
     lex_path = tmp_path / "lex.txt"
-    lex_path.write_text("unzip\t4\nunfold\t2\nzip\t1\n")
+    lex_path.write_text("unzip\t4\nunfold\t2\nzip\t1\n", encoding="utf-8")
     prefix_path = tmp_path / "pre.txt"
-    prefix_path.write_text("un\n")
+    prefix_path.write_text("un\n", encoding="utf-8")
     code = main(["morph-eval", "--lexicon", str(lex_path), "--prefixes", str(prefix_path),
                  "--min-stem", "3", "--n", "1", "--peak", "0.5", "--n-max", "2"])
     assert code == 0
@@ -493,7 +493,7 @@ def test_morph_grid_csv(morph_files, tmp_path, capsys):
                  "--out-csv", str(out_csv)])
     assert code == 0
     capsys.readouterr()
-    lines = out_csv.read_text().splitlines()
+    lines = out_csv.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 + 2 * 2
     first = lines[2].split(",")
     assert first[8] == "" and first[9] == ""  # csf1 and avg3 not applicable
@@ -501,7 +501,7 @@ def test_morph_grid_csv(morph_files, tmp_path, capsys):
 
 def grid_rows(csv_path):
     """The trial rows of a grid CSV, keyed by (n, peak, prune, mode) as written."""
-    lines = csv_path.read_text().splitlines()[1:]  # past the config comment
+    lines = csv_path.read_text(encoding="utf-8").splitlines()[1:]  # past the config comment
     return {(row["n"], row["peak"], row["prune"], row["mode"]): row for row in csv.DictReader(lines)}
 
 
@@ -570,9 +570,9 @@ def test_run_parameters_have_one_vocabulary(word_data, tmp_path, capsys):
         assert capsys.readouterr().out == format_segmented(expected)
         assert main(["grid-search", *data, "--n-max", "2", "--grid", f"n=1,2;peak=0.2,0.6;prune=0;mode={mode}",
                      "--out-csv", str(out_csv), "--out-summary", str(out_summary)]) == 0
-        header = out_csv.read_text().splitlines()[1].split(",")
+        header = out_csv.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert SegmenterParams._fields == GridSpec._fields == tuple(header[:4])
         assert {params[-1] for params in grid_rows(out_csv)} == {mode}
-        argmax = json.loads(out_summary.read_text())["argmax_params"]
+        argmax = json.loads(out_summary.read_text(encoding="utf-8"))["argmax_params"]
         assert all(params.keys() == set(SegmenterParams._fields) for params in argmax.values())
         assert {params["mode"] for params in argmax.values()} == {mode}

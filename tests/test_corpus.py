@@ -134,14 +134,14 @@ class TestRoundTrips:
     def test_segmented_round_trip_escapes_whitespace(self, tmp_path):
         path = tmp_path / "seg.txt"
         save_segmented([("a", " ", "b c"), ("xy",)], path)
-        assert path.read_text() == "a \\s b\\sc\nxy\n"
+        assert path.read_text(encoding="utf-8") == "a \\s b\\sc\nxy\n"
         back = load_segmented(path)
         assert back.lines == (("a", " ", "b c"), ("xy",))
 
     def test_segmented_backslash_escape(self, tmp_path):
         path = tmp_path / "seg.txt"
         save_segmented([("C:\\sdir", "a\\")], path)
-        assert path.read_text() == "C:\\\\sdir a\\\\\n"
+        assert path.read_text(encoding="utf-8") == "C:\\\\sdir a\\\\\n"
         assert load_segmented(path).lines == (("C:\\sdir", "a\\"),)
 
     @given(st.lists(st.lists(st.text(alphabet="\\su0aF a\t\r\x0b\x85\u2028\u3000", min_size=1, max_size=6),
@@ -154,7 +154,7 @@ class TestRoundTrips:
     def test_segmented_non_space_whitespace_escape(self, tmp_path):
         path = tmp_path / "seg.txt"
         save_segmented([("a\tb", "\u3000", "\\u0020 c")], path)
-        assert path.read_text() == "a\\u0009b \\u3000 \\\\u0020\\sc\n"
+        assert path.read_text(encoding="utf-8") == "a\\u0009b \\u3000 \\\\u0020\\sc\n"
         assert load_segmented(path).lines == (("a\tb", "\u3000", "\\u0020 c"),)
 
     def test_every_whitespace_scalar_fits_four_hex_digits(self):

@@ -104,7 +104,7 @@ def test_tokenize_and_evaluate_bytes(tmp_path, monkeypatch, capsys):
         assert main(["evaluate", "--pred", "tokens.txt", "--gold", "gold.txt", "--train", "train.txt",
                      "--test", "test.txt", "--n", "2", "--peak", "0.3", "--prune", "2",
                      "--mode", mode, "--n-max", "3", "--metrics", "all"]) == 0
-        (tmp_path / f"evaluate-{mode}.json").write_text(capsys.readouterr().out)
+        (tmp_path / f"evaluate-{mode}.json").write_text(capsys.readouterr().out, encoding="utf-8")
     assert digests(tmp_path, TOKENIZE_EVALUATE) == TOKENIZE_EVALUATE
 
 
@@ -116,5 +116,5 @@ def test_morph_eval_bytes(tmp_path, monkeypatch, capsys):
         assert main(["morph-eval", "--lexicon", "lexicon.txt", "--suffixes", "suffixes.txt",
                      "--prefixes", "prefixes.txt", "--min-stem", "2", "--n-max", "4",
                      "--n", "3", "--peak", "0.3", "--prune", "2", "--mode", mode]) == 0
-        (tmp_path / f"morph-{mode}.json").write_text(capsys.readouterr().out)
+        (tmp_path / f"morph-{mode}.json").write_text(capsys.readouterr().out, encoding="utf-8")
     assert digests(tmp_path, MORPH_EVAL) == MORPH_EVAL

@@ -580,7 +580,7 @@ class TestSummarize:
         summary = summarize(records)
         path = tmp_path / "trials.csv"
         write_trials_csv(records, path)
-        with path.open() as handle:
+        with path.open(encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         xs = [float(r["f1"]) for r in rows if not r["error"]]
         ys = [float(r["avg3"]) for r in rows if not r["error"]]
@@ -617,7 +617,7 @@ class TestTrialCsv:
         record = TrialRecord(SegmenterParams(1, 0.1, 0, "fwd"), report, 1234, None)
         path = tmp_path / "t.csv"
         write_trials_csv([record], path)
-        row = path.read_text().splitlines()[1].split(",")
+        row = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[4] == "0.333333333"
         assert row[5] == "0.666666667"
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +9,7 @@ from tlab.corpus import DataError, GoldSegmentation, TextCorpus
 from tlab.metrics import (
     BoundaryCounts,
     MetricsReport,
+    ThresholdTally,
     TokenStats,
     anti_entropy,
     boundary_counts,
@@ -23,6 +25,7 @@ from tlab.metrics import (
 )
 from tlab.ngram import build_model
 from tlab.segmenter import SegmenterParams, segment_corpus
+from tlab.synth import make_segmented_corpus, make_vocabulary
 
 from bruteforce import bf_segment
 
@@ -276,6 +279,51 @@ class TestCrossSplitF1:
         f_ba = f1_score(boundary_counts(seg_b, seg_a))
         assert got == pytest.approx((f_ab + f_ba) / 2)
         assert 0.0 <= got <= 1.0
+
+    def test_peak_memory_in_proportion_to_the_test_text(self):
+        # the split tally keeps only the scores that reach the peak, not
+        # every gap score of every line until the end
+        words, weights = make_vocabulary(7, size=50)
+        train, _ = make_segmented_corpus(words, weights, 2, lines=600, spaces=False)
+        test, _ = make_segmented_corpus(words, weights, 3, lines=600, spaces=False)
+        tracemalloc.start()
+        try:
+            cross_split_f1(train, test, SegmenterParams(3, 0.4, 0, "union"), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * sum(map(len, test.lines))
+
+
+THRESHOLDS = [0.0, 0.1, 0.25, 0.5, 1.0, math.inf]
+unit_scores = st.sampled_from([-math.inf, *THRESHOLDS])
+
+
+def line_score_pairs(size):
+    """A line's predicted and reference scores of ``size`` units."""
+    return st.tuples(*[st.lists(unit_scores, min_size=size, max_size=size)] * 2)
+
+
+class TestThresholdTally:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6).flatmap(line_score_pairs), max_size=5),
+        st.sampled_from(THRESHOLDS),
+    )
+    def test_keeps_no_score_below_the_lowest_threshold(self, pairs, lowest):
+        tallied = ThresholdTally.of(pairs, lowest)
+        for values in (tallied.both, tallied.predicted, tallied.reference):
+            assert all(v >= lowest for v in values)
+            assert values == sorted(values)
+        for threshold in (t for t in THRESHOLDS if t >= lowest):
+            cut = [
+                ({k for k, p in enumerate(pred) if p >= threshold}, {k for k, r in enumerate(ref) if r >= threshold})
+                for pred, ref in pairs
+            ]
+            assert tallied.at(threshold) == tally(cut)
+
+    def test_threshold_below_the_lowest_rejected(self):
+        with pytest.raises(ValueError, match="below the lowest"):
+            ThresholdTally.of([([0.5], [0.5])], 0.25).at(0.1)
 
 
 class TestDerivedMetrics:

@@ -29,19 +29,19 @@ ENGLISH = AffixInventory(
 class TestLexiconIO:
     def test_tab_counts_and_default(self, tmp_path):
         path = tmp_path / "lex.txt"
-        path.write_text("walk\t10\nrun\n\nwalk\t2\n")
+        path.write_text("walk\t10\nrun\n\nwalk\t2\n", encoding="utf-8")
         lex = load_lexicon(path)
         assert lex.entries == {"walk": 12, "run": 1}
 
     def test_bad_count_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
-        path.write_text("walk\tmany\n")
+        path.write_text("walk\tmany\n", encoding="utf-8")
         with pytest.raises(DataError, match="lex.txt:1"):
             load_lexicon(path)
 
     def test_affix_file_comments(self, tmp_path):
         path = tmp_path / "suf.txt"
-        path.write_text("# suffixes\ning\nED\n\nable\n")
+        path.write_text("# suffixes\ning\nED\n\nable\n", encoding="utf-8")
         assert load_affixes(path) == frozenset({"ing", "ed", "able"})
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from tlab.corpus import DataError, TextCorpus
 from tlab.ngram import (
@@ -19,7 +19,7 @@ from tlab.ngram import (
 )
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
-from bruteforce import bf_freedom, bf_max_freedom, window_counts
+from bruteforce import BfFormatError, bf_freedom, bf_load_model, bf_max_freedom, window_counts
 from strategies import corpora_with_weights, small_lines, weights_for
 
 
@@ -271,13 +271,13 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("tlab-model v9 n_max=2\n")
+        path.write_text("tlab-model v9 n_max=2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "trunc.tsv"
-        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\n")
+        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
 
@@ -285,7 +285,7 @@ class TestPersistence:
         m = model_of(["a\tb", "a\tc"], 2)
         path = tmp_path / "tab.tsv"
         save_model(m, path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert "\t".join(["f", "2", "x6109", "b", "1"]) in text  # "a\t" as hex
         assert load_model(path) == m
 
@@ -293,32 +293,32 @@ class TestPersistence:
         m = model_of(["ab x0a cd"], 3)
         path = tmp_path / "x.tsv"
         save_model(m, path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert "\t".join(["f", "3", "x783061", " ", "1"]) in text  # "x0a" as hex
         assert "\t".join(["f", "1", " ", "x78", "1"]) in text  # "x" as hex
         assert load_model(path) == m
 
     def test_unmirrored_backward_records_rejected(self, tmp_path):
         path = tmp_path / "half.tsv"
-        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t2\n")
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
-        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\n")
+        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
 
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
-        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t1\n")
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:4: duplicate record"):
             load_model(path)
 
     def test_conflicting_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
-        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\nb\t1\tb\ta\t2\n")
+        path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\nb\t1\tb\ta\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
             load_model(path)
-        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t2\n")
+        path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
             load_model(path)
 
@@ -342,7 +342,7 @@ class TestPersistence:
     )
     def test_blank_line_rejected(self, tmp_path, body, lineno):
         path = tmp_path / "blank.tsv"
-        path.write_text("tlab-model v1 n_max=1\n" + body)
+        path.write_text("tlab-model v1 n_max=1\n" + body, encoding="utf-8")
         with pytest.raises(ModelFormatError, match=rf":{lineno}: expected 5 tab-separated fields, got 1$"):
             load_model(path)
 
@@ -359,12 +359,12 @@ class TestPersistence:
 
     def test_order_field_read_as_integer(self, tmp_path):
         path = tmp_path / "pad.tsv"
-        path.write_text("tlab-model v1 n_max=1\nb\t01\tb\ta\t1\nf\t1\ta\tb\t1\n")
+        path.write_text("tlab-model v1 n_max=1\nb\t01\tb\ta\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         assert load_model(path) == model_of(["ab"], 1)
-        path.write_text("tlab-model v1 n_max=1\nb\t2\tbc\ta\t1\n")
+        path.write_text("tlab-model v1 n_max=1\nb\t2\tbc\ta\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="order 2 outside"):
             load_model(path)
-        path.write_text("tlab-model v1 n_max=1\nb\tone\tb\ta\t1\n")
+        path.write_text("tlab-model v1 n_max=1\nb\tone\tb\ta\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="non-integer"):
             load_model(path)
 
@@ -376,7 +376,7 @@ class TestPersistence:
 
     def test_huge_order_bound_loads_in_proportion_to_the_file(self, tmp_path):
         path = tmp_path / "huge.tsv"
-        path.write_text("tlab-model v1 n_max=1000000000\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\n")
+        path.write_text("tlab-model v1 n_max=1000000000\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         peak = traced_peak(lambda: load_model(path))
         assert peak < 2**20
         assert load_model(path) == (10**9, {1: {"ab": 1}})
@@ -384,15 +384,57 @@ class TestPersistence:
     def test_orders_of_the_two_directions_must_match(self, tmp_path):
         path = tmp_path / "orders.tsv"
         # order 2 mirrors, and order 1 has backward records only
-        path.write_text("tlab-model v1 n_max=2\nb\t1\tb\ta\t1\nb\t2\tbc\ta\t1\nf\t2\tab\tc\t1\n")
+        path.write_text("tlab-model v1 n_max=2\nb\t1\tb\ta\t1\nb\t2\tbc\ta\t1\nf\t2\tab\tc\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="do not mirror"):
             load_model(path)
 
-    def test_load_peak_memory_under_ten_times_the_file(self, tmp_path):
+    def test_load_peak_memory_under_four_times_the_file(self, tmp_path):
+        # one window table is filled, not a second one per record tag to compare
         path = tmp_path / "m.tsv"
         save_model(synth_model(), path)
         peak = traced_peak(lambda: load_model(path))
-        assert peak < 10 * path.stat().st_size
+        assert peak < 4 * path.stat().st_size
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.text(alphabet="abx\t", min_size=1, max_size=6), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(["as saved", "f first", "shuffled"]),
+        st.sampled_from([None, "repeat", "recount", "drop"]),
+        st.data(),
+    )
+    def test_any_record_order_loads_as_the_reference_reads_it(
+        self, tmp_path_factory, lines, n_max, order, change, data
+    ):
+        # a saved model's records in some order, then changed in at most one
+        # way: the model, or the error message with its line, must be the
+        # reference reader's
+        path = tmp_path_factory.mktemp("order") / "m.tsv"
+        save_model(model_of(lines, n_max), path)
+        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if order == "f first":
+            records.sort(key=lambda record: record[0] == "b")
+        elif order == "shuffled":
+            records = data.draw(st.permutations(records))
+        if records and change is not None:
+            i = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+            if change == "repeat":
+                records.insert(data.draw(st.integers(min_value=0, max_value=len(records))), records[i])
+            elif change == "recount":
+                *fields, count = records[i].split("\t")
+                new_count = data.draw(st.integers(min_value=0, max_value=9).filter(lambda c: c != int(count)))
+                records[i] = "\t".join([*fields, f"{new_count}\n"])
+            else:
+                del records[i]
+        path.write_text(header + "".join(records), encoding="utf-8")
+        try:
+            expected = bf_load_model(path)
+        except BfFormatError as exc:
+            with pytest.raises(ModelFormatError) as raised:
+                load_model(path)
+            assert str(raised.value) == str(exc)
+        else:
+            assert load_model(path) == expected
 
     @given(
         st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6).flatmap(

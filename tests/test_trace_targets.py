@@ -42,7 +42,7 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", "import json, sys, tlab.cli; print(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, encoding="utf-8", check=True,
     )
     loaded = set(json.loads(done.stdout))
     assert "dataclasses" not in loaded
