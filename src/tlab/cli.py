@@ -35,7 +35,6 @@ from .metrics import (
     compression_factor,
     cross_split_f1,
     f1_score,
-    token_span_counts,
     token_stats,
 )
 from .morphology import (
@@ -67,6 +66,14 @@ def _add_params_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--peak", type=float, required=True, help="peak threshold in [0,1]")
     parser.add_argument("--prune", type=int, default=0, help="minimum edge count kept")
     parser.add_argument("--mode", choices=MODES, default="union")
+
+
+def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lexicon", required=True, help="word<TAB>count file")
+    parser.add_argument("--prefixes", help="prefix dictionary file")
+    parser.add_argument("--suffixes", help="suffix dictionary file")
+    parser.add_argument("--min-stem", type=int, default=3, help="shortest stem an affix parse may leave")
+    parser.add_argument("--min-word-len", type=int, default=0, help="drop words of at most this many scalars")
 
 
 def _params_from(args: argparse.Namespace) -> SegmenterParams:
@@ -114,10 +121,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not args.gold:
             raise UsageError("--gold is required for the f1 metric")
         gold = load_gold(args.gold)
-        counts_of = token_span_counts if args.span_f1 else boundary_counts
-        report["f1"] = f1_score(counts_of(pred.lines, gold.lines))
+        report["f1"] = f1_score(boundary_counts(pred.lines, gold.lines))
     if selected in ("all", "se", "cf"):
-        stats = token_stats(pred.lines, drop_whitespace_tokens=not args.keep_ws_tokens)
+        stats = token_stats(pred.lines)
         if selected in ("all", "se"):
             report["anti_entropy"] = anti_entropy(stats)
         if selected in ("all", "cf"):
@@ -157,7 +163,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
 def _write_records(records: list, args: argparse.Namespace) -> int:
     """Write a grid's trial CSV and, with --out-summary, its summary JSON, each with the config."""
     config = _config_dict(args)
-    write_trials_csv(records, args.out_csv, config, timings=args.timings)
+    write_trials_csv(records, args.out_csv, config)
     if args.out_summary:
         write_summary_json(summarize(records), args.out_summary, config)
     print(f"{len(records)} trials -> {args.out_csv}", file=sys.stderr)
@@ -217,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", type=int, default=0)
     p.add_argument("--mode", choices=MODES, default="union")
     p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--keep-ws-tokens", action="store_true",
-                   help="keep whitespace-only tokens in token statistics")
-    p.add_argument("--span-f1", action="store_true",
-                   help="score whole token spans instead of boundaries")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grid-search", help="sweep hyper-parameters on a corpus")
@@ -232,30 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-summary")
     p.add_argument("--sample-test", type=int, help="seeded sample of test lines")
-    p.add_argument("--timings", action="store_true", help="record real wall times in the CSV")
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("morph-eval", help="score subword segmentation of a lexicon")
-    p.add_argument("--lexicon", required=True, help="word<TAB>count file")
-    p.add_argument("--prefixes", help="prefix dictionary file")
-    p.add_argument("--suffixes", help="suffix dictionary file")
-    p.add_argument("--min-stem", type=int, default=3)
-    p.add_argument("--min-word-len", type=int, default=0)
+    _add_lexicon_flags(p)
     _add_params_flags(p)
     p.add_argument("--n-max", type=int, default=7)
     p.set_defaults(func=cmd_morph_eval)
 
     p = sub.add_parser("morph-grid", help="sweep hyper-parameters on a lexicon")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--prefixes")
-    p.add_argument("--suffixes")
-    p.add_argument("--min-stem", type=int, default=3)
-    p.add_argument("--min-word-len", type=int, default=0)
+    _add_lexicon_flags(p)
     p.add_argument("--grid", default=DEFAULT_GRID)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-summary")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_morph_grid)
     return parser
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
 from collections import Counter, namedtuple
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +46,6 @@ class GridSpec(namedtuple("GridSpec", SegmenterParams._fields)):
 class TrialRecord(NamedTuple):
     params: SegmenterParams
     report: MetricsReport | None
-    wall_time_ms: int
     error: str | None = None
 
 
@@ -200,23 +198,19 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
                     rises = line_scores
                 cell = walk(line_scores, peaks[-1])
                 for peak in peaks:
-                    records.append(_timed_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
+                    records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
                 del cell, line_scores  # free this cell's walker before the next one is built
             del views, rises  # and this cell's degree tables before the next cell's
     records.sort(key=lambda r: r.params)
     return records
 
 
-def _timed_trial(report: Callable[[float], MetricsReport], params: SegmenterParams) -> TrialRecord:
-    """Score one grid point, recording its wall time and any error instead of raising."""
-    start = time.perf_counter()
+def _trial(report: Callable[[float], MetricsReport], params: SegmenterParams) -> TrialRecord:
+    """Score one grid point, recording any error instead of raising."""
     try:
-        result = report(params.peak)
-        error = None
+        return TrialRecord(params, report(params.peak))
     except Exception as exc:  # noqa: BLE001 - recorded per trial
-        result, error = None, f"{type(exc).__name__}: {exc}"
-    wall = int((time.perf_counter() - start) * 1000)
-    return TrialRecord(params, result, wall, error)
+        return TrialRecord(params, None, f"{type(exc).__name__}: {exc}")
 
 
 def run_morph_grid(
@@ -286,12 +280,10 @@ def write_trials_csv(
     records: Sequence[TrialRecord],
     path: str | Path,
     config: dict | None = None,
-    timings: bool = False,
 ) -> None:
     """Trial table with 9-significant-digit floats and LF line endings.
 
-    Wall times are written as 0 unless ``timings`` is set, so that repeated
-    runs of the same configuration emit byte-identical files.
+    The ``wall_time_ms`` column is kept in the layout and always reads 0.
     """
     buf = io.StringIO()
     if config is not None:
@@ -304,7 +296,7 @@ def write_trials_csv(
             str(r.params.prune),
             r.params.mode,
             *(_format_field(getattr(r.report, column, None)) for column in MetricsReport._fields),
-            str(r.wall_time_ms if timings else 0),
+            "0",
             (r.error or "").replace("\n", " ").replace(",", ";"),
         ]
         buf.write(",".join(fields) + "\n")

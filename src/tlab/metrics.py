@@ -105,26 +105,20 @@ def tally(pairs: Iterable[tuple[frozenset, frozenset]]) -> BoundaryCounts:
     return BoundaryCounts(tp, fp, fn)
 
 
-def _tally(pred, ref, units) -> BoundaryCounts:
-    """:func:`tally` of the ``(stream, unit set)`` that ``units`` gives each line."""
-    if len(pred) != len(ref):
-        raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
-
-    pairs = []
-    for i, (pt, rt) in enumerate(zip(pred, ref)):
-        p_stream, p_units = units(pt)
-        r_stream, r_units = units(rt)
-        if p_stream != r_stream:
-            raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-        pairs.append((p_units, r_units))
-    return tally(pairs)
-
-
 def boundary_counts(
     pred: Sequence[Sequence[str]], ref: Sequence[Sequence[str]]
 ) -> BoundaryCounts:
     """Micro-aggregated boundary tallies of two token-per-line sequences."""
-    return _tally(pred, ref, stripped_boundaries)
+    if len(pred) != len(ref):
+        raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
+    pairs = []
+    for i, (pt, rt) in enumerate(zip(pred, ref)):
+        p_stream, p_bounds = stripped_boundaries(pt)
+        r_stream, r_bounds = stripped_boundaries(rt)
+        if p_stream != r_stream:
+            raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
+        pairs.append((p_bounds, r_bounds))
+    return tally(pairs)
 
 
 def f1_score(counts: BoundaryCounts) -> float:
@@ -140,39 +134,16 @@ def f1_score(counts: BoundaryCounts) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def token_spans(tokens: Sequence[str]) -> frozenset[tuple[int, int]]:
-    """(start, end) of each token on the stripped stream; empty spans dropped."""
-    spans = []
-    pos = 0
-    for token in tokens:
-        length = sum(1 for ch in token if not ch.isspace())
-        if length:
-            spans.append((pos, pos + length))
-        pos += length
-    return frozenset(spans)
-
-
-def token_span_counts(
-    pred: Sequence[Sequence[str]], ref: Sequence[Sequence[str]]
-) -> BoundaryCounts:
-    """Like boundary_counts but a hit needs the whole token span to match.
-
-    Stricter than boundary comparison; kept for sensitivity analysis only.
-    """
-    return _tally(pred, ref, lambda tokens: (stripped_boundaries(tokens)[0], token_spans(tokens)))
-
-
-def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple], drop_whitespace_tokens: bool) -> TokenStats:
+def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple]) -> TokenStats:
     """``stats`` with each (token, weight) pair added; weights may be negative.
 
     The lexicon is updated in place and shared with the result, and a token
-    whose count falls to 0 leaves it. Whitespace-only tokens are skipped
-    when ``drop_whitespace_tokens`` is set.
+    whose count falls to 0 leaves it. Whitespace-only tokens are skipped.
     """
     lexicon = stats.lexicon
     tokens = chars = 0
     for token, weight in weighted_tokens:
-        if drop_whitespace_tokens and token.isspace():
+        if token.isspace():
             continue
         count = lexicon.get(token, 0) + weight
         if count:
@@ -184,9 +155,9 @@ def count_tokens(stats: TokenStats, weighted_tokens: Iterable[tuple], drop_white
     return TokenStats(lexicon, stats.total_tokens + tokens, stats.total_chars + chars)
 
 
-def token_stats(token_lines: Iterable[Sequence[str]], drop_whitespace_tokens: bool = False) -> TokenStats:
-    """Tally token occurrences; optionally skip whitespace-only tokens."""
-    return count_tokens(TokenStats({}, 0, 0), zip(chain.from_iterable(token_lines), repeat(1)), drop_whitespace_tokens)
+def token_stats(token_lines: Iterable[Sequence[str]]) -> TokenStats:
+    """Tally token occurrences, skipping whitespace-only tokens."""
+    return count_tokens(TokenStats({}, 0, 0), zip(chain.from_iterable(token_lines), repeat(1)))
 
 
 def anti_entropy(stats: TokenStats) -> float:

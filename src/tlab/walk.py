@@ -35,10 +35,9 @@ class TokenWalk:
     """Token statistics of lines cut at every gap whose score reaches a falling threshold.
 
     Line i's tokens count ``weights[i]`` times, and whitespace-only tokens are
-    skipped when ``drop_whitespace_tokens`` is set, as in
-    :func:`~tlab.metrics.token_stats`. Gaps scoring below ``lowest`` are
-    never cut. ``stats`` holds the statistics at the current threshold; its
-    lexicon changes with the next advance.
+    skipped, as in :func:`~tlab.metrics.token_stats`. Gaps scoring below
+    ``lowest`` are never cut. ``stats`` holds the statistics at the current
+    threshold; its lexicon changes with the next advance.
     """
 
     def __init__(
@@ -47,11 +46,9 @@ class TokenWalk:
         line_scores: Sequence[Sequence[float]],
         weights: Sequence[int],
         lowest: float,
-        drop_whitespace_tokens: bool,
     ) -> None:
         self.lines = lines
         self.weights = weights
-        self.drop_whitespace_tokens = drop_whitespace_tokens
         self.cuts = [[0, len(line)] for line in lines]
         self.gaps = [
             (score, i, k)
@@ -62,7 +59,7 @@ class TokenWalk:
         self.gaps.sort(reverse=True)
         self.reached = 0
         self.threshold = math.inf
-        self.stats = count_tokens(TokenStats({}, 0, 0), zip(lines, weights), drop_whitespace_tokens)
+        self.stats = count_tokens(TokenStats({}, 0, 0), zip(lines, weights))
 
     def advance(self, threshold: float) -> list[tuple[float, int, int]]:
         """Cut every gap scoring at least ``threshold``; return the newly cut (score, line, gap) triples."""
@@ -84,7 +81,7 @@ class TokenWalk:
             cuts.insert(j, k)
             changes += (line[left:right], -weight, line[left:k], weight, line[k:right], weight)
         pairs = iter(changes)
-        self.stats = count_tokens(self.stats, zip(pairs, pairs), self.drop_whitespace_tokens)
+        self.stats = count_tokens(self.stats, zip(pairs, pairs))
         return newly
 
 
@@ -109,7 +106,7 @@ class WordWalk:
     ) -> None:
         self.gold = ThresholdTally.of(zip(map(stripped_maxima, prefixes, scores_m), gold_units), lowest)
         self.split = split_tally(prefixes, zip(scores_a, scores_b), lowest)
-        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest, drop_whitespace_tokens=True)
+        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest)
 
     def report(self, threshold: float) -> MetricsReport:
         self.tokens.advance(threshold)
@@ -140,7 +137,7 @@ class MorphWalk:
     ) -> None:
         self.freqs = freqs
         self.references = references
-        self.tokens = TokenWalk(words, word_scores, freqs, lowest, drop_whitespace_tokens=False)
+        self.tokens = TokenWalk(words, word_scores, freqs, lowest)
         self.hits = [0] * len(words)
         self.cut_counts = [0] * len(words)
         self.terms = [freq * f1_score(BoundaryCounts(0, 0, len(ref))) for freq, ref in zip(freqs, references)]

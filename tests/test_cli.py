@@ -43,6 +43,38 @@ def test_missing_subcommand_exits_one():
     assert main([]) == 1
 
 
+RETIRED_FLAGS = ("--span-f1", "--keep-ws-tokens", "--timings")
+
+
+@pytest.mark.parametrize("command,flag", [("evaluate", "--span-f1"), ("evaluate", "--keep-ws-tokens"),
+                                          ("grid-search", "--timings"), ("morph-grid", "--timings")])
+def test_retired_flag_is_a_usage_error(word_data, morph_files, tmp_path, capsys, command, flag):
+    # each command line is valid but for the retired flag, which fails it before anything is read or written
+    lex_path, suffix_path = morph_files
+    argv = {
+        "evaluate": ["evaluate", "--pred", str(word_data["gold"]), "--gold", str(word_data["gold"])],
+        "grid-search": ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
+                        "--gold", str(word_data["gold"]), "--n-max", "1",
+                        "--grid", "n=1;peak=0.5;prune=0;mode=union", "--out-csv", str(tmp_path / "out.csv")],
+        "morph-grid": ["morph-grid", "--lexicon", str(lex_path), "--suffixes", str(suffix_path), "--n-max", "1",
+                       "--grid", "n=1;peak=0.5;prune=0;mode=union", "--out-csv", str(tmp_path / "out.csv")],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, flag]) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["build-model", "tokenize", "evaluate", "grid-search", "morph-eval", "morph-grid"])
+def test_help_names_no_retired_flag(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert f"usage: tlab {command}" in text
+    assert not [flag for flag in RETIRED_FLAGS if flag in text]
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code = main(["build-model", "--in", str(tmp_path / "nope.txt"), "--n-max", "2",
                  "--out", str(tmp_path / "m.tsv")])
@@ -192,20 +224,6 @@ def test_evaluate_f1_only_requires_gold(word_data, tmp_path, capsys):
     save_segmented([("ab", "cd")], pred_path)
     assert main(["evaluate", "--pred", str(pred_path), "--metrics", "f1"]) == 1
     assert "gold" in capsys.readouterr().err
-
-
-def test_evaluate_span_f1_flag(tmp_path, capsys):
-    pred_path = tmp_path / "pred.txt"
-    gold_path = tmp_path / "gold.txt"
-    save_segmented([("a", "bc", "d")], pred_path)
-    gold_path.write_text("ab c d\n", encoding="utf-8")
-    assert main(["evaluate", "--pred", str(pred_path), "--gold", str(gold_path),
-                 "--metrics", "f1"]) == 0
-    boundary = json.loads(capsys.readouterr().out.strip())["f1"]
-    assert main(["evaluate", "--pred", str(pred_path), "--gold", str(gold_path),
-                 "--metrics", "f1", "--span-f1"]) == 0
-    span = json.loads(capsys.readouterr().out.strip())["f1"]
-    assert span < boundary
 
 
 def test_grid_search_row_count_and_determinism(word_data, tmp_path, capsys):
@@ -449,18 +467,6 @@ def test_morph_eval_counts_only_up_to_its_order(morph_files, capsys, monkeypatch
                  "--n", "2", "--peak", "0.5", "--n-max", "7"]) == 0
     assert built == [2]
     capsys.readouterr()
-
-
-def test_grid_search_timings_flag(word_data, tmp_path, capsys):
-    out_csv = tmp_path / "timed.csv"
-    argv = ["grid-search", "--train", str(word_data["train"]), "--test", str(word_data["test"]),
-            "--gold", str(word_data["gold"]), "--n-max", "1",
-            "--grid", "n=1;peak=0.2,0.5;prune=0;mode=union",
-            "--out-csv", str(out_csv), "--timings"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    rows = [line.split(",") for line in out_csv.read_text(encoding="utf-8").splitlines()[2:]]
-    assert all(int(row[12]) >= 0 for row in rows)  # real times recorded
 
 
 @pytest.mark.parametrize("metric,key", [("se", "anti_entropy"), ("cf", "compression_factor")])

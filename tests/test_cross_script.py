@@ -59,7 +59,7 @@ def test_ideographic_space_is_whitespace_for_scoring():
     counts = boundary_counts(pred, gold.lines)
     f1 = f1_score(counts)
     assert f1 == 1.0
-    stats = token_stats(pred, drop_whitespace_tokens=True)
+    stats = token_stats(pred)
     assert "　" not in stats.lexicon
 
 

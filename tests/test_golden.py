@@ -5,8 +5,10 @@ The grid digests were recorded before the boundary decision moved to the
 score-then-threshold core, the model digest before the counts were derived
 top-down from the highest order, and the tokenize, evaluate and morph-eval
 digests before every metric was tallied through the same ``tlab.metrics``
-functions; any change to an output byte, including the echoed config, fails
-here.
+functions. The grid and evaluate digests were re-recorded once since, when
+the retired ``timings``, ``keep_ws_tokens`` and ``span_f1`` flags left the
+echoed config and no other byte moved; any change to an output byte,
+including the echoed config, fails here.
 """
 
 import hashlib
@@ -16,20 +18,20 @@ from tlab.corpus import TextCorpus, save_segmented, save_text
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 GRID_SEARCH = {
-    "trials.csv": "824b2dee93331b6f641d053a6124a2bec142d968a699f1ac999f21d0111e3154",
-    "summary.json": "1c2a400bea559a78f2752353d339c149069eb829e157aeec3b27eea8ee04e56c",
+    "trials.csv": "43057155f7217a460906661e293e4ab848889de864f602e63a8c666b74946190",
+    "summary.json": "3ee0eda0ec9453f905ecf7d711fd0bc95ee17d5de3f667e66bfa9ad6365bfed5",
 }
 MORPH_GRID = {
-    "trials.csv": "ccced2d191e893147f6833518db282c8d48a6d579e93e3cdafed8fb82d818f14",
-    "summary.json": "6f62d5cbb3e58dd58ec54035945df3d48d42da1f2c8a7e939f21d48758c4150a",
+    "trials.csv": "6de2a2bdbde42c11a44ae6dca7a53b13de1c00bd19fffa00e1923a0b012b9318",
+    "summary.json": "76ca9c4309ff0d92b9b02d295567fba9fd60caba11de5bab9e8aae9dab93dedf",
 }
 BUILD_MODEL = {
     "model.tsv": "1afd30964bb7151dd40330f4a722a564c0014038ae0c8e92a85cb33675e064d4",
 }
 TOKENIZE_EVALUATE = {
     "tokens.txt": "4062c558535d964c8b093b67bb82acf00dad662c31b35d34a994f3ded47b4adb",
-    "evaluate-fwd.json": "e085277e692778994b4fc9eae96d2dea097621413badf7134f641b04549cc374",
-    "evaluate-union.json": "3c001065e805764b51f8dc93e316cdf57e3ade0d8fb56bb69fe2582e24ff7d58",
+    "evaluate-fwd.json": "d1f73e75f7ac0f733cef297cfaa3eb83c8a5ae8f5ec6dc0c197a3b3ed43e1c85",
+    "evaluate-union.json": "4f1b0069a1a904743d863a953b8386a2c0aac9bfb8f26a5b26cefa3b42de92fd",
 }
 MORPH_EVAL = {
     "morph-fwd.json": "06da7cc769ca18986eff9b0bfcb8bb1db2bc509389a89a7e45ee825a4b2db4ac",

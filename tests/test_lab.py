@@ -203,7 +203,7 @@ class TestRunGrid:
             model = build_model(train, n_max)
             segs = segment_corpus(model, test, params)
             f1 = f1_score(boundary_counts(segs, gold.lines))
-            stats = token_stats(segs, drop_whitespace_tokens=True)
+            stats = token_stats(segs)
             seg_a = segment_corpus(build_model(part_a, n_max), test, params)
             seg_b = segment_corpus(build_model(part_b, n_max), test, params)
             csf1 = f1_score(boundary_counts(seg_a, seg_b))
@@ -428,7 +428,7 @@ def per_peak_word_records(train, test, gold, spec, n_max):
         )
         f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
         csf1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_a), map(project_cuts, prefixes, cuts_b))))
-        stats = token_stats(map(split_at, test.lines, cuts_m), drop_whitespace_tokens=True)
+        stats = token_stats(map(split_at, test.lines, cuts_m))
         try:
             s_value, c_value = anti_entropy(stats), compression_factor(stats)
         except DataError as exc:
@@ -540,7 +540,7 @@ class TestDescendingWalk:
 class TestSummarize:
     @staticmethod
     def fake_record(n, f1, se, cf, csf1):
-        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), MetricsReport.of(f1, se, cf, csf1), 0, None)
+        return TrialRecord(SegmenterParams(n, 0.5, 0, "union"), MetricsReport.of(f1, se, cf, csf1))
 
     def test_perfect_avg3_correlation(self):
         records = [
@@ -560,7 +560,7 @@ class TestSummarize:
 
     def test_needs_two_valid(self):
         record = self.fake_record(1, 0.5, 0.5, 0.5, 0.5)
-        failed = TrialRecord(SegmenterParams(2, 0.5, 0, "union"), None, 0, "boom")
+        failed = TrialRecord(SegmenterParams(2, 0.5, 0, "union"), None, "boom")
         with pytest.raises(DataError):
             summarize([record, failed])
 
@@ -568,7 +568,7 @@ class TestSummarize:
         records = [
             self.fake_record(1, 0.1, 0.2, 0.3, 0.4),
             self.fake_record(2, 0.9, 0.8, 0.7, 0.6),
-            TrialRecord(SegmenterParams(3, 0.5, 0, "union"), None, 0, "boom"),
+            TrialRecord(SegmenterParams(3, 0.5, 0, "union"), None, "boom"),
         ]
         summary = summarize(records)
         assert summary.pearson_f1_vs["anti_entropy"] is not None
@@ -610,11 +610,11 @@ class TestTrialCsv:
         )
         fields = lines[2].split(",")
         assert fields[0] == "1" and fields[1] == "0.25" and fields[3] == "union"
-        assert fields[12] == "0"  # wall time suppressed by default
+        assert fields[12] == "0"  # the wall_time_ms column always reads 0
 
     def test_nine_significant_digits(self, tmp_path):
         report = MetricsReport.of(1 / 3, 2 / 3, 1.25, 0.5)
-        record = TrialRecord(SegmenterParams(1, 0.1, 0, "fwd"), report, 1234, None)
+        record = TrialRecord(SegmenterParams(1, 0.1, 0, "fwd"), report)
         path = tmp_path / "t.csv"
         write_trials_csv([record], path)
         row = path.read_text(encoding="utf-8").splitlines()[1].split(",")

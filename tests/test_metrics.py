@@ -20,7 +20,6 @@ from tlab.metrics import (
     project_cuts,
     stripped_boundaries,
     tally,
-    token_span_counts,
     token_stats,
 )
 from tlab.ngram import build_model
@@ -125,27 +124,6 @@ class TestStrippedBoundaries:
         assert stripped_boundaries(tokens) == (stream, cuts)
 
 
-class TestTokenSpanF1:
-    def test_identity(self):
-        pred = segs(("ab", "cd"))
-        f1 = f1_score(token_span_counts(pred, GoldSegmentation((("ab", "cd"),)).lines))
-        assert f1 == 1.0
-
-    def test_stricter_than_boundaries(self):
-        # one wrong cut spoils both adjacent spans but only one boundary
-        pred = segs(("a", "bc", "d"))
-        gold = GoldSegmentation((("ab", "c", "d"),))
-        span_f1 = f1_score(token_span_counts(pred, gold.lines))
-        bound_f1 = f1_score(boundary_counts(pred, gold.lines))
-        assert span_f1 <= bound_f1
-        assert span_f1 == pytest.approx(1 / 3)  # only "d" matches
-
-    def test_whitespace_tokens_ignored(self):
-        pred = segs(("ab", " ", "cd"))
-        f1 = f1_score(token_span_counts(pred, GoldSegmentation((("ab", "cd"),)).lines))
-        assert f1 == 1.0
-
-
 class TestTally:
     def test_sums_over_lines(self):
         pairs = [(frozenset({1, 2}), frozenset({2, 3})), (frozenset(), frozenset({4})), (frozenset({5}), frozenset())]
@@ -167,9 +145,9 @@ class TestTokenStats:
         assert stats == TokenStats({}, 0, 0)
 
     def test_whitespace_drop(self):
-        stats = token_stats([("a", " ", "b")], drop_whitespace_tokens=True)
-        assert stats.lexicon == {"a": 1, "b": 1}
-        assert stats.total_chars == 2
+        stats = token_stats([("a", " ", "b"), ("\t\u3000", "a")])
+        assert stats.lexicon == {"a": 2, "b": 1}
+        assert stats.total_chars == 3
 
     def test_accepts_segmentations(self):
         stats = token_stats(segs(("ab", "ab")))
