@@ -22,7 +22,9 @@ class TextCorpus(NamedTuple):
 class GoldSegmentation(NamedTuple):
     """Reference tokenization, one token tuple per line.
 
-    ``dropped`` counts input lines that contained no tokens and were skipped.
+    A whitespace-only line has no token and reads as ``()``, so it stays
+    aligned with the same line of a raw corpus; ``dropped`` counts the empty
+    lines, which are skipped as :func:`load_text` skips them.
     """
 
     lines: tuple[tuple[str, ...], ...]
@@ -59,19 +61,13 @@ def load_gold(path: str | Path) -> GoldSegmentation:
     """Read a reference or tokenized segmentation: tokens separated by whitespace runs.
 
     Inside tokens ``\\\\`` and ``\\s`` are undone as :func:`save_segmented`
-    writes them. Lines with zero tokens are dropped and counted in ``dropped``.
+    writes them. Empty lines are dropped and counted in ``dropped``; a
+    whitespace-only line reads as ``()``.
     """
-    lines: list[tuple[str, ...]] = []
-    dropped = 0
-    for raw in _split_lines(_decode(path)):
-        tokens = tuple(raw.split())
-        if "\\" in raw:
-            tokens = tuple(unescape_token(t) for t in tokens)
-        if tokens:
-            lines.append(tokens)
-        else:
-            dropped += 1
-    return GoldSegmentation(tuple(lines), dropped)
+    raws = _split_lines(_decode(path))
+    lines = [tuple(unescape_token(t) for t in raw.split()) if "\\" in raw else tuple(raw.split())
+             for raw in raws if raw]
+    return GoldSegmentation(tuple(lines), len(raws) - len(lines))
 
 
 def save_text(corpus: TextCorpus, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .metrics import MetricsReport, gold_units, nonspace_prefix
+from .metrics import MetricsReport, gold_cuts, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
 from .ngram import build_model, check_order, freedom
 from .segmenter import SegmenterParams, check_domain, grams_of, scores, union
@@ -150,12 +150,12 @@ def run_grid(
     """
     top = max(spec.n)
     check_order(top, n_max)
-    units = gold_units(test.lines, gold)
+    cuts = gold_cuts(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
     windows_m = {n: windows_a.get(n, Counter()) + windows_b.get(n, Counter()) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
-                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, units, *line_scores, lowest))
+                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, cuts, *line_scores, lowest))
 
 
 def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRecord]:

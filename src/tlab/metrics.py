@@ -198,88 +198,70 @@ def stripped_maxima(prefix: Sequence[int], gap_scores: Sequence[float]) -> Seque
     return best
 
 
-def gold_units(lines: Sequence[str], gold: GoldSegmentation) -> list[list[float]]:
-    """Each test line's gold boundaries as :class:`ThresholdTally` reference
-    scores: ``inf`` at each internal stripped position that gold cuts and
-    ``-inf`` at every other one."""
+def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[int]]:
+    """Each test line's gold boundaries, as positions of its whitespace-stripped stream."""
     if len(gold.lines) != len(lines):
         raise DataError(f"gold has {len(gold.lines)} lines but test has {len(lines)}")
-    units = []
+    cuts = []
     for i, (line, tokens) in enumerate(zip(lines, gold.lines)):
         stream, bounds = stripped_boundaries(tokens)
         if stream != "".join(ch for ch in line if not ch.isspace()):
             raise DataError(f"gold/test character streams diverge at line {i + 1}")
-        units.append([math.inf if p in bounds else -math.inf for p in range(1, len(stream))])
-    return units
+        cuts.append(bounds)
+    return cuts
 
 
 def _at_least(ascending: Sequence[float], threshold: float) -> int:
     return len(ascending) - bisect_left(ascending, threshold)
 
 
-class ThresholdTally(NamedTuple):
-    """Sorted unit scores from which :func:`tally` at any threshold is a count.
+class SplitTally(NamedTuple):
+    """Boundary tallies at every threshold from ``lowest`` up between two
+    models' cuts of the same lines, as counts over sorted scores.
 
-    A unit is predicted at θ when its predicted score reaches θ, in the
-    reference when its reference score does, and in both when the lower of
-    the two does. A reference that does not depend on θ scores its units
-    ``inf`` and every other unit ``-inf``.
+    A stripped position is cut by a model at θ when its
+    :func:`stripped_maxima` value reaches θ, and by both when the lower of
+    its two values does. Either role order gives the same F1: swapping them
+    swaps fp and fn, hence precision and recall, which 2*p*r/(p+r) reads the
+    same to the last bit, so averaging both orders would change nothing.
     """
 
     lowest: float
     both: list[float]
-    predicted: list[float]
-    reference: list[float]
+    a: list[float]
+    b: list[float]
 
     @classmethod
-    def of(cls, pairs: Iterable[tuple[Sequence[float], Sequence[float]]], lowest: float) -> "ThresholdTally":
-        """From (predicted, reference) scores of the same units, one pair per
-        line; only thresholds of at least ``lowest`` can be asked for, so a
-        score below it, which counts at none of them, is never kept."""
+    def of(cls, prefixes: Iterable[Sequence[int]], score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
+           lowest: float) -> "SplitTally":
+        """From the lines' :func:`nonspace_prefix` tables and each line's gap
+        scores under the two models; only thresholds of at least ``lowest``
+        can be asked for, so a score below it, which counts at none of them,
+        is never kept."""
         both: list[float] = []
-        predicted: list[float] = []
-        reference: list[float] = []
-        for pred, ref in pairs:
-            predicted += [p for p in pred if p >= lowest]
-            reference += [r for r in ref if r >= lowest]
-            both += [p if p < r else r for p, r in zip(pred, ref) if p >= lowest and r >= lowest]
-        for values in (both, predicted, reference):
+        a: list[float] = []
+        b: list[float] = []
+        for prefix, (scores_a, scores_b) in zip(prefixes, score_pairs):
+            maxima_a, maxima_b = stripped_maxima(prefix, scores_a), stripped_maxima(prefix, scores_b)
+            a += [x for x in maxima_a if x >= lowest]
+            b += [y for y in maxima_b if y >= lowest]
+            both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x >= lowest and y >= lowest]
+        for values in (both, a, b):
             values.sort()
-        return cls(lowest, both, predicted, reference)
+        return cls(lowest, both, a, b)
 
     def at(self, threshold: float) -> BoundaryCounts:
         if threshold < self.lowest:
             raise ValueError(f"threshold {threshold} is below the lowest one, {self.lowest}")
         tp = _at_least(self.both, threshold)
-        fp = _at_least(self.predicted, threshold) - tp
-        return BoundaryCounts(tp, fp, _at_least(self.reference, threshold) - tp)
-
-
-def split_tally(
-    prefixes: Iterable[Sequence[int]],
-    score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
-    lowest: float,
-) -> ThresholdTally:
-    """Boundary tallies at every threshold from ``lowest`` up between two
-    models' cuts of the same lines.
-
-    ``prefixes`` are the lines' :func:`nonspace_prefix` tables and
-    ``score_pairs`` each line's gap scores under the two models. Either role
-    order gives the same F1: swapping them swaps fp and fn, hence
-    precision and recall, which 2*p*r/(p+r) reads the same to the last bit,
-    so averaging both orders would change nothing.
-    """
-    return ThresholdTally.of(
-        ((stripped_maxima(prefix, a), stripped_maxima(prefix, b)) for prefix, (a, b) in zip(prefixes, score_pairs)),
-        lowest,
-    )
+        return BoundaryCounts(tp, _at_least(self.a, threshold) - tp, _at_least(self.b, threshold) - tp)
 
 
 def cross_split_f1(
     train: TextCorpus, test: TextCorpus, params: SegmenterParams, n_max: int
 ) -> float:
     """Train on interleaved halves, cut a shared test set with both models,
-    and score one set of cuts against the other (see :func:`split_tally`)."""
+    and score one set of cuts against the other (see :class:`SplitTally`)."""
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
     if not all(test.lines):
@@ -289,7 +271,7 @@ def cross_split_f1(
     n, mode = params.n, params.mode
     view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))
     sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
-    tallies = split_tally(
+    tallies = SplitTally.of(
         map(nonspace_prefix, test.lines),
         ((scores(view_a, line, mode, grams), scores(view_b, line, mode, grams)) for line, grams in sliced),
         params.peak,

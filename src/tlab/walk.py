@@ -3,9 +3,11 @@
 A gap is cut iff its score reaches the peak threshold, so cuts only grow as
 the threshold falls. A cell therefore visits its peak values from the
 highest to the lowest: each gap is cut once, when the walk first reaches its
-score, and splits one token of a running lexicon in two; boundary tallies at
-any threshold are counts over scores sorted once per cell
-(:class:`~tlab.metrics.ThresholdTally`). Every metric is still computed by
+score, and splits one token of a running lexicon in two. Hits against a
+fixed reference are counted as the walk cuts (per word in the morph grid,
+per stripped position for the word grid's gold F1); cross-split F1, whose
+two sides both move with the threshold, counts over scores sorted once per
+cell (:class:`~tlab.metrics.SplitTally`). Every metric is still computed by
 the :mod:`tlab.metrics` functions, from the same integers and tables as a
 per-peak pass, and every report by :meth:`~tlab.metrics.MetricsReport.of`,
 so every float is the same.
@@ -20,14 +22,12 @@ from typing import Sequence
 from .metrics import (
     BoundaryCounts,
     MetricsReport,
-    ThresholdTally,
+    SplitTally,
     TokenStats,
     anti_entropy,
     compression_factor,
     count_tokens,
     f1_score,
-    split_tally,
-    stripped_maxima,
 )
 
 
@@ -89,31 +89,45 @@ class WordWalk:
     """One word-grid cell: boundary F1 against gold, token statistics and
     cross-split F1 of the test lines at falling peak thresholds.
 
-    ``gold_units`` are the lines' :func:`~tlab.metrics.gold_units`;
-    ``scores_m``, ``scores_a`` and ``scores_b`` are every line's gap scores
-    under the full-train model and the two half models.
+    ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables
+    and ``gold`` their :func:`~tlab.metrics.gold_cuts`; ``scores_m``,
+    ``scores_a`` and ``scores_b`` are every line's gap scores under the
+    full-train model and the two half models. A cut gap is predicted at its
+    stripped position, once per internal one (:func:`~tlab.metrics.project_cuts`).
     """
 
     def __init__(
         self,
         lines: Sequence[str],
         prefixes: Sequence[Sequence[int]],
-        gold_units: Sequence[Sequence[float]],
+        gold: Sequence[frozenset[int]],
         scores_m: Sequence[Sequence[float]],
         scores_a: Sequence[Sequence[float]],
         scores_b: Sequence[Sequence[float]],
         lowest: float,
     ) -> None:
-        self.gold = ThresholdTally.of(zip(map(stripped_maxima, prefixes, scores_m), gold_units), lowest)
-        self.split = split_tally(prefixes, zip(scores_a, scores_b), lowest)
+        self.prefixes = prefixes
+        self.gold = gold
+        self.cut: list[set[int]] = [set() for _ in lines]  # stripped positions cut so far
+        self.hits = self.predicted = 0
+        self.gold_total = sum(map(len, gold))
+        self.split = SplitTally.of(prefixes, zip(scores_a, scores_b), lowest)
         self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest)
 
     def report(self, threshold: float) -> MetricsReport:
-        self.tokens.advance(threshold)
+        prefixes, gold, cut = self.prefixes, self.gold, self.cut
+        for _, i, k in self.tokens.advance(threshold):
+            prefix = prefixes[i]
+            p = prefix[k]
+            if 0 < p < prefix[-1] and p not in cut[i]:
+                cut[i].add(p)
+                self.predicted += 1
+                self.hits += p in gold[i]
+        hits = self.hits
         stats = self.tokens.stats
         return MetricsReport.of(
-            f1_score(self.gold.at(threshold)), anti_entropy(stats), compression_factor(stats),
-            f1_score(self.split.at(threshold)),
+            f1_score(BoundaryCounts(hits, self.predicted - hits, self.gold_total - hits)),
+            anti_entropy(stats), compression_factor(stats), f1_score(self.split.at(threshold)),
         )
 
 

@@ -190,6 +190,21 @@ def test_grid_search_scores_backslash_gold(tmp_path, capsys):
     assert all(row.endswith(",0,") for row in rows[0][1:])  # no trial failed
 
 
+def test_whitespace_only_line_scores_through_files(tmp_path, capsys):
+    # the test file keeps its whitespace-only line, so the gold file must too
+    (tmp_path / "train.txt").write_text("ab cd\nab ab\ncd ab\n", encoding="utf-8")
+    for name in ("test", "gold"):
+        (tmp_path / f"{name}.txt").write_text("ab cd\n   \ncd ab\n", encoding="utf-8")
+    train, test, gold = (str(tmp_path / f"{name}.txt") for name in ("train", "test", "gold"))
+    out_csv = tmp_path / "t.csv"
+    assert main(["grid-search", "--train", train, "--test", test, "--gold", gold, "--n-max", "1",
+                 "--grid", "n=1;peak=0:0.6:0.3;prune=0;mode=fwd,union", "--out-csv", str(out_csv)]) == 0
+    assert all(row.endswith(",0,") for row in out_csv.read_text(encoding="utf-8").splitlines()[2:])
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", test, "--gold", gold, "--metrics", "f1"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["f1"] == 1.0
+
+
 def test_evaluate_csf1_order_above_n_max_is_data_error(word_data, tmp_path, capsys):
     pred_path = tmp_path / "pred.txt"
     save_segmented([("ab", "cd")], pred_path)

@@ -58,8 +58,8 @@ class TestLoadGold:
 
     def test_zero_token_lines_counted(self, tmp_path):
         gold = load_gold(write(tmp_path, "a b\n   \n\nc\n"))
-        assert gold.lines == (("a", "b"), ("c",))
-        assert gold.dropped == 2
+        assert gold.lines == (("a", "b"), (), ("c",))
+        assert gold.dropped == 1
 
     def test_reads_segmented_escapes(self, tmp_path):
         path = tmp_path / "gold.txt"

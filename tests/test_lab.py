@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from tlab import lab, segmenter
+from tlab import lab, metrics, segmenter, walk
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
     MAX_AXIS_VALUES,
@@ -224,6 +224,19 @@ class TestRunGrid:
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
         per_direction = len(test.lines) * 3 * 2 * 2  # lines x models x prune values x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
+
+    def test_only_the_split_tally_maps_scores_to_stripped_positions(self, monkeypatch):
+        # gold F1 is counted as the walk cuts, so each (n, prune, mode) cell
+        # maps only the two half models' scores of each line, wherever the
+        # mapping is imported
+        train, test, gold = tiny_setup()
+        calls = []
+        real = metrics.stripped_maxima
+        for module in (metrics, walk, lab):
+            if getattr(module, "stripped_maxima", None) is real:
+                monkeypatch.setattr(module, "stripped_maxima", lambda *args: calls.append(1) or real(*args))
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
+        assert len(calls) == 2 * len(test.lines) * 2 * 2 * 2  # models x lines x modes x prune values x orders
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
         train, test, gold = tiny_setup()

@@ -9,7 +9,7 @@ from tlab.corpus import DataError, GoldSegmentation, TextCorpus
 from tlab.metrics import (
     BoundaryCounts,
     MetricsReport,
-    ThresholdTally,
+    SplitTally,
     TokenStats,
     anti_entropy,
     boundary_counts,
@@ -23,7 +23,7 @@ from tlab.metrics import (
     token_stats,
 )
 from tlab.ngram import build_model
-from tlab.segmenter import SegmenterParams, segment_corpus
+from tlab.segmenter import SegmenterParams, detect_boundaries, segment_corpus
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
 from bruteforce import bf_segment
@@ -274,34 +274,35 @@ class TestCrossSplitF1:
 
 
 THRESHOLDS = [0.0, 0.1, 0.25, 0.5, 1.0, math.inf]
-unit_scores = st.sampled_from([-math.inf, *THRESHOLDS])
 
 
-def line_score_pairs(size):
-    """A line's predicted and reference scores of ``size`` units."""
-    return st.tuples(*[st.lists(unit_scores, min_size=size, max_size=size)] * 2)
+@st.composite
+def scored_line(draw):
+    """A line of letters and whitespace runs, with whitespace at either end,
+    and two models' scores for each of its gaps."""
+    line = "".join(draw(st.lists(st.sampled_from(["a", "bc", " ", "\t", "  ", " \t"]), min_size=1, max_size=6)))
+    gap_scores = st.lists(st.sampled_from([-math.inf, *THRESHOLDS]), min_size=len(line) - 1, max_size=len(line) - 1)
+    return line, (draw(gap_scores), draw(gap_scores))
 
 
-class TestThresholdTally:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=6).flatmap(line_score_pairs), max_size=5),
-        st.sampled_from(THRESHOLDS),
-    )
-    def test_keeps_no_score_below_the_lowest_threshold(self, pairs, lowest):
-        tallied = ThresholdTally.of(pairs, lowest)
-        for values in (tallied.both, tallied.predicted, tallied.reference):
+class TestSplitTally:
+    @given(st.lists(scored_line(), max_size=5), st.sampled_from(THRESHOLDS))
+    def test_counts_equal_tallying_each_threshold_cuts(self, scored, lowest):
+        prefixes = [nonspace_prefix(line) for line, _ in scored]
+        tallied = SplitTally.of(prefixes, [pair for _, pair in scored], lowest)
+        for values in (tallied.both, tallied.a, tallied.b):
             assert all(v >= lowest for v in values)
             assert values == sorted(values)
         for threshold in (t for t in THRESHOLDS if t >= lowest):
             cut = [
-                ({k for k, p in enumerate(pred) if p >= threshold}, {k for k, r in enumerate(ref) if r >= threshold})
-                for pred, ref in pairs
+                tuple(project_cuts(prefix, detect_boundaries(gap_scores, threshold)) for gap_scores in pair)
+                for prefix, (_, pair) in zip(prefixes, scored)
             ]
             assert tallied.at(threshold) == tally(cut)
 
     def test_threshold_below_the_lowest_rejected(self):
         with pytest.raises(ValueError, match="below the lowest"):
-            ThresholdTally.of([([0.5], [0.5])], 0.25).at(0.1)
+            SplitTally.of([(0, 1, 2)], [([0.5], [0.5])], 0.25).at(0.1)
 
 
 class TestDerivedMetrics:
