@@ -98,9 +98,11 @@ def format_segmented(token_lines: Iterable[Sequence[str]]) -> str:
     """Segmentations in gold format: space-separated tokens, one line each.
 
     Tokens are written with :func:`escape_token`, so the text stays parseable
-    and every token reads back exactly.
+    and every token reads back exactly. A line none of whose tokens holds
+    whitespace or a backslash has nothing to escape and is joined as it is.
     """
-    out = [" ".join(escape_token(t) for t in tokens) for tokens in token_lines]
+    out = [" ".join(map(escape_token, tokens)) if _NEEDS_ESCAPE_RE.search("".join(tokens)) else " ".join(tokens)
+           for tokens in token_lines]
     return "\n".join(out) + "\n" if out else ""
 
 

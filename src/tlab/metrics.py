@@ -111,14 +111,16 @@ def boundary_counts(
     """Micro-aggregated boundary tallies of two token-per-line sequences."""
     if len(pred) != len(ref):
         raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
-    pairs = []
-    for i, (pt, rt) in enumerate(zip(pred, ref)):
-        p_stream, p_bounds = stripped_boundaries(pt)
-        r_stream, r_bounds = stripped_boundaries(rt)
-        if p_stream != r_stream:
-            raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-        pairs.append((p_bounds, r_bounds))
-    return tally(pairs)
+
+    def pairs():  # one line's boundary sets at a time, as tally reads them
+        for i, (pt, rt) in enumerate(zip(pred, ref)):
+            p_stream, p_bounds = stripped_boundaries(pt)
+            r_stream, r_bounds = stripped_boundaries(rt)
+            if p_stream != r_stream:
+                raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
+            yield p_bounds, r_bounds
+
+    return tally(pairs())
 
 
 def f1_score(counts: BoundaryCounts) -> float:

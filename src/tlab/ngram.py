@@ -27,7 +27,9 @@ class ModelFormatError(DataError):
 class TransitionModel(NamedTuple):
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
-    ``windows[n][w]`` sums the line weights of the occurrences of ``w``; an
+    ``windows[n][w]`` sums the line weights of the occurrences of ``w``, and
+    a window that never occurs has no entry (:func:`build_model` fills
+    ``Counter`` tables, :func:`load_model` plain dicts); an
     order with no window has no table, so ``n_max`` is only the declared
     bound. A window is both a forward edge (``w[:-1]`` followed by ``w[-1]``)
     and a backward edge (``w[1:]`` preceded by ``w[0]``), so the successor
@@ -36,7 +38,7 @@ class TransitionModel(NamedTuple):
     """
 
     n_max: int
-    windows: dict[int, Counter[str]]
+    windows: dict[int, dict[str, int]]
 
 
 class Freedom(NamedTuple):
@@ -155,20 +157,25 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
     order, gram and char. Each order's records are written as soon as they
     are formatted, so only one order's text is held at a time.
     """
-    orders = sorted(model.windows.items())
+    # each order's table, and whether any of its windows may hold a field to escape
+    orders = [(n, counts, _MAY_ESCAPE("".join(counts))) for n, counts in sorted(model.windows.items())]
     # each tag's gram and char of a window, and a key sorting its records by (gram, char):
     # for equal-length windows, w[1:] + w[0] sorts as (w[1:], w[0]) and w itself as (w[:-1], w[-1])
     tags = (("b", slice(1, None), 0, lambda w: w[1:] + w[0]), ("f", slice(None, -1), -1, None))
     with open(path, "wb") as out:
         out.write(f"{FORMAT_HEADER} n_max={model.n_max}\n".encode("utf-8"))
         for tag, gram, ch, key in tags:
-            for n, counts in orders:
-                text = "".join([
-                    f"{tag}\t{n}\t{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
-                    if _MAY_ESCAPE(w)
-                    else f"{tag}\t{n}\t{w[gram]}\t{w[ch]}\t{counts[w]}\n"
-                    for w in sorted(counts, key=key)
-                ])
+            for n, counts, may_escape in orders:
+                prefix = f"{tag}\t{n}\t"
+                if may_escape:
+                    text = "".join([
+                        f"{prefix}{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
+                        if _MAY_ESCAPE(w)
+                        else f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n"
+                        for w in sorted(counts, key=key)
+                    ])
+                else:
+                    text = "".join([f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n" for w in sorted(counts, key=key)])
                 out.write(text.encode("utf-8"))
 
 
@@ -200,7 +207,7 @@ def load_model(path: str | Path) -> TransitionModel:
         if n_max < 1:
             raise ModelFormatError(f"{path}: n_max must be >= 1")
         # an order's table is made at its first record, so only orders that have one get a table
-        tables: dict[int, Counter[str]] = defaultdict(Counter)
+        tables: dict[int, dict[str, int]] = defaultdict(dict)
         pending: dict[tuple[int, str], int] = {}  # f records whose b record has not come yet
         confirmed = 0  # windows whose b and f records have both come, with the same count
         orders: dict[str, int] = {}  # each order field's text, parsed once
@@ -242,7 +249,7 @@ def load_model(path: str | Path) -> TransitionModel:
                     table[window] = -count
             else:
                 window = gram + ch
-                stored = table[window]  # a Counter reads 0 for a window whose b record has not come
+                stored = table.get(window, 0)  # 0 for a window whose b record has not come
                 if stored < 0:
                     confirmed += stored + count == 0
                     table[window] = count

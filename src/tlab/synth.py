@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .corpus import GoldSegmentation, TextCorpus
 from .morphology import AffixInventory, FreqLexicon, greedy_parse
@@ -43,11 +44,13 @@ def make_segmented_corpus(
 ) -> tuple[TextCorpus, GoldSegmentation]:
     """Random word sequences with their true word boundaries as gold."""
     rng = random.Random(seed)
+    # what choices(weights=...) would accumulate on every call: the same floats, so the same draws
+    cum_weights = list(accumulate(weights))
     raw_lines = []
     gold_lines = []
     for _ in range(lines):
         count = rng.randint(min_words, max_words)
-        tokens = rng.choices(words, weights=weights, k=count)
+        tokens = rng.choices(words, cum_weights=cum_weights, k=count)
         raw_lines.append((" " if spaces else "").join(tokens))
         gold_lines.append(tuple(tokens))
     tag = "spaced" if spaces else "unspaced"

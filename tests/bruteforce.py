@@ -4,11 +4,14 @@ Everything here recomputes window counts, freedom values, profiles and
 derivatives directly from the raw training lines on every call. It shares
 no code with the package under test. :func:`bf_load_model` reads a model
 file the plain way, one table per record tag, as the reference for the
-one-table reader.
+one-table reader, and :func:`bf_model_text` formats one record at a time,
+as the reference for the writer. :func:`bf_segmented_corpus` draws every
+line's words with the weights passed to ``random.choices`` afresh.
 """
 
 from __future__ import annotations
 
+import random
 import re
 
 
@@ -154,3 +157,34 @@ def bf_load_model(path):
     if tables["f"] != tables["b"]:
         raise BfFormatError(f"{path}: backward records do not mirror the forward records")
     return n_max, tables["f"]
+
+
+def _bf_escape(field):
+    if field.startswith("x") or "\t" in field or "\n" in field or "\r" in field:
+        return "x" + field.encode("utf-8").hex()
+    return field
+
+
+def bf_model_text(lines, weights, n_max):
+    """The model file of ``lines`` at ``n_max``, each record formatted and escaped on its own.
+
+    All ``b`` records come first, then all ``f`` records, each sorted by
+    order, gram and char; an order without a window writes none.
+    """
+    records = [f"tlab-model v1 n_max={n_max}\n"]
+    for tag, direction in (("b", "bwd"), ("f", "fwd")):
+        for n in range(1, n_max + 1):
+            for (gram, ch), count in sorted(window_counts(lines, weights, n, direction).items()):
+                records.append(f"{tag}\t{n}\t{_bf_escape(gram)}\t{_bf_escape(ch)}\t{count}\n")
+    return "".join(records)
+
+
+def bf_segmented_corpus(words, weights, seed, lines, min_words, max_words, spaces):
+    """Raw lines and gold token lines of a synthetic corpus, drawn with ``weights=`` on every line."""
+    rng = random.Random(seed)
+    raw, gold = [], []
+    for _ in range(lines):
+        tokens = rng.choices(words, weights=weights, k=rng.randint(min_words, max_words))
+        raw.append((" " if spaces else "").join(tokens))
+        gold.append(tuple(tokens))
+    return raw, gold

@@ -7,6 +7,8 @@ from hypothesis import given
 from tlab.corpus import (
     DataError,
     TextCorpus,
+    escape_token,
+    format_segmented,
     load_gold,
     load_segmented,
     load_text,
@@ -156,6 +158,14 @@ class TestRoundTrips:
         save_segmented([("a\tb", "\u3000", "\\u0020 c")], path)
         assert path.read_text(encoding="utf-8") == "a\\u0009b \\u3000 \\\\u0020\\sc\n"
         assert load_segmented(path).lines == (("a\tb", "\u3000", "\\u0020 c"),)
+
+    @given(st.lists(st.lists(st.text(alphabet="ab \t\u3000\\u0F", max_size=6), max_size=4).map(tuple),
+                    max_size=5))
+    def test_format_segmented_escapes_as_token_by_token(self, token_lines):
+        # the writer escapes only the lines that need it; the bytes must be
+        # those of escaping every token; empty token lines and tokens included
+        per_token = "".join(" ".join(map(escape_token, tokens)) + "\n" for tokens in token_lines)
+        assert format_segmented(token_lines) == per_token
 
     def test_every_whitespace_scalar_fits_four_hex_digits(self):
         assert max(c for c in range(0x110000) if chr(c).isspace()) == 0x3000

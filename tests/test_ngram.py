@@ -19,7 +19,7 @@ from tlab.ngram import (
 )
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
-from bruteforce import BfFormatError, bf_freedom, bf_load_model, bf_max_freedom, window_counts
+from bruteforce import BfFormatError, bf_freedom, bf_load_model, bf_max_freedom, bf_model_text, window_counts
 from strategies import corpora_with_weights, small_lines, weights_for
 
 
@@ -451,6 +451,22 @@ class TestPersistence:
         save_model(m, directory / "b.tsv")
         assert (directory / "a.tsv").read_bytes() == (directory / "b.tsv").read_bytes()
         assert load_model(directory / "a.tsv") == m
+
+    @given(
+        st.one_of(
+            st.lists(st.text(alphabet="abx\t\r ", min_size=1, max_size=8), min_size=1, max_size=6),
+            st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6),
+        ).flatmap(lambda ls: st.tuples(st.just(ls), st.none() | weights_for(ls))),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_saves_the_bytes_of_a_record_by_record_writer(self, tmp_path_factory, lines_weights, n_max):
+        # save_model decides per order whether any field may need escaping;
+        # the bytes must be those of escaping each record's fields on its own
+        lines, weights = lines_weights
+        path = tmp_path_factory.mktemp("bytes") / "m.tsv"
+        save_model(model_of(lines, n_max, weights=weights), path)
+        expected = bf_model_text(lines, weights or [1] * len(lines), n_max)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     @given(small_lines(alphabet="ab\t\n x0", max_lines=6, max_len=6))
     def test_round_trip_with_escapes(self, tmp_path_factory, lines):
