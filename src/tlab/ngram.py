@@ -167,15 +167,12 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
         for tag, gram, ch, key in tags:
             for n, counts, may_escape in orders:
                 prefix = f"{tag}\t{n}\t"
-                if may_escape:
-                    text = "".join([
-                        f"{prefix}{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
-                        if _MAY_ESCAPE(w)
-                        else f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n"
-                        for w in sorted(counts, key=key)
-                    ])
-                else:
-                    text = "".join([f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n" for w in sorted(counts, key=key)])
+                text = "".join([
+                    f"{prefix}{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
+                    if may_escape and _MAY_ESCAPE(w)
+                    else f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n"
+                    for w in sorted(counts, key=key)
+                ])
                 out.write(text.encode("utf-8"))
 
 
