@@ -5,14 +5,14 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_cuts, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import build_model, check_order, freedom
+from .ngram import WindowTable, build_model, check_order, freedom
 from .segmenter import SegmenterParams, check_domain, grams_of, scores, union
 from .walk import MorphWalk, WordWalk
 
@@ -145,17 +145,28 @@ def run_grid(
     (:func:`_sweep`), each (n, prune) cell with its own freedom views of the
     three models' tables, and each order's tables freed once its cells are
     done; each (n, prune, mode) cell scores its gaps once and walks its peak
-    values from the highest down (:class:`~tlab.walk.WordWalk`). Failed
-    trials are recorded with an error marker instead of aborting.
+    values from the highest down (:class:`~tlab.walk.WordWalk`). A cell
+    whose three views keep as many windows as at the order's previous prune
+    value copies that cell's records. Failed trials are recorded with an
+    error marker instead of aborting.
     """
     top = max(spec.n)
     check_order(top, n_max)
     cuts = gold_cuts(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
-    windows_m = {n: windows_a.get(n, Counter()) + windows_b.get(n, Counter()) for n in windows_a.keys() | windows_b.keys()}
+    windows_m = {n: _add(windows_a.get(n, {}), windows_b.get(n, {})) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
                   lambda line_scores, lowest: WordWalk(test.lines, prefixes, cuts, *line_scores, lowest))
+
+
+def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> WindowTable:
+    """Two window tables summed, ``counts_a``'s windows first."""
+    total = WindowTable(counts_a)
+    get = total.get
+    for window, count in counts_b.items():
+        total[window] = get(window, 0) + count
+    return total
 
 
 def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRecord]:
@@ -173,6 +184,14 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     its rises from the fwd cell, if the grid has one. ``walk`` makes the
     cell's walker from those scores and the lowest peak; its ``report`` is
     then called at each peak value from the highest down.
+
+    Prune values are visited in ascending order, and a window kept at one
+    value is kept at every lower one. So when each view of a cell keeps as
+    many windows (:attr:`~tlab.ngram.Freedom.windows`) as the same model's
+    view at the order's previous prune value, the views are equal, and the
+    cell takes that cell's records with ``prune`` replaced: it computes no
+    scores and builds no walker. A value that removes a window from any one
+    view, a half model's included, is scored in full.
     """
     peaks = sorted(set(spec.peak), reverse=True)
     modes = sorted(set(spec.mode))  # bwd, fwd, then union
@@ -184,23 +203,31 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     for n in orders:
         tables = [windows.pop(n, {}) for windows in raw_windows]
         sliced = [grams_of(line, n) for line in lines]
+        kept, cell_records = None, []  # the windows each view of the order's last cell keeps, and its records
         for prune in sorted(set(spec.prune)):
             views = [freedom(n, table, prune) for table in tables]
-            rises = None  # the fwd cell's scores, until the union cell takes them
-            for mode in modes:
-                if mode == "union" and rises is not None:
-                    line_scores = [[union(r, scores(v, line, "bwd", g)) for line, g, r in zip(lines, sliced, rs)]
-                                   for v, rs in zip(views, rises)]
-                    rises = None
-                else:
-                    line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
-                if mode == "fwd":
-                    rises = line_scores
-                cell = walk(line_scores, peaks[-1])
-                for peak in peaks:
-                    records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
-                del cell, line_scores  # free this cell's walker before the next one is built
-            del views, rises  # and this cell's degree tables before the next cell's
+            if [view.windows for view in views] == kept:
+                # prune values nest, so these views keep the last cell's windows: its scores, its records
+                cell_records = [r._replace(params=r.params._replace(prune=prune)) for r in cell_records]
+            else:
+                kept, cell_records = [view.windows for view in views], []
+                rises = None  # the fwd cell's scores, until the union cell takes them
+                for mode in modes:
+                    if mode == "union" and rises is not None:
+                        line_scores = [[union(r, scores(v, line, "bwd", g)) for line, g, r in zip(lines, sliced, rs)]
+                                       for v, rs in zip(views, rises)]
+                        rises = None
+                    else:
+                        line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
+                    if mode == "fwd":
+                        rises = line_scores
+                    cell = walk(line_scores, peaks[-1])
+                    for peak in peaks:
+                        cell_records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
+                    del cell, line_scores  # free this cell's walker before the next one is built
+                del rises
+            records += cell_records
+            del views  # and this cell's degree tables before the next cell's
     records.sort(key=lambda r: r.params)
     return records
 

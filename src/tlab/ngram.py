@@ -24,16 +24,29 @@ class ModelFormatError(DataError):
     """Model file is malformed or carries an unsupported format version."""
 
 
+class WindowTable(dict):
+    """One order's window counts, derived or summed by item assignment.
+
+    Unlike ``Counter``, which defines ``__delitem__`` in Python and so routes
+    every item assignment through a slot wrapper (about 2.3 times a dict's
+    cost), this subclass keeps a plain dict's speed; unlike a plain dict, a
+    weak reference can follow it, so a table's lifetime can be observed.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
 class TransitionModel(NamedTuple):
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
     ``windows[n][w]`` sums the line weights of the occurrences of ``w``, and
-    a window that never occurs has no entry (:func:`build_model` fills
-    ``Counter`` tables, :func:`load_model` plain dicts); an
-    order with no window has no table, so ``n_max`` is only the declared
-    bound. A window is both a forward edge (``w[:-1]`` followed by ``w[-1]``)
-    and a backward edge (``w[1:]`` preceded by ``w[0]``), so the successor
-    and predecessor varieties of every gram are read off the same table (see
+    a window that never occurs has no entry (:func:`build_model` fills a
+    ``Counter`` for its top order and a :class:`WindowTable` for each order
+    below it, :func:`load_model` plain dicts); an order with no window has no
+    table, so ``n_max`` is only the declared bound. A window is both a
+    forward edge (``w[:-1]`` followed by ``w[-1]``) and a backward edge
+    (``w[1:]`` preceded by ``w[0]``), so the successor and predecessor
+    varieties of every gram are read off the same table (see
     :func:`freedom`). Treat instances, ``windows`` included, as immutable.
     """
 
@@ -44,11 +57,18 @@ class TransitionModel(NamedTuple):
 class Freedom(NamedTuple):
     """One order's freedom view: ``degrees[direction]`` maps each gram of order
     ``n`` to its out-degree in that direction (``"fwd"`` or ``"bwd"``), and
-    ``top[direction]`` is the largest of them (0 when the order has no edge)."""
+    ``top[direction]`` is the largest of them (0 when the order has no edge).
+
+    ``windows`` is the number of windows the view keeps. Pruning keeps the
+    windows whose count reaches a threshold, so the views of one table at
+    two thresholds are equal exactly when they keep as many windows; the
+    grid sweep reuses a cell's records on that test.
+    """
 
     n: int
     degrees: dict[str, Counter[str]]
     top: dict[str, int]
+    windows: int
 
 
 def build_model(
@@ -90,10 +110,10 @@ def build_model(
         else:
             for gram in grams:
                 counts[gram] += w
-    windows = {top: counts}
+    windows: dict[int, dict[str, int]] = {top: counts}
     for n in range(top - 1, 0, -1):
-        lower: Counter[str] = Counter()
-        get = lower.get  # dict.get skips Counter.__missing__ on every new key
+        lower = WindowTable()
+        get = lower.get
         for gram, c in counts.items():
             prefix = gram[:-1]
             lower[prefix] = get(prefix, 0) + c
@@ -118,7 +138,8 @@ def freedom(n: int, windows: dict[str, int], min_count: int) -> Freedom:
     """The freedom view of order ``n``'s window table, pruned at ``min_count``."""
     kept = prune(windows, min_count)
     degrees = {direction: Counter(map(gram_of, kept)) for direction, gram_of in _GRAM_OF_WINDOW.items()}
-    return Freedom(n, degrees, {direction: max(table.values(), default=0) for direction, table in degrees.items()})
+    top = {direction: max(table.values(), default=0) for direction, table in degrees.items()}
+    return Freedom(n, degrees, top, len(kept))
 
 
 def check_order(n: int, n_max: int) -> None:

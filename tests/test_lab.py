@@ -43,7 +43,7 @@ from tlab.morphology import (
     reference_cuts,
     weighted_morph_f1,
 )
-from tlab.ngram import build_model, order_freedom
+from tlab.ngram import build_model, order_freedom, prune
 from tlab.segmenter import (
     MODES,
     SegmenterParams,
@@ -216,19 +216,20 @@ class TestRunGrid:
 
     def test_union_cell_reuses_the_forward_scores(self, monkeypatch):
         # a fwd+union grid profiles each line under each model once per
-        # direction, at every (prune, n)
+        # direction, at every scored (prune, n); prune 1 removes no window,
+        # so its cells copy the prune-0 cells' records and profile nothing
         train, test, gold = tiny_setup()
         directions = []
         real = segmenter.profile
         monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
-        per_direction = len(test.lines) * 3 * 2 * 2  # lines x models x prune values x orders
+        per_direction = len(test.lines) * 3 * 1 * 2  # lines x models x scored prune values x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
 
     def test_only_the_split_tally_maps_scores_to_stripped_positions(self, monkeypatch):
-        # gold F1 is counted as the walk cuts, so each (n, prune, mode) cell
-        # maps only the two half models' scores of each line, wherever the
-        # mapping is imported
+        # gold F1 is counted as the walk cuts, so each scored (n, prune, mode)
+        # cell maps only the two half models' scores of each line, wherever
+        # the mapping is imported; the prune-1 cells are copies
         train, test, gold = tiny_setup()
         calls = []
         real = metrics.stripped_maxima
@@ -236,7 +237,7 @@ class TestRunGrid:
             if getattr(module, "stripped_maxima", None) is real:
                 monkeypatch.setattr(module, "stripped_maxima", lambda *args: calls.append(1) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
-        assert len(calls) == 2 * len(test.lines) * 2 * 2 * 2  # models x lines x modes x prune values x orders
+        assert len(calls) == 2 * len(test.lines) * 2 * 1 * 2  # models x lines x modes x scored prune values x orders
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
         train, test, gold = tiny_setup()
@@ -642,3 +643,96 @@ class TestTrialCsv:
         write_trials_csv(records, p1, config={"k": 1})
         write_trials_csv(run_grid(train, test, gold, spec, 2), p2, config={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def draw_prunes(data, models, n_values):
+    """Prune values with duplicates: 1, which removes no window, and values
+    at, one above and between the window counts of the grid's orders."""
+    counts = {c for model in models for n in n_values for c in model.windows.get(n, {}).values()}
+    pool = st.sampled_from(sorted({0, 2, *counts, *(c + 1 for c in counts)}))
+    return (1, *data.draw(st.lists(pool, min_size=1, max_size=4)))
+
+
+def one_run_per_prune(run, spec):
+    """The grid run once per distinct prune value, its records merged in sorted order."""
+    return sorted((r for value in set(spec.prune) for r in run(spec._replace(prune=(value,)))), key=lambda r: r.params)
+
+
+class TestPruneReuse:
+    """A cell whose views keep as many windows as the lower prune value's cell
+    of its order copies that cell's records instead of scoring them again."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_word_grid_equals_one_run_per_prune_value(self, data):
+        # lines repeat, unevenly between the halves, so a prune value often
+        # removes a window from one half model's table alone
+        pool = data.draw(st.lists(spaced_line(), min_size=1, max_size=4))
+        train = TextCorpus(tuple(line for line, _ in data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))))
+        test = TextCorpus(tuple(line for line, _ in pool))
+        gold = GoldSegmentation(tuple(tokens for _, tokens in pool))
+        n_values, _, modes = draw_axes(data)
+        models = [build_model(corpus, 3) for corpus in (train, *split_even_odd(train))]
+        peaks = draw_peaks(data, models, test.lines, n_values)
+        spec = GridSpec(n_values, peaks, draw_prunes(data, models, n_values), modes)
+
+        def run(grid):
+            return run_grid(train, test, gold, grid, 3)
+
+        assert run(spec) == one_run_per_prune(run, spec)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_morph_grid_equals_one_run_per_prune_value(self, data):
+        words = data.draw(st.lists(st.text(alphabet="abcd", min_size=1, max_size=7), min_size=1, max_size=8, unique=True))
+        lexicon = FreqLexicon({word: data.draw(st.integers(1, 5)) for word in words})
+        inventory = AffixInventory(frozenset(), frozenset(word[-2:] for word in words if len(word) > 2), min_stem=2)
+        n_values, _, modes = draw_axes(data)
+        model = build_morph_model(lexicon, 3)
+        peaks = draw_peaks(data, [model], words, n_values)
+        spec = GridSpec(n_values, peaks, draw_prunes(data, [model], n_values), modes)
+
+        def run(grid):
+            return run_morph_grid(lexicon, inventory, grid, 3)
+
+        assert run(spec) == one_run_per_prune(run, spec)
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count the sweep's scores and walker calls, by name."""
+        calls = Counter()
+        for name in ("scores", "WordWalk", "MorphWalk"):
+            real = getattr(lab, name)
+            monkeypatch.setattr(lab, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+        return calls
+
+    def test_a_prune_value_that_removes_no_window_scores_nothing(self, monkeypatch):
+        train, test, gold = tiny_setup()
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        grid = "n=1,2;peak=0.2,0.6;prune={};mode=fwd,bwd,union"
+        calls = self.count_work(monkeypatch)
+        run_grid(train, test, gold, parse_grid_spec(grid.format("0")), 2)
+        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0")), 2)
+        single = Counter(calls)
+        assert single.keys() == {"scores", "WordWalk", "MorphWalk"}
+        run_grid(train, test, gold, parse_grid_spec(grid.format("0,1")), 2)
+        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0,1")), 2)
+        assert calls == {name: 2 * count for name, count in single.items()}  # prune 0 once, then 0 and a copy
+
+    def test_a_window_removed_from_one_half_model_alone_is_scored(self, monkeypatch):
+        # prune 2 removes "bc" (count 1) from the even half's table alone: the
+        # full-train table (ab 5, bc 3, bd 2) and the odd half's keep every window
+        train = TextCorpus(("abc", "abc", "abd", "abc", "abd"))
+        test = TextCorpus(("abcabd", "abdabc", "ab"))
+        gold = GoldSegmentation((("abc", "abd"), ("abd", "abc"), ("ab",)))
+        grid = "n=1;peak=0.0,0.5,1.0;prune={};mode=fwd,bwd,union"
+        tables = [build_model(corpus, 1).windows[1] for corpus in (train, *split_even_odd(train))]
+        assert [len(prune(table, 2)) == len(table) for table in tables] == [True, False, True]
+        calls = self.count_work(monkeypatch)
+        records = run_grid(train, test, gold, parse_grid_spec(grid.format("0")), 1)
+        single = Counter(calls)
+        both = run_grid(train, test, gold, parse_grid_spec(grid.format("0,2")), 1)
+        assert calls == {name: 3 * count for name, count in single.items()}  # prune 0 once, then 0 and 2
+        assert [r for r in both if r.params.prune == 0] == records
+        copied = [r._replace(params=r.params._replace(prune=2)) for r in records]
+        assert [r for r in both if r.params.prune == 2] != copied  # so a copy would be wrong

@@ -169,7 +169,7 @@ class TestAddition:
         whole = model_of(lines, 3, weights=weights)
         part_a = model_of(lines[:cut], 3, weights=weights[:cut]).windows
         part_b = model_of(lines[cut:], 3, weights=weights[cut:]).windows
-        parts = {n: part_a.get(n, Counter()) + part_b.get(n, Counter()) for n in part_a.keys() | part_b.keys()}
+        parts = {n: Counter(part_a.get(n, {})) + Counter(part_b.get(n, {})) for n in part_a.keys() | part_b.keys()}
         assert parts == whole.windows
         for n in (1, 2, 3):
             assert freedom(n, parts.get(n, {}), 0) == view_of(whole, n)
