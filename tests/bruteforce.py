@@ -1,12 +1,13 @@
-"""Independent brute-force reference for the freedom-peak segmenter.
+"""Test oracles that ``perfbench/reference.py`` does not hold.
 
-Everything here recomputes window counts, freedom values, profiles and
-derivatives directly from the raw training lines on every call. It shares
-no code with the package under test. :func:`bf_load_model` reads a model
-file the plain way, one table per record tag, as the reference for the
-one-table reader, and :func:`bf_model_text` formats one record at a time,
-as the reference for the writer. :func:`bf_segmented_corpus` draws every
-line's words with the weights passed to ``random.choices`` afresh.
+Window counts, degrees, profiles and the cut rule come from that one
+independent reference, which shares no code with tlab. What is left here
+is the model file and the corpus drawer: :func:`bf_load_model` reads a
+model file the plain way, one table per record tag, as the reference for
+the one-table reader; :func:`bf_model_text` formats the windows that
+``reference.window_counts`` counts one record at a time, as the reference
+for the writer; and :func:`bf_segmented_corpus` draws every line's words
+with the weights passed to ``random.choices`` afresh.
 """
 
 from __future__ import annotations
@@ -14,83 +15,7 @@ from __future__ import annotations
 import random
 import re
 
-
-def window_counts(lines, weights, n, direction):
-    """Count every (gram, adjacent char) incidence by direct enumeration."""
-    counts = {}
-    for line, w in zip(lines, weights):
-        for i in range(len(line) - n):
-            if direction == "fwd":
-                pair = (line[i : i + n], line[i + n])
-            else:
-                pair = (line[i + 1 : i + 1 + n], line[i])
-            counts[pair] = counts.get(pair, 0) + w
-    return counts
-
-
-def bf_successors(lines, weights, n, direction, min_count):
-    keep = max(1, min_count)
-    succ = {}
-    for (gram, ch), count in window_counts(lines, weights, n, direction).items():
-        if count >= keep:
-            succ.setdefault(gram, set()).add(ch)
-    return succ
-
-
-def bf_freedom(lines, weights, gram, direction, min_count=0):
-    succ = bf_successors(lines, weights, len(gram), direction, min_count)
-    return len(succ.get(gram, ()))
-
-
-def bf_max_freedom(lines, weights, n, direction, min_count=0):
-    succ = bf_successors(lines, weights, n, direction, min_count)
-    return max((len(s) for s in succ.values()), default=0)
-
-
-def bf_profile(lines, weights, line, n, direction, min_count=0):
-    length = len(line)
-    if length < 2:
-        return []
-    top = bf_max_freedom(lines, weights, n, direction, min_count)
-    values = []
-    for i in range(1, length):
-        if direction == "fwd":
-            gram = line[i - n : i] if i >= n else None
-        else:
-            gram = line[i : i + n] if i + n <= length else None
-        if top == 0 or gram is None:
-            values.append(0.0)
-        else:
-            values.append(bf_freedom(lines, weights, gram, direction, min_count) / top)
-    return values
-
-
-def bf_segment(lines, weights, line, n, theta, min_count, mode):
-    length = len(line)
-    if length == 1:
-        return [line]
-    fwd = bf_profile(lines, weights, line, n, "fwd", min_count)
-    bwd = bf_profile(lines, weights, line, n, "bwd", min_count)
-    cuts = []
-    for i in range(1, length):
-        hit = False
-        if mode in ("fwd", "union"):
-            rise = fwd[i - 1] - (fwd[i - 2] if i >= 2 else 0.0)
-            if rise >= theta:
-                hit = True
-        if not hit and mode in ("bwd", "union"):
-            drop = bwd[i - 1] - (bwd[i] if i <= length - 2 else 0.0)
-            if drop >= theta:
-                hit = True
-        if hit:
-            cuts.append(i)
-    tokens = []
-    prev = 0
-    for cut in cuts:
-        tokens.append(line[prev:cut])
-        prev = cut
-    tokens.append(line[prev:])
-    return tokens
+import reference
 
 
 class BfFormatError(Exception):
@@ -172,9 +97,12 @@ def bf_model_text(lines, weights, n_max):
     order, gram and char; an order without a window writes none.
     """
     records = [f"tlab-model v1 n_max={n_max}\n"]
-    for tag, direction in (("b", "bwd"), ("f", "fwd")):
+    for tag in ("b", "f"):
         for n in range(1, n_max + 1):
-            for (gram, ch), count in sorted(window_counts(lines, weights, n, direction).items()):
+            windows = reference.window_counts(lines, n + 1, weights)
+            # the f edge of a window is (gram, following char), the b edge (gram, preceding char)
+            edges = sorted(((w[:-1], w[-1]) if tag == "f" else (w[1:], w[0]), count) for w, count in windows.items())
+            for (gram, ch), count in edges:
                 records.append(f"{tag}\t{n}\t{_bf_escape(gram)}\t{_bf_escape(ch)}\t{count}\n")
     return "".join(records)
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
+from tlab.ngram import order_freedom
+from tlab.segmenter import MODES, scores
+
 SMALL_ALPHABET = "abcdef"
 
 
@@ -31,3 +34,41 @@ peak_thresholds = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
 prune_thresholds = st.integers(min_value=0, max_value=4)
 orders = st.integers(min_value=1, max_value=4)
 modes = st.sampled_from(["fwd", "bwd", "union"])
+
+
+def draw_axes(data):
+    n_values = tuple(data.draw(st.sets(st.integers(1, 3), min_size=1)))
+    prune_values = tuple(data.draw(st.sets(st.integers(0, 2), min_size=1)))
+    modes = tuple(data.draw(st.sets(st.sampled_from(MODES), min_size=1)))
+    return n_values, prune_values, modes
+
+
+def draw_peaks(data, models, lines, n_values):
+    """Peak values with duplicates, with 0 (below every negative score), and
+    with values equal to gap scores of the lines."""
+    gap_scores = sorted({
+        score
+        for model in models
+        for n in n_values
+        for mode in MODES
+        for line in lines
+        for score in scores(order_freedom(model, n, 0), line, mode)
+        if 0.0 <= score <= 1.0
+    })
+    pool = st.sampled_from([0.0, 0.25, 0.5, 1.0, *gap_scores])
+    peaks = data.draw(st.lists(pool, min_size=1, max_size=5))
+    return (*peaks, *data.draw(st.lists(st.sampled_from(peaks), max_size=2)))
+
+
+WORDS = st.text(alphabet="abc", min_size=1, max_size=4)
+SEPARATORS = st.sampled_from(["", " ", "\t", "  ", " \t ", "\t\t"])
+
+
+@st.composite
+def spaced_line(draw, separators=SEPARATORS):
+    """A test line and its gold tokens: words joined by whitespace runs, tabs or
+    nothing (unspaced), with whitespace at either end."""
+    words = draw(st.lists(WORDS, min_size=1, max_size=5))
+    gaps = draw(st.lists(separators, min_size=len(words) + 1, max_size=len(words) + 1))
+    line = gaps[0] + "".join(word + sep for word, sep in zip(words, gaps[1:]))
+    return line, tuple(words)

@@ -31,7 +31,7 @@ from tlab.ngram import build_model, load_model, order_freedom, save_model
 from tlab.segmenter import SegmenterParams, profile, segment, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
-from bruteforce import bf_segment
+import reference
 from strategies import corpora_with_weights, modes, orders, prune_thresholds
 
 
@@ -91,9 +91,10 @@ def test_a2_oracle_equivalence():
         mode = rng.choice(all_modes)
         model = build_model(TextCorpus(tuple(lines), "a2"), 4, line_weights=weights)
         params = SegmenterParams(n, theta, min_count, mode)
+        oracle = reference.Segmenter(reference.window_counts(lines, n + 1, weights), n, min_count)
         for line in lines:
             got = segment(model, line, params)
-            expected = tuple(bf_segment(lines, weights, line, n, theta, min_count, mode))
+            expected = tuple(reference.split_at(line, oracle.cuts(line, theta, mode)))
             assert got == expected, (case, line, params)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

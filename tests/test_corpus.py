@@ -123,15 +123,27 @@ class TestSampleLines:
         assert sample_indices(self.LINES, count, seed) == sample_indices(self.LINES, count, seed)
 
 
+# any scalar UTF-8 can encode, with tab, CR, NEL and the line separator drawn often
+LINE_SCALARS = st.characters(codec="utf-8") | st.sampled_from("\t\r\x85\u2028")
+
+
 class TestRoundTrips:
-    @given(small_lines(alphabet="abc xyZ.", max_lines=8))
+    @given(st.lists(st.text(LINE_SCALARS, max_size=8).filter(lambda line: "\n" not in line and not line.endswith("\r")),
+                    max_size=8))
     def test_save_load_text(self, tmp_path_factory, lines):
+        # LF or CRLF ends a line, and nothing else does: every line that holds
+        # no LF and does not end in CR reads back as written
         corpus = TextCorpus(tuple(lines), "t")
         path = tmp_path_factory.mktemp("rt") / "c.txt"
         save_text(corpus, path)
         reloaded = load_text(path)
         expected = tuple(l for l in lines if l)  # loader drops empties by contract
         assert reloaded.lines == expected
+
+    def test_a_trailing_cr_is_read_as_part_of_the_terminator(self, tmp_path):
+        path = tmp_path / "c.txt"
+        save_text(TextCorpus(("ab\r", "c\rd", "\r")), path)
+        assert load_text(path).lines == ("ab", "c\rd")
 
     def test_segmented_round_trip_escapes_whitespace(self, tmp_path):
         path = tmp_path / "seg.txt"

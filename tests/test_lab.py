@@ -45,7 +45,6 @@ from tlab.morphology import (
 )
 from tlab.ngram import build_model, order_freedom, prune
 from tlab.segmenter import (
-    MODES,
     SegmenterParams,
     detect_boundaries,
     scores,
@@ -54,6 +53,8 @@ from tlab.segmenter import (
     split_at,
 )
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
+
+from strategies import SEPARATORS, draw_axes, draw_peaks, spaced_line
 
 
 def tiny_setup(spaces=True, train_lines=60, test_lines=12):
@@ -471,44 +472,6 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
         s_value, c_value = anti_entropy(stats), compression_factor(stats)
         records.append((params, MetricsReport.of(f1, s_value, c_value), None))
     return records
-
-
-def draw_peaks(data, models, lines, n_values):
-    """Peak values with duplicates, with 0 (below every negative score), and
-    with values equal to gap scores of the lines."""
-    gap_scores = sorted({
-        score
-        for model in models
-        for n in n_values
-        for mode in MODES
-        for line in lines
-        for score in scores(order_freedom(model, n, 0), line, mode)
-        if 0.0 <= score <= 1.0
-    })
-    pool = st.sampled_from([0.0, 0.25, 0.5, 1.0, *gap_scores])
-    peaks = data.draw(st.lists(pool, min_size=1, max_size=5))
-    return (*peaks, *data.draw(st.lists(st.sampled_from(peaks), max_size=2)))
-
-
-def draw_axes(data):
-    n_values = tuple(data.draw(st.sets(st.integers(1, 3), min_size=1)))
-    prune_values = tuple(data.draw(st.sets(st.integers(0, 2), min_size=1)))
-    modes = tuple(data.draw(st.sets(st.sampled_from(MODES), min_size=1)))
-    return n_values, prune_values, modes
-
-
-WORDS = st.text(alphabet="abc", min_size=1, max_size=4)
-SEPARATORS = st.sampled_from(["", " ", "\t", "  ", " \t ", "\t\t"])
-
-
-@st.composite
-def spaced_line(draw):
-    """A test line and its gold tokens: words joined by whitespace runs, tabs or
-    nothing (unspaced), with whitespace at either end."""
-    words = draw(st.lists(WORDS, min_size=1, max_size=5))
-    separators = draw(st.lists(SEPARATORS, min_size=len(words) + 1, max_size=len(words) + 1))
-    line = separators[0] + "".join(word + sep for word, sep in zip(words, separators[1:]))
-    return line, tuple(words)
 
 
 class TestDescendingWalk:

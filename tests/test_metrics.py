@@ -26,7 +26,7 @@ from tlab.ngram import build_model
 from tlab.segmenter import SegmenterParams, detect_boundaries, segment_corpus
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
-from bruteforce import bf_segment
+import reference
 
 
 def segs(*token_lines):
@@ -244,13 +244,10 @@ class TestCrossSplitF1:
 
         even = [lines[i] for i in range(0, 8, 2)]
         odd = [lines[i] for i in range(1, 8, 2)]
-        ones = [1, 1, 1, 1]
 
         def tokenize_all(train_lines):
-            return [
-                bf_segment(train_lines, ones, line, 1, 0.5, 0, "union")
-                for line in test.lines
-            ]
+            oracle = reference.Segmenter(reference.window_counts(train_lines, 2), 1, 0)
+            return [reference.split_at(line, oracle.cuts(line, 0.5, "union")) for line in test.lines]
 
         seg_a, seg_b = tokenize_all(even), tokenize_all(odd)
         f_ab = f1_score(boundary_counts(seg_a, seg_b))

@@ -17,7 +17,7 @@ from tlab.morphology import (
 )
 from tlab.segmenter import SegmenterParams, segment
 
-from bruteforce import bf_segment
+import reference
 
 ENGLISH = AffixInventory(
     prefixes=frozenset({"un", "re"}),
@@ -120,9 +120,10 @@ class TestMorphSegment:
         # walked/walking/walker: continuation freedom jumps after the stem
         lex = {"walked": 1, "walking": 1, "walker": 1}
         m = build_morph_model(FreqLexicon(lex), 3)
+        oracle = reference.Segmenter(reference.window_counts(list(lex), 4, [1, 1, 1]), 3, 0)
         for word in lex:
             pieces = segment(m, word, self.PARAMS)
-            expected = bf_segment(list(lex), [1, 1, 1], word, 3, 0.5, 0, "union")
+            expected = reference.split_at(word, oracle.cuts(word, 0.5, "union"))
             assert list(pieces) == expected
             cuts = []
             pos = 0
@@ -191,10 +192,11 @@ class TestWeightedMorphF1:
         f1_sum = 0.0
         piece_counts: dict[str, int] = {}
         tokens = chars = 0
+        oracle = reference.Segmenter(reference.window_counts(words, 3, weights), 2, 0)
         for word, freq_w in zip(words, weights):
-            predicted = bf_segment(words, weights, word, 2, 0.4, 0, "union")
-            reference = list(greedy_parse(word, inv))
-            f1_sum += freq_w * f1_score(boundary_counts([predicted], [reference]))
+            predicted = reference.split_at(word, oracle.cuts(word, 0.4, "union"))
+            parse = list(greedy_parse(word, inv))
+            f1_sum += freq_w * f1_score(boundary_counts([predicted], [parse]))
             for piece in predicted:
                 piece_counts[piece] = piece_counts.get(piece, 0) + freq_w
             tokens += freq_w * len(predicted)

@@ -19,7 +19,8 @@ from tlab.ngram import (
 )
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
-from bruteforce import BfFormatError, bf_freedom, bf_load_model, bf_max_freedom, bf_model_text, window_counts
+import reference
+from bruteforce import BfFormatError, bf_load_model, bf_model_text
 from strategies import corpora_with_weights, small_lines, weights_for
 
 
@@ -117,15 +118,16 @@ class TestBuildModel:
         n_max, (lines, weights) = case
         m = model_of(lines, n_max, weights=weights)
         # only the orders that have a window get a table
-        assert sorted(m.windows) == [n for n in range(1, n_max + 1) if window_counts(lines, weights, n, "fwd")]
+        assert sorted(m.windows) == [n for n in range(1, n_max + 1) if reference.window_counts(lines, n + 1, weights)]
         for n in range(1, n_max + 1):
-            forward_pairs = window_counts(lines, weights, n, "fwd")
-            assert m.windows.get(n, {}) == {g + ch: c for (g, ch), c in forward_pairs.items()}
+            windows = reference.window_counts(lines, n + 1, weights)
+            assert m.windows.get(n, {}) == windows
             view = view_of(m, n)
             for direction in ("fwd", "bwd"):
+                degrees = reference.degrees(windows, direction, 0)
                 for gram in view.degrees[direction]:
-                    assert view.degrees[direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction)
-                assert view.top[direction] == bf_max_freedom(lines, weights, n, direction)
+                    assert view.degrees[direction].get(gram, 0) == degrees.get(gram, 0)
+                assert view.top[direction] == max(degrees.values(), default=0)
 
     def test_huge_order_bound_allocates_in_proportion_to_the_lines(self):
         lines = ("abc", "abd", "x y", "b")
@@ -208,11 +210,13 @@ class TestPrune:
             assert prune(pruned, threshold) == pruned
             assert freedom(n, pruned, threshold) == freedom(n, table, threshold)
             full, kept = view_of(m, n), view_of(m, n, threshold)
+            windows = reference.window_counts(lines, n + 1, weights)
             for direction in ("fwd", "bwd"):
                 assert kept.top[direction] <= full.top[direction]
+                degrees = reference.degrees(windows, direction, threshold)
                 for gram in full.degrees[direction]:
                     assert kept.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
-                    assert kept.degrees[direction].get(gram, 0) == bf_freedom(lines, weights, gram, direction, threshold)
+                    assert kept.degrees[direction].get(gram, 0) == degrees.get(gram, 0)
 
 
 class TestFreedom:

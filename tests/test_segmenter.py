@@ -18,7 +18,7 @@ from tlab.segmenter import (
     segment_corpus,
 )
 
-from bruteforce import bf_profile, bf_segment
+import reference
 from strategies import (
     corpora_with_weights,
     modes,
@@ -79,10 +79,11 @@ class TestProfile:
     def test_matches_bruteforce(self, lines_weights, n):
         lines, weights = lines_weights
         m = model_of(lines, 4, weights=weights)
+        oracle = reference.Segmenter(reference.window_counts(lines, n + 1, weights), n, 0)
         for direction in ("fwd", "bwd"):
             for line in lines[:3]:
                 got = profile(view_of(m, n), line, direction)
-                expected = bf_profile(lines, weights, line, n, direction)
+                expected = dict(zip(("fwd", "bwd"), oracle.profiles(line)))[direction]
                 assert list(got) == expected
 
 
@@ -103,10 +104,10 @@ class TestSharedSlices:
         view = view_of(model_of(train, 4, weights=weights), n, prune_t)
         if all(len(line) <= n for line in train):
             assert view.top == {"fwd": 0, "bwd": 0}
+        oracle = reference.Segmenter(reference.window_counts(train, n + 1, weights), n, prune_t)
         for line in test_lines:
             grams = grams_of(line, n)
-            fwd = bf_profile(train, weights, line, n, "fwd", prune_t)
-            bwd = bf_profile(train, weights, line, n, "bwd", prune_t)
+            fwd, bwd = oracle.profiles(line)
             assert list(profile(view, line, "fwd", grams)) == fwd
             assert list(profile(view, line, "bwd", grams)) == bwd
             rises = [value - before for value, before in zip(fwd, [0.0, *fwd])]
@@ -168,7 +169,8 @@ class TestSegment:
         m = model_of(lines, 1)
         seg = segment(m, "ab", params(peak=0.5))
         assert seg == ("a", "b")
-        assert seg == tuple(bf_segment(lines, [1] * len(lines), "ab", 1, 0.5, 0, "union"))
+        oracle = reference.Segmenter(reference.window_counts(lines, 2), 1, 0)
+        assert seg == tuple(reference.split_at("ab", oracle.cuts("ab", 0.5, "union")))
 
     def test_prune_applied_first(self):
         # unpruned: freedom("a")=2 of max 3 -> cut; pruned at 2 "a" loses
