@@ -35,7 +35,7 @@ def main():
     print(f"{len(lexicon.entries)} words from {args.stems} stems x {sorted(inventory.suffixes)}")
 
     spec = parse_grid_spec(args.grid, args.n_max)
-    records = run_morph_grid(lexicon, inventory, spec, args.n_max)
+    records = run_morph_grid(lexicon, inventory, spec)
     config = {"experiment": "synthetic-morph", **vars(args)}
     write_trials_csv(records, out_dir / "trials.csv", config)
     summary = summarize(records)

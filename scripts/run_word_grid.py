@@ -40,7 +40,7 @@ def run_variant(words, weights, args, spaces, out_dir):
     save_segmented(gold.lines, out_dir / f"gold-{tag}.txt")
 
     spec = parse_grid_spec(args.grid, args.n_max)
-    records = run_grid(train, test, gold, spec, args.n_max)
+    records = run_grid(train, test, gold, spec)
     config = {"experiment": f"synthetic-words-{tag}", **vars(args)}
     write_trials_csv(records, out_dir / f"trials-{tag}.csv", config)
     summary = summarize(records)

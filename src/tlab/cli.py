@@ -108,7 +108,9 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     if args.out:
         save_segmented(token_lines, args.out)
     else:
-        sys.stdout.write(format_segmented(token_lines))
+        # the bytes --out would hold, whatever encoding the locale gives stdout
+        sys.stdout.flush()
+        sys.stdout.buffer.write(format_segmented(token_lines).encode("utf-8"))
     return 0
 
 
@@ -134,7 +136,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         needed = [args.train, args.test, args.n, args.peak]
         if any(v is None for v in needed):
             raise UsageError("--train, --test, --n and --peak are required for the csf1 metric")
-        report["csf1"] = cross_split_f1(load_text(args.train), load_text(args.test), _params_from(args), args.n_max)
+        train, test, params = load_text(args.train), load_text(args.test), _params_from(args)
+        check_order(params.n, args.n_max)
+        report["csf1"] = cross_split_f1(train, test, params)
     if selected == "all":
         report = MetricsReport.of(report["f1"], report["anti_entropy"], report["compression_factor"],
                                   report["csf1"])._asdict()
@@ -145,10 +149,7 @@ def _sampled(test: TextCorpus, gold: GoldSegmentation, count: int | None, seed: 
     if count is None or len(gold.lines) != len(test.lines):
         return test, gold  # run_grid rejects misaligned gold
     idx = sample_indices(len(test.lines), count, seed)
-    return (
-        TextCorpus(tuple(test.lines[i] for i in idx), f"{test.source_id}/sample{count}s{seed}"),
-        GoldSegmentation(tuple(gold.lines[i] for i in idx), gold.dropped),
-    )
+    return TextCorpus(tuple(test.lines[i] for i in idx)), GoldSegmentation(tuple(gold.lines[i] for i in idx))
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
@@ -157,7 +158,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     test = load_text(args.test)
     gold = load_gold(args.gold)
     test, gold = _sampled(test, gold, args.sample_test, args.seed)
-    return _write_records(run_grid(train, test, gold, spec, args.n_max), args)
+    return _write_records(run_grid(train, test, gold, spec), args)
 
 
 def _write_records(records: list, args: argparse.Namespace) -> int:
@@ -191,7 +192,7 @@ def cmd_morph_eval(args: argparse.Namespace) -> int:
 def cmd_morph_grid(args: argparse.Namespace) -> int:
     spec = parse_grid_spec(args.grid, args.n_max)
     lexicon, inventory = _lexicon_from(args)
-    return _write_records(run_morph_grid(lexicon, inventory, spec, args.n_max), args)
+    return _write_records(run_morph_grid(lexicon, inventory, spec), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

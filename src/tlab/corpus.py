@@ -16,19 +16,17 @@ class TextCorpus(NamedTuple):
     """An ordered sequence of non-empty text lines."""
 
     lines: tuple[str, ...]
-    source_id: str = ""
 
 
 class GoldSegmentation(NamedTuple):
     """Reference tokenization, one token tuple per line.
 
     A whitespace-only line has no token and reads as ``()``, so it stays
-    aligned with the same line of a raw corpus; ``dropped`` counts the empty
-    lines, which are skipped as :func:`load_text` skips them.
+    aligned with the same line of a raw corpus; empty lines are skipped as
+    :func:`load_text` skips them.
     """
 
     lines: tuple[tuple[str, ...], ...]
-    dropped: int = 0
 
 
 def _decode(path: str | Path) -> str:
@@ -47,27 +45,25 @@ def _split_lines(text: str) -> list[str]:
     return [p[:-1] if p.endswith("\r") else p for p in pieces]
 
 
-def load_text(path: str | Path, source_id: str | None = None) -> TextCorpus:
+def load_text(path: str | Path) -> TextCorpus:
     """Read a UTF-8 corpus, one line per entry; empty lines are dropped.
 
     No normalization beyond terminator stripping: case, punctuation and
     interior whitespace are preserved exactly.
     """
     lines = [line for line in _split_lines(_decode(path)) if line]
-    return TextCorpus(tuple(lines), source_id if source_id is not None else str(path))
+    return TextCorpus(tuple(lines))
 
 
 def load_gold(path: str | Path) -> GoldSegmentation:
     """Read a reference or tokenized segmentation: tokens separated by whitespace runs.
 
     Inside tokens ``\\\\`` and ``\\s`` are undone as :func:`save_segmented`
-    writes them. Empty lines are dropped and counted in ``dropped``; a
-    whitespace-only line reads as ``()``.
+    writes them. Empty lines are dropped; a whitespace-only line reads as ``()``.
     """
-    raws = _split_lines(_decode(path))
     lines = [tuple(unescape_token(t) for t in raw.split()) if "\\" in raw else tuple(raw.split())
-             for raw in raws if raw]
-    return GoldSegmentation(tuple(lines), len(raws) - len(lines))
+             for raw in _split_lines(_decode(path)) if raw]
+    return GoldSegmentation(tuple(lines))
 
 
 def save_text(corpus: TextCorpus, path: str | Path) -> None:
@@ -100,9 +96,11 @@ def format_segmented(token_lines: Iterable[Sequence[str]]) -> str:
     Tokens are written with :func:`escape_token`, so the text stays parseable
     and every token reads back exactly. A line none of whose tokens holds
     whitespace or a backslash has nothing to escape and is joined as it is.
+    A line whose text would be empty, as a line with no token, is written as
+    one space, which :func:`load_gold` reads back as ``()`` instead of dropping it.
     """
-    out = [" ".join(map(escape_token, tokens)) if _NEEDS_ESCAPE_RE.search("".join(tokens)) else " ".join(tokens)
-           for tokens in token_lines]
+    out = [(" ".join(map(escape_token, tokens)) if _NEEDS_ESCAPE_RE.search("".join(tokens)) else " ".join(tokens))
+           or " " for tokens in token_lines]
     return "\n".join(out) + "\n" if out else ""
 
 
@@ -117,13 +115,10 @@ def load_segmented(path: str | Path) -> GoldSegmentation:
 
 
 def split_even_odd(corpus: TextCorpus) -> tuple[TextCorpus, TextCorpus]:
-    """Interleaved halves: even-indexed lines to A, odd-indexed to B."""
+    """Interleaved halves of a training corpus: even-indexed lines to A, odd-indexed to B."""
     if len(corpus.lines) < 2:
-        raise DataError(f"corpus {corpus.source_id!r} has {len(corpus.lines)} lines; need at least 2 to split")
-    return (
-        TextCorpus(corpus.lines[0::2], corpus.source_id + "/even"),
-        TextCorpus(corpus.lines[1::2], corpus.source_id + "/odd"),
-    )
+        raise DataError(f"training corpus has {len(corpus.lines)} lines; need at least 2 to split")
+    return TextCorpus(corpus.lines[0::2]), TextCorpus(corpus.lines[1::2])
 
 
 def sample_indices(n_lines: int, count: int, seed: int) -> tuple[int, ...]:

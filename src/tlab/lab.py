@@ -95,6 +95,13 @@ def _parse_axis(key: str, text: str) -> list:
     return [value(k) for k in range(count)]
 
 
+def _whole(value) -> int:
+    """An n or prune value as an int: a float range's 1.5 is a data error, not truncated to 1."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DataError(f"n and prune values must be whole numbers, got {value!r}")
+    return int(value)
+
+
 def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
     """Parse the compact axis syntax, e.g. ``n=1..7;peak=0:0.9:0.1;prune=0,2;mode=fwd,union``.
 
@@ -120,7 +127,7 @@ def parse_grid_spec(text: str, n_max: int | None = None) -> GridSpec:
     if missing:
         raise DataError(f"grid spec missing axes: {', '.join(sorted(missing))}")
     try:
-        kinds = zip(GridSpec._fields, (int, float, int, str.strip))
+        kinds = zip(GridSpec._fields, (_whole, float, _whole, str.strip))
         values = [tuple(map(kind, axes[axis])) for axis, kind in kinds]
     except (TypeError, ValueError) as exc:
         raise DataError(f"non-numeric grid value in {text!r}") from exc
@@ -135,7 +142,6 @@ def run_grid(
     test: TextCorpus,
     gold: GoldSegmentation,
     spec: GridSpec,
-    n_max: int,
 ) -> list[TrialRecord]:
     """Evaluate every grid point on a shared raw model.
 
@@ -151,7 +157,6 @@ def run_grid(
     error marker instead of aborting.
     """
     top = max(spec.n)
-    check_order(top, n_max)
     cuts = gold_cuts(test.lines, gold)
     prefixes = [nonspace_prefix(line) for line in test.lines]
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
@@ -244,16 +249,13 @@ def run_morph_grid(
     lexicon: FreqLexicon,
     inventory: AffixInventory,
     spec: GridSpec,
-    n_max: int,
 ) -> list[TrialRecord]:
     """Grid search scored by frequency-weighted morph F1; csf1/avg3 not applicable.
 
     The model is counted up to the grid's largest order, and the greedy
     reference cuts are parsed once for the whole grid.
     """
-    top = max(spec.n)
-    check_order(top, n_max)
-    raw_windows = [build_morph_model(lexicon, top).windows]
+    raw_windows = [build_morph_model(lexicon, max(spec.n)).windows]
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
     return _sweep(spec, raw_windows, words,

@@ -17,8 +17,8 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .ngram import build_model, check_order, order_freedom
-from .segmenter import SegmenterParams, grams_of, scores
+from .ngram import build_model, order_freedom
+from .segmenter import SegmenterParams, check_lines, grams_of, scores
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -259,16 +259,12 @@ class SplitTally(NamedTuple):
         return BoundaryCounts(tp, _at_least(self.a, threshold) - tp, _at_least(self.b, threshold) - tp)
 
 
-def cross_split_f1(
-    train: TextCorpus, test: TextCorpus, params: SegmenterParams, n_max: int
-) -> float:
+def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams) -> float:
     """Train on interleaved halves, cut a shared test set with both models,
     and score one set of cuts against the other (see :class:`SplitTally`)."""
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
-    if not all(test.lines):
-        raise DataError("cannot segment an empty line")
-    check_order(params.n, n_max)
+    check_lines(test.lines)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.mode
     view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))

@@ -83,7 +83,7 @@ def build_morph_model(lexicon: FreqLexicon, n_max: int) -> TransitionModel:
         raise DataError("cannot build a model from an empty lexicon")
     words = tuple(lexicon.entries)
     weights = tuple(lexicon.entries[w] for w in words)
-    return build_model(TextCorpus(words, "lexicon"), n_max, line_weights=weights)
+    return build_model(TextCorpus(words), n_max, line_weights=weights)
 
 
 def greedy_parse(word: str, inventory: AffixInventory) -> tuple[str, ...]:

@@ -108,16 +108,15 @@ def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int
     return [k for k, score in enumerate(gap_scores, 1) if score >= threshold]
 
 
-def _cut(view: Freedom, line: str, params: SegmenterParams) -> tuple[str, ...]:
-    if not line:
-        raise DataError("cannot segment an empty line")
-    gap_scores = scores(view, line, params.mode)
-    return tuple(split_at(line, detect_boundaries(gap_scores, params.peak)))
+def check_lines(lines: Sequence[str]) -> None:
+    """Reject a corpus holding an empty line, which has no scalar to segment, naming the first one."""
+    if not all(lines):
+        raise DataError(f"cannot segment an empty line (line {lines.index('') + 1})")
 
 
 def segment(model: TransitionModel, line: str, params: SegmenterParams) -> tuple[str, ...]:
-    """Score and cut one line with its order's freedom view. Single-scalar lines stay whole."""
-    return _cut(order_freedom(model, params.n, params.prune), line, params)
+    """Score and cut one line, as :func:`segment_corpus` cuts a corpus of it. Single-scalar lines stay whole."""
+    return segment_corpus(model, TextCorpus((line,)), params)[0]
 
 
 def segment_corpus(
@@ -125,18 +124,8 @@ def segment_corpus(
     corpus: TextCorpus,
     params: SegmenterParams,
 ) -> list[tuple[str, ...]]:
-    """Each line's tokens, in order; line errors are aggregated."""
+    """Each line's tokens, in order, every line cut with one freedom view of the order ``params.n``."""
     view = order_freedom(model, params.n, params.prune)
-
-    results = []
-    failures = []
-    for i, line in enumerate(corpus.lines):
-        try:
-            results.append(_cut(view, line, params))
-        except Exception as exc:  # noqa: BLE001 - aggregated below
-            failures.append((i, exc))
-    if failures:
-        detail = "; ".join(f"line {i + 1}: {exc}" for i, exc in failures[:5])
-        more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
-        raise DataError(f"segmentation failed on {len(failures)} lines: {detail}{more}")
-    return results
+    check_lines(corpus.lines)
+    mode, peak = params.mode, params.peak
+    return [tuple(split_at(line, detect_boundaries(scores(view, line, mode), peak))) for line in corpus.lines]

@@ -17,9 +17,8 @@ def make_vocabulary(
     alphabet: str = DEFAULT_ALPHABET,
     min_len: int = 2,
     max_len: int = 6,
-    zipf_exponent: float = 1.1,
 ) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """Random distinct words with Zipf-ish sampling weights by rank."""
+    """Random distinct words with Zipf-ish sampling weights, 1 / (rank + 1) ** 1.1."""
     rng = random.Random(seed)
     words: list[str] = []
     seen = set()
@@ -29,7 +28,7 @@ def make_vocabulary(
         if word not in seen:
             seen.add(word)
             words.append(word)
-    weights = tuple(1.0 / (rank + 1) ** zipf_exponent for rank in range(size))
+    weights = tuple(1.0 / (rank + 1) ** 1.1 for rank in range(size))
     return tuple(words), weights
 
 
@@ -53,23 +52,18 @@ def make_segmented_corpus(
         tokens = rng.choices(words, cum_weights=cum_weights, k=count)
         raw_lines.append((" " if spaces else "").join(tokens))
         gold_lines.append(tuple(tokens))
-    tag = "spaced" if spaces else "unspaced"
-    return (
-        TextCorpus(tuple(raw_lines), f"synth-{tag}-s{seed}"),
-        GoldSegmentation(tuple(gold_lines)),
-    )
+    return TextCorpus(tuple(raw_lines)), GoldSegmentation(tuple(gold_lines))
 
 
 def make_affixed_lexicon(
     seed: int,
     stems: int = 20,
     suffixes: int = 4,
-    alphabet: str = DEFAULT_ALPHABET,
-    frequency: int = 1,
-    min_stem_len: int = 4,
-    max_stem_len: int = 6,
 ) -> tuple[FreqLexicon, AffixInventory]:
     """stems x suffixes lexicon whose greedy parse is exactly [stem, suffix].
+
+    Over :data:`DEFAULT_ALPHABET`, stems have 4 to 6 letters, suffixes 2 or
+    3, and every word has frequency 1.
 
     Stems are resampled until no stem+suffix word strips to anything other
     than the intended two pieces, so the greedy reference is unambiguous.
@@ -78,7 +72,7 @@ def make_affixed_lexicon(
     suffix_set: list[str] = []
     while len(suffix_set) < suffixes:
         length = rng.randint(2, 3)
-        cand = "".join(rng.choice(alphabet) for _ in range(length))
+        cand = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(length))
         if cand in suffix_set:
             continue
         if any(cand.endswith(s) or s.endswith(cand) for s in suffix_set):
@@ -88,13 +82,13 @@ def make_affixed_lexicon(
 
     stem_set: list[str] = []
     while len(stem_set) < stems:
-        length = rng.randint(min_stem_len, max_stem_len)
-        cand = "".join(rng.choice(alphabet) for _ in range(length))
+        length = rng.randint(4, 6)
+        cand = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(length))
         if cand in stem_set or any(cand.endswith(s) for s in suffix_set):
             continue
         if any(greedy_parse(cand + s, inventory) != (cand, s) for s in suffix_set):
             continue
         stem_set.append(cand)
 
-    entries = {stem + suffix: frequency for stem in stem_set for suffix in suffix_set}
+    entries = {stem + suffix: 1 for stem in stem_set for suffix in suffix_set}
     return FreqLexicon(entries), inventory

@@ -89,7 +89,7 @@ def test_a2_oracle_equivalence():
         theta = rng.choice(peaks)
         min_count = rng.randint(0, 3)
         mode = rng.choice(all_modes)
-        model = build_model(TextCorpus(tuple(lines), "a2"), 4, line_weights=weights)
+        model = build_model(TextCorpus(tuple(lines)), 4, line_weights=weights)
         params = SegmenterParams(n, theta, min_count, mode)
         oracle = reference.Segmenter(reference.window_counts(lines, n + 1, weights), n, min_count)
         for line in lines:
@@ -105,7 +105,7 @@ def _a3_variant(spaces):
     words, weights = make_vocabulary(seed=42, size=50, min_len=2, max_len=6)
     train, _ = make_segmented_corpus(words, weights, seed=1, lines=5000, spaces=spaces)
     test, gold = make_segmented_corpus(words, weights, seed=2, lines=300, spaces=spaces)
-    records = run_grid(train, test, gold, parse_grid_spec(DEFAULT_GRID), n_max=7)
+    records = run_grid(train, test, gold, parse_grid_spec(DEFAULT_GRID))
     valid = [r for r in records if r.error is None]
     assert len(valid) >= 2
     f1s = [r.report.f1 for r in valid]
@@ -149,9 +149,9 @@ def test_a3_correlation_reproduction():
 def test_a4_csf1_identity_and_symmetry():
     start = time.perf_counter()
     params = SegmenterParams(2, 0.4, 0, "union")
-    identical = TextCorpus(("ab cd ab", "ab cd ab", "cd ab cd", "cd ab cd"), "a4")
-    test = TextCorpus(("ab cd", "cd ab ab"), "a4-test")
-    assert cross_split_f1(identical, test, params, 3) == 1.0
+    identical = TextCorpus(("ab cd ab", "ab cd ab", "cd ab cd", "cd ab cd"))
+    test = TextCorpus(("ab cd", "cd ab ab"))
+    assert cross_split_f1(identical, test, params) == 1.0
 
     words, word_weights = make_vocabulary(seed=8, size=10, min_len=2, max_len=4)
     train, _ = make_segmented_corpus(words, word_weights, seed=9, lines=40, min_words=3, max_words=6)
@@ -175,7 +175,7 @@ def test_a5_morphology_pipeline():
     lexicon, inventory = make_affixed_lexicon(seed=7, stems=20, suffixes=4)
     assert len(lexicon.entries) == 80
     spec = parse_grid_spec("n=1..5;peak=0.1:0.9:0.2;prune=0;mode=union")
-    records = run_morph_grid(lexicon, inventory, spec, n_max=5)
+    records = run_morph_grid(lexicon, inventory, spec)
     summary = summarize(records)
     r_cf = summary.pearson_f1_vs["compression_factor"]
     assert r_cf is not None and abs(r_cf) >= 0.3
@@ -240,7 +240,7 @@ def test_a6_determinism_and_persistence(tmp_path):
 @criterion("A7 randomized property suites")
 def test_a7_property_suites():
     def model_of(lines, weights, n_max=3):
-        return build_model(TextCorpus(tuple(lines), "a7"), n_max, line_weights=weights)
+        return build_model(TextCorpus(tuple(lines)), n_max, line_weights=weights)
 
     @settings(max_examples=100, deadline=None)
     @given(corpora_with_weights(), st.integers(0, 5))

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -9,11 +13,11 @@ from hypothesis import HealthCheck, given, settings
 
 from tlab import cli
 from tlab.cli import main
-from tlab.corpus import TextCorpus, format_segmented, load_text, save_segmented, save_text
+from tlab.corpus import DataError, TextCorpus, format_segmented, load_text, save_segmented, save_text
 from tlab.lab import GridSpec
 from tlab.metrics import MetricsReport
 from tlab.morphology import build_morph_model
-from tlab.ngram import load_model
+from tlab.ngram import check_order, load_model
 from tlab.segmenter import MODES, SegmenterParams, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
@@ -215,6 +219,38 @@ def test_evaluate_csf1_order_above_n_max_is_data_error(word_data, tmp_path, caps
     assert err["error"] == "DataError" and "9" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["evaluate-csf1", "evaluate-all", "grid-search", "morph-eval", "morph-grid"])
+def test_order_above_n_max_is_rejected_where_the_flag_is_read(word_data, morph_files, tmp_path, capsys, command):
+    with pytest.raises(DataError) as expected:
+        check_order(3, 2)
+    data = ["--train", str(word_data["train"]), "--test", str(word_data["test"])]
+    lexicon = ["--lexicon", str(morph_files[0]), "--suffixes", str(morph_files[1])]
+    grid = ["--grid", "n=1..3;peak=0.5;prune=0;mode=fwd", "--out-csv", str(tmp_path / "t.csv")]
+    evaluate = ["evaluate", "--pred", str(word_data["gold"]), *data, "--n", "3", "--peak", "0.5"]
+    argv = {
+        "evaluate-csf1": [*evaluate, "--metrics", "csf1"],
+        "evaluate-all": [*evaluate, "--gold", str(word_data["gold"]), "--metrics", "all"],
+        "grid-search": ["grid-search", *data, "--gold", str(word_data["gold"]), *grid],
+        "morph-eval": ["morph-eval", *lexicon, "--n", "3", "--peak", "0.5"],
+        "morph-grid": ["morph-grid", *lexicon, *grid],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--n-max", "2"]) == 2
+    assert assert_data_error(capsys) == str(expected.value)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_evaluate_csf1_checks_the_order_after_reading_both_corpora(word_data, tmp_path, capsys):
+    # a missing file is reported before an order above --n-max, and that order before an empty test corpus
+    argv = ["evaluate", "--pred", str(word_data["gold"]), "--train", str(word_data["train"]),
+            "--metrics", "csf1", "--n", "9", "--peak", "0.5"]
+    assert main([*argv, "--test", str(tmp_path / "nope.txt")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    (tmp_path / "empty.txt").write_bytes(b"")
+    assert main([*argv, "--test", str(tmp_path / "empty.txt")]) == 2
+    assert assert_data_error(capsys) == "order 9 outside the model's range 1..7"
+
+
 def test_evaluate_emits_single_line_json(word_data, tmp_path, capsys):
     model_path = tmp_path / "m.tsv"
     pred_path = tmp_path / "pred.txt"
@@ -330,6 +366,23 @@ def test_grid_range_outside_its_axis_is_rejected_before_listing(word_data, morph
     assert main(argv) == 2
     assert time.process_time() - start < 1.0
     assert_data_error(capsys)
+
+
+@pytest.mark.parametrize("grid", ["n=1:3:0.5;peak=0.5;prune=0:1:0.5;mode=fwd", "n=1;peak=0.5;prune=0:1:0.5;mode=fwd",
+                                  "n=1.5;peak=0.5;prune=0;mode=fwd"])
+@pytest.mark.parametrize("command", ["grid-search", "morph-grid"])
+def test_fractional_order_or_prune_is_data_error(word_data, morph_files, tmp_path, capsys, command, grid):
+    # no syntax truncates 1.5 to 1: the grid is refused before anything is written
+    inputs = {
+        "grid-search": ["--train", str(word_data["train"]), "--test", str(word_data["test"]),
+                        "--gold", str(word_data["gold"])],
+        "morph-grid": ["--lexicon", str(morph_files[0]), "--suffixes", str(morph_files[1])],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *inputs, "--n-max", "3", "--grid", grid, "--out-csv", str(tmp_path / "t.csv"),
+                 "--out-summary", str(tmp_path / "s.json")]) == 2
+    assert_data_error(capsys)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("count", ["-1", "0"])
@@ -597,3 +650,20 @@ def test_run_parameters_have_one_vocabulary(word_data, tmp_path, capsys):
         argmax = json.loads(out_summary.read_text(encoding="utf-8"))["argmax_params"]
         assert all(params.keys() == set(SegmenterParams._fields) for params in argmax.values())
         assert {params["mode"] for params in argmax.values()} == {mode}
+
+
+def test_tokenize_stdout_is_utf8_whatever_the_stdout_encoding(tmp_path):
+    # standard output carries the bytes --out writes, even where the locale's encoding cannot encode them
+    corpus_path, model_path, out_path = tmp_path / "corpus.txt", tmp_path / "m.tsv", tmp_path / "out.txt"
+    corpus_path.write_text("héllo wörld\nwörld héllo\n", encoding="utf-8")
+    assert main(["build-model", "--in", str(corpus_path), "--n-max", "2", "--out", str(model_path)]) == 0
+    argv = ["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5", str(corpus_path)]
+    assert main([*argv, "--out", str(out_path)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", "from tlab.cli import run; run()", *argv],
+                          env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out_path.read_bytes()
+    assert "é".encode("utf-8") in done.stdout

@@ -20,7 +20,7 @@ def cjk_corpus(lines=40):
         tokens = rng.choices(CJK_WORDS, k=rng.randint(3, 6))
         raw.append("".join(tokens))
         gold.append(tuple(tokens))
-    return TextCorpus(tuple(raw), "cjk"), GoldSegmentation(tuple(gold))
+    return TextCorpus(tuple(raw)), GoldSegmentation(tuple(gold))
 
 
 def test_unspaced_cjk_segmentation_recovers_words():
@@ -45,7 +45,7 @@ def test_model_file_round_trips_multibyte(tmp_path):
 def test_astral_scalars_are_single_positions():
     # surrogate-free handling: an astral emoji counts as one scalar
     line = "a\U0001f600b"
-    model = build_model(TextCorpus((line,), "t"), 1)
+    model = build_model(TextCorpus((line,)), 1)
     assert model.windows[1] == {"a\U0001f600": 1, "\U0001f600b": 1}
     seg = segment(model, line, SegmenterParams(1, 0.0, 0, "union"))
     assert "".join(seg) == line
@@ -64,7 +64,7 @@ def test_ideographic_space_is_whitespace_for_scoring():
 
 
 def test_text_io_round_trip_preserves_cjk(tmp_path):
-    corpus = TextCorpus(("你好 世界", "语言学"), "t")
+    corpus = TextCorpus(("你好 世界", "语言学"))
     path = tmp_path / "c.txt"
     save_text(corpus, path)
     assert load_text(path).lines == corpus.lines
@@ -75,7 +75,7 @@ def test_text_io_round_trip_preserves_cjk(tmp_path):
 def test_grid_runs_on_unspaced_script():
     train, gold = cjk_corpus()
     spec = parse_grid_spec("n=1..2;peak=0.3,0.6;prune=0;mode=fwd,union")
-    records = run_grid(train, train, gold, spec, 2)
+    records = run_grid(train, train, gold, spec)
     assert len(records) == 2 * 2 * 1 * 2
     assert all(r.error is None for r in records)
     assert max(r.report.f1 for r in records) > 0.9

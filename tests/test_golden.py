@@ -9,9 +9,18 @@ functions. The grid and evaluate digests were re-recorded once since, when
 the retired ``timings``, ``keep_ws_tokens`` and ``span_f1`` flags left the
 echoed config and no other byte moved; any change to an output byte,
 including the echoed config, fails here.
+
+Both experiment scripts are pinned the same way, every file they write and
+their console, each run with a relative ``--out-dir`` so that the path they
+echo is fixed.
 """
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tlab.cli import main
 from tlab.corpus import TextCorpus, save_segmented, save_text
@@ -32,6 +41,27 @@ TOKENIZE_EVALUATE = {
     "tokens.txt": "4062c558535d964c8b093b67bb82acf00dad662c31b35d34a994f3ded47b4adb",
     "evaluate-fwd.json": "d1f73e75f7ac0f733cef297cfaa3eb83c8a5ae8f5ec6dc0c197a3b3ed43e1c85",
     "evaluate-union.json": "4f1b0069a1a904743d863a953b8386a2c0aac9bfb8f26a5b26cefa3b42de92fd",
+}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+WORD_GRID_SCRIPT = {
+    "console": "e670594adc275ad0ccd7f0d67009b51d41c3129b43f893847432ce2277fbb55d",
+    "wg/gold-spaced.txt": "17eb3cf48b2252118336c25b22164a7aa02ea1b232af96aca23e8808231ac830",
+    "wg/gold-unspaced.txt": "17eb3cf48b2252118336c25b22164a7aa02ea1b232af96aca23e8808231ac830",
+    "wg/summary-spaced.json": "aac57971c017da3718bf2c5bd8d6293e9b22ebbec1021ad1577b8a36d1841f0d",
+    "wg/summary-unspaced.json": "2d5e7b32a94e372536507242e6c62e18c5e7a8295ce5fed56b0eb87845a7835f",
+    "wg/test-spaced.txt": "17eb3cf48b2252118336c25b22164a7aa02ea1b232af96aca23e8808231ac830",
+    "wg/test-unspaced.txt": "11945afd1b5112fc8b073d8cd296eda82e5c339cf5b01364a3dd76fdeee5e060",
+    "wg/train-spaced.txt": "20a8ed31f8d5a4ff7e0f312f5202c14bb1735f98ca204daa4b95142303dfd6fc",
+    "wg/train-unspaced.txt": "6c070623bf8847594aa3a4265b69aa01073d3a614140578a9fa177c339e438dc",
+    "wg/trials-spaced.csv": "a857bbdedd2b849123b2598d4b9168c28fa7d2205904268d4dc0ebaedcb6cc24",
+    "wg/trials-unspaced.csv": "0f4c9228dff2fbe3d0377204c985e6d0ecf79679a10a9e5744976fe188ae2a4a",
+}
+MORPH_GRID_SCRIPT = {
+    "console": "3521974a45732c08c6f5d884e7ef9277ea603f1346a18682bd0fbf0ec3718caf",
+    "mg/lexicon.txt": "821f39cbd0ab6530443cc6f36fbd4af20eab822fee35302d164c3353842094bd",
+    "mg/suffixes.txt": "b48234e68f70853f74600616912769706c4aef2d3c04feaee4db9f1cb3eea9cb",
+    "mg/summary.json": "70424cf1d1f8ad1a4aec7964e53390c1e062f9f4ef9b89bd71bdcf5078c9ea55",
+    "mg/trials.csv": "889b2b563d22c89818b7204b211e1c09faab55d79e85ef7a2a78a8f169896fa7",
 }
 MORPH_EVAL = {
     "morph-fwd.json": "06da7cc769ca18986eff9b0bfcb8bb1db2bc509389a89a7e45ee825a4b2db4ac",
@@ -120,3 +150,15 @@ def test_morph_eval_bytes(tmp_path, monkeypatch, capsys):
                      "--n", "3", "--peak", "0.3", "--prune", "2", "--mode", mode]) == 0
         (tmp_path / f"morph-{mode}.json").write_text(capsys.readouterr().out, encoding="utf-8")
     assert digests(tmp_path, MORPH_EVAL) == MORPH_EVAL
+
+
+@pytest.mark.parametrize("script,args,recorded", [
+    ("run_word_grid.py", ["--lines", "300", "--test-lines", "20", "--out-dir", "wg"], WORD_GRID_SCRIPT),
+    ("run_morph_grid.py", ["--out-dir", "mg"], MORPH_GRID_SCRIPT),
+])
+def test_experiment_script_bytes(tmp_path, script, args, recorded):
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), *args], cwd=tmp_path, capture_output=True, check=True)
+    written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file())
+    assert written == sorted(recorded.keys() - {"console"})
+    got = digests(tmp_path, written) | {"console": hashlib.sha256(done.stdout).hexdigest()}
+    assert got == recorded

@@ -90,6 +90,18 @@ class TestParseGridSpec:
         with pytest.raises(DataError):
             parse_grid_spec("n=1;peak=0.5;prune=0;mode=diagonal")
 
+    @pytest.mark.parametrize("axes", ["n=1:2:0.5;prune=0", "n=1;prune=0:2:0.5", "n=1.5;prune=0", "n=1;prune=0.5",
+                                      "n=1..2.5;prune=0", "n=1;prune=0..1.5"])
+    def test_fractional_order_or_prune_rejected(self, axes):
+        # whatever the syntax, a value is never truncated to a whole number
+        with pytest.raises(DataError):
+            parse_grid_spec(f"{axes};peak=0.5;mode=fwd")
+
+    def test_whole_float_range_on_an_integer_axis(self):
+        spec = parse_grid_spec("n=1:3:1;peak=0.5;prune=0:4:2;mode=fwd")
+        assert (spec.n, spec.prune) == ((1, 2, 3), (0, 2, 4))
+        assert {type(value) for value in spec.n + spec.prune} == {int}
+
     def test_cardinality(self):
         spec = parse_grid_spec("n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union")
         axes = (spec.n, spec.peak, spec.prune, spec.mode)
@@ -170,21 +182,21 @@ class TestRunGrid:
     def test_single_point(self):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1;peak=0.5;prune=0;mode=union")
-        records = run_grid(train, test, gold, spec, 2)
+        records = run_grid(train, test, gold, spec)
         assert len(records) == 1
         assert records[0].error is None
 
     def test_record_count_is_cardinality(self):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union")
-        records = run_grid(train, test, gold, spec, 2)
+        records = run_grid(train, test, gold, spec)
         assert len(records) == 2 * 2 * 2 * 2
 
     def test_deterministic_and_sorted(self):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=2,1;peak=0.6,0.2;prune=0;mode=union,fwd")
-        a = run_grid(train, test, gold, spec, 2)
-        b = run_grid(train, test, gold, spec, 2)
+        a = run_grid(train, test, gold, spec)
+        b = run_grid(train, test, gold, spec)
         assert [(r.params, r.report, r.error) for r in a] == [(r.params, r.report, r.error) for r in b]
         points = [r.params for r in a]
         assert points == sorted(points)
@@ -196,7 +208,7 @@ class TestRunGrid:
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.0,0.4;prune=0,1;mode=fwd,union")
         n_max = 2
-        records = run_grid(train, test, gold, spec, n_max)
+        records = run_grid(train, test, gold, spec)
         part_a, part_b = split_even_odd(train)
         for record in records:
             assert record.error is None
@@ -213,7 +225,7 @@ class TestRunGrid:
             assert record.report.compression_factor == compression_factor(stats)
             assert record.report.csf1 == csf1
             assert record.report.reciprocal_cf == 1.0 / record.report.compression_factor
-            assert cross_split_f1(train, test, params, n_max) == csf1
+            assert cross_split_f1(train, test, params) == csf1
 
     def test_union_cell_reuses_the_forward_scores(self, monkeypatch):
         # a fwd+union grid profiles each line under each model once per
@@ -223,7 +235,7 @@ class TestRunGrid:
         directions = []
         real = segmenter.profile
         monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real(*args))
-        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"))
         per_direction = len(test.lines) * 3 * 1 * 2  # lines x models x scored prune values x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
 
@@ -237,7 +249,7 @@ class TestRunGrid:
         for module in (metrics, walk, lab):
             if getattr(module, "stripped_maxima", None) is real:
                 monkeypatch.setattr(module, "stripped_maxima", lambda *args: calls.append(1) or real(*args))
-        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"), 2)
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"))
         assert len(calls) == 2 * len(test.lines) * 2 * 1 * 2  # models x lines x modes x scored prune values x orders
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
@@ -245,7 +257,7 @@ class TestRunGrid:
         orders = []
         real = lab.build_model
         monkeypatch.setattr(lab, "build_model", lambda *args: orders.append(args[1]) or real(*args))
-        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.5;prune=0;mode=union"), 5)
+        run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.5;prune=0;mode=union"))
         assert orders == [2, 2]
 
     def test_misaligned_gold_rejected(self):
@@ -253,14 +265,14 @@ class TestRunGrid:
         bad = GoldSegmentation(gold.lines[:-1])
         spec = parse_grid_spec("n=1;peak=0.5;prune=0;mode=union")
         with pytest.raises(DataError):
-            run_grid(train, test, bad, spec, 1)
+            run_grid(train, test, bad, spec)
 
 
 class TestRunMorphGrid:
     def test_single_point(self):
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         spec = parse_grid_spec("n=2;peak=0.5;prune=0;mode=union")
-        records = run_morph_grid(lex, inv, spec, 3)
+        records = run_morph_grid(lex, inv, spec)
         assert len(records) == 1
         record = records[0]
         assert record.error is None
@@ -269,7 +281,7 @@ class TestRunMorphGrid:
     def test_record_count(self):
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         spec = parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,union")
-        records = run_morph_grid(lex, inv, spec, 3)
+        records = run_morph_grid(lex, inv, spec)
         assert len(records) == 3 * 2 * 1 * 2
 
     def test_scores_and_model_orders(self, monkeypatch):
@@ -280,7 +292,7 @@ class TestRunMorphGrid:
         real_profile, real_build = segmenter.profile, lab.build_morph_model
         monkeypatch.setattr(segmenter, "profile", lambda *args: directions.append(args[2]) or real_profile(*args))
         monkeypatch.setattr(lab, "build_morph_model", lambda *args: orders.append(args[1]) or real_build(*args))
-        run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"), 7)
+        run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"))
         per_direction = len(lex.entries) * 3  # words x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": 2 * per_direction}
         assert orders == [3]
@@ -294,7 +306,7 @@ class TestRunMorphGrid:
         inv = AffixInventory(prefixes, inv.suffixes, min_stem=2)
         spec = parse_grid_spec("n=1..3;peak=0.1:0.9:0.2;prune=0,2;mode=fwd,bwd,union")
         n_max = 3
-        records = run_morph_grid(lex, inv, spec, n_max)
+        records = run_morph_grid(lex, inv, spec)
         assert len(records) == 3 * 5 * 2 * 3
         for record in records:
             assert record.error is None
@@ -328,7 +340,7 @@ class TestRunMorphGrid:
         # as-written compression factor move in opposite directions
         lex, inv = make_affixed_lexicon(3)
         spec = parse_grid_spec("n=1..4;peak=0.1:0.9:0.2;prune=0;mode=union")
-        records = run_morph_grid(lex, inv, spec, 4)
+        records = run_morph_grid(lex, inv, spec)
         summary = summarize(records)
         r = summary.pearson_f1_vs["compression_factor"]
         assert r is not None and abs(r) >= 0.3
@@ -366,13 +378,13 @@ class TestDegreeTableLifetime:
     def test_word_grid(self, monkeypatch):
         train, test, gold = tiny_setup()
         snapshots = self.alive_at_each_derivation(monkeypatch)
-        run_grid(train, test, gold, parse_grid_spec(self.GRID), 3)
+        run_grid(train, test, gold, parse_grid_spec(self.GRID))
         self.check(snapshots, models=3)
 
     def test_morph_grid(self, monkeypatch):
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         snapshots = self.alive_at_each_derivation(monkeypatch)
-        run_morph_grid(lex, inv, parse_grid_spec(self.GRID), 3)
+        run_morph_grid(lex, inv, parse_grid_spec(self.GRID))
         self.check(snapshots, models=1)
 
 
@@ -409,13 +421,13 @@ class TestRawWindowLifetime:
     def test_word_grid(self, monkeypatch):
         train, test, gold = tiny_setup()
         snapshots = self.alive_at_each_derivation(monkeypatch)
-        run_grid(train, test, gold, parse_grid_spec(self.GRID), 4)
+        run_grid(train, test, gold, parse_grid_spec(self.GRID))
         self.check(snapshots, models=3)
 
     def test_morph_grid(self, monkeypatch):
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         snapshots = self.alive_at_each_derivation(monkeypatch)
-        run_morph_grid(lex, inv, parse_grid_spec(self.GRID), 4)
+        run_morph_grid(lex, inv, parse_grid_spec(self.GRID))
         self.check(snapshots, models=1)
 
 
@@ -494,7 +506,7 @@ class TestDescendingWalk:
         models = [build_model(corpus, 3) for corpus in (train, part_a, part_b)]
         spec = GridSpec(n_values, draw_peaks(data, models, test.lines, n_values), prune_values, modes)
 
-        records = run_grid(train, test, gold, spec, 3)
+        records = run_grid(train, test, gold, spec)
         assert [(r.params, r.report, r.error) for r in records] == per_peak_word_records(train, test, gold, spec, 3)
         if not any(tokens for tokens in gold.lines):
             assert {r.error for r in records} == {"DataError: anti-entropy needs at least one token"}
@@ -510,7 +522,7 @@ class TestDescendingWalk:
         model = build_morph_model(lexicon, 3)
         spec = GridSpec(n_values, draw_peaks(data, [model], words, n_values), prune_values, modes)
 
-        records = run_morph_grid(lexicon, inventory, spec, 3)
+        records = run_morph_grid(lexicon, inventory, spec)
         assert [(r.params, r.report, r.error) for r in records] == per_peak_morph_records(lexicon, inventory, spec, 3)
 
 
@@ -553,7 +565,7 @@ class TestSummarize:
     def test_matches_external_recompute_from_csv(self, tmp_path):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.0,0.3,0.6;prune=0;mode=union")
-        records = run_grid(train, test, gold, spec, 2)
+        records = run_grid(train, test, gold, spec)
         summary = summarize(records)
         path = tmp_path / "trials.csv"
         write_trials_csv(records, path)
@@ -575,7 +587,7 @@ class TestTrialCsv:
     def test_header_and_layout(self, tmp_path):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1;peak=0.25;prune=0;mode=union")
-        records = run_grid(train, test, gold, spec, 1)
+        records = run_grid(train, test, gold, spec)
         path = tmp_path / "t.csv"
         write_trials_csv(records, path, config={"run": "demo"})
         raw = path.read_bytes()
@@ -601,10 +613,10 @@ class TestTrialCsv:
     def test_rewrite_is_byte_identical(self, tmp_path):
         train, test, gold = tiny_setup()
         spec = parse_grid_spec("n=1,2;peak=0.2;prune=0;mode=union")
-        records = run_grid(train, test, gold, spec, 2)
+        records = run_grid(train, test, gold, spec)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trials_csv(records, p1, config={"k": 1})
-        write_trials_csv(run_grid(train, test, gold, spec, 2), p2, config={"k": 1})
+        write_trials_csv(run_grid(train, test, gold, spec), p2, config={"k": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -640,7 +652,7 @@ class TestPruneReuse:
         spec = GridSpec(n_values, peaks, draw_prunes(data, models, n_values), modes)
 
         def run(grid):
-            return run_grid(train, test, gold, grid, 3)
+            return run_grid(train, test, gold, grid)
 
         assert run(spec) == one_run_per_prune(run, spec)
 
@@ -656,7 +668,7 @@ class TestPruneReuse:
         spec = GridSpec(n_values, peaks, draw_prunes(data, [model], n_values), modes)
 
         def run(grid):
-            return run_morph_grid(lexicon, inventory, grid, 3)
+            return run_morph_grid(lexicon, inventory, grid)
 
         assert run(spec) == one_run_per_prune(run, spec)
 
@@ -674,12 +686,12 @@ class TestPruneReuse:
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         grid = "n=1,2;peak=0.2,0.6;prune={};mode=fwd,bwd,union"
         calls = self.count_work(monkeypatch)
-        run_grid(train, test, gold, parse_grid_spec(grid.format("0")), 2)
-        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0")), 2)
+        run_grid(train, test, gold, parse_grid_spec(grid.format("0")))
+        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0")))
         single = Counter(calls)
         assert single.keys() == {"scores", "WordWalk", "MorphWalk"}
-        run_grid(train, test, gold, parse_grid_spec(grid.format("0,1")), 2)
-        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0,1")), 2)
+        run_grid(train, test, gold, parse_grid_spec(grid.format("0,1")))
+        run_morph_grid(lex, inv, parse_grid_spec(grid.format("0,1")))
         assert calls == {name: 2 * count for name, count in single.items()}  # prune 0 once, then 0 and a copy
 
     def test_a_window_removed_from_one_half_model_alone_is_scored(self, monkeypatch):
@@ -692,9 +704,9 @@ class TestPruneReuse:
         tables = [build_model(corpus, 1).windows[1] for corpus in (train, *split_even_odd(train))]
         assert [len(prune(table, 2)) == len(table) for table in tables] == [True, False, True]
         calls = self.count_work(monkeypatch)
-        records = run_grid(train, test, gold, parse_grid_spec(grid.format("0")), 1)
+        records = run_grid(train, test, gold, parse_grid_spec(grid.format("0")))
         single = Counter(calls)
-        both = run_grid(train, test, gold, parse_grid_spec(grid.format("0,2")), 1)
+        both = run_grid(train, test, gold, parse_grid_spec(grid.format("0,2")))
         assert calls == {name: 3 * count for name, count in single.items()}  # prune 0 once, then 0 and 2
         assert [r for r in both if r.params.prune == 0] == records
         copied = [r._replace(params=r.params._replace(prune=2)) for r in records]

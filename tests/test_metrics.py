@@ -210,18 +210,18 @@ class TestCrossSplitF1:
     PARAMS = SegmenterParams(1, 0.5, 0, "union")
 
     def test_empty_test_line_is_data_error(self):
-        train = TextCorpus(("abab", "abab"), "t")
-        with pytest.raises(DataError, match="empty line"):
-            cross_split_f1(train, TextCorpus(("ab", ""), "t"), self.PARAMS, 2)
+        train = TextCorpus(("abab", "abab"))
+        with pytest.raises(DataError, match=r"empty line \(line 2\)"):
+            cross_split_f1(train, TextCorpus(("ab", "")), self.PARAMS)
 
     def test_identical_halves_give_one(self):
-        train = TextCorpus(("abab", "abab", "abab", "abab"), "t")
-        test = TextCorpus(("ab", "abab"), "t")
-        assert cross_split_f1(train, test, self.PARAMS, 2) == 1.0
+        train = TextCorpus(("abab", "abab", "abab", "abab"))
+        test = TextCorpus(("ab", "abab"))
+        assert cross_split_f1(train, test, self.PARAMS) == 1.0
 
     def test_directional_symmetry(self):
-        train = TextCorpus(("ab", "cd", "abcd", "dcba", "aabb", "ccdd"), "t")
-        test = TextCorpus(("abcd", "dcba"), "t")
+        train = TextCorpus(("ab", "cd", "abcd", "dcba", "aabb", "ccdd"))
+        test = TextCorpus(("abcd", "dcba"))
         from tlab.corpus import split_even_odd
         from tlab.metrics import boundary_counts as bc
 
@@ -233,14 +233,14 @@ class TestCrossSplitF1:
         f_ab = f1_score(bc(seg_a, seg_b))
         f_ba = f1_score(bc(seg_b, seg_a))
         assert f_ab == f_ba
-        assert cross_split_f1(train, test, self.PARAMS, 2) == pytest.approx((f_ab + f_ba) / 2)
+        assert cross_split_f1(train, test, self.PARAMS) == pytest.approx((f_ab + f_ba) / 2)
 
     def test_divergent_halves_match_bruteforce_pipeline(self):
         # eight lines with deliberately different even/odd vocabularies
         lines = ("aban", "xyxy", "acan", "xzxz", "adan", "xwxw", "aean", "xvxv")
-        train = TextCorpus(lines, "t")
-        test = TextCorpus(("aban", "xyxy"), "t")
-        got = cross_split_f1(train, test, self.PARAMS, 1)
+        train = TextCorpus(lines)
+        test = TextCorpus(("aban", "xyxy"))
+        got = cross_split_f1(train, test, self.PARAMS)
 
         even = [lines[i] for i in range(0, 8, 2)]
         odd = [lines[i] for i in range(1, 8, 2)]
@@ -263,7 +263,7 @@ class TestCrossSplitF1:
         test, _ = make_segmented_corpus(words, weights, 3, lines=600, spaces=False)
         tracemalloc.start()
         try:
-            cross_split_f1(train, test, SegmenterParams(3, 0.4, 0, "union"), 3)
+            cross_split_f1(train, test, SegmenterParams(3, 0.4, 0, "union"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

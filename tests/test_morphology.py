@@ -146,7 +146,7 @@ class TestWeightedMorphF1:
         from tlab.corpus import TextCorpus
         from tlab.ngram import build_model
 
-        m = build_model(TextCorpus(("xa", "xb", "xc"), "t"), 1)
+        m = build_model(TextCorpus(("xa", "xb", "xc")), 1)
         lex = FreqLexicon({"nnxa": 3, "mmxb": 2})
         inv = AffixInventory(frozenset(), frozenset({"a", "b"}), min_stem=3)
         report = weighted_morph_f1(m, lex, inv, SegmenterParams(1, 0.5, 0, "fwd"))
@@ -160,7 +160,7 @@ class TestWeightedMorphF1:
         from tlab.ngram import build_model
         from tlab.segmenter import segment
 
-        m = build_model(TextCorpus(("xa", "xb", "xc"), "t"), 1)
+        m = build_model(TextCorpus(("xa", "xb", "xc")), 1)
         lex = FreqLexicon({"bxa": 3, "bax": 1})
         inv = AffixInventory(frozenset(), frozenset({"a", "x"}), min_stem=2)
         params = SegmenterParams(1, 0.5, 0, "fwd")

@@ -25,7 +25,7 @@ from strategies import corpora_with_weights, small_lines, weights_for
 
 
 def model_of(lines, n_max=2, weights=None):
-    return build_model(TextCorpus(tuple(lines), "t"), n_max, line_weights=weights)
+    return build_model(TextCorpus(tuple(lines)), n_max, line_weights=weights)
 
 
 def view_of(m, n, min_count=0):

@@ -145,7 +145,7 @@ class TestWordGrid:
         n_values, prune_values, modes = draw_axes(data)
         models = [build_model(train, 3)]
         spec = GridSpec(n_values, draw_peaks(data, models, test.lines, n_values), prune_values, modes)
-        records = run_grid(train, test, gold, spec, 3)
+        records = run_grid(train, test, gold, spec)
         assert_rows_match(records, lambda *point: word_row(train.lines, test.lines, gold.lines, *point))
 
     @CLI_SETTINGS
@@ -200,7 +200,7 @@ class TestMorphGrid:
         n_values, prune_values, modes = draw_axes(data)
         spec = GridSpec(n_values, draw_peaks(data, [build_morph_model(lexicon, 3)], words, n_values),
                         prune_values, modes)
-        records = run_morph_grid(lexicon, inventory, spec, 3)
+        records = run_morph_grid(lexicon, inventory, spec)
         parses = [greedy_parse(word, inventory) for word in words]
         assert_rows_match(records, lambda *point: morph_row(words, freqs, parses, *point))
 

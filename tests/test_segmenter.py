@@ -33,7 +33,7 @@ def view_of(m, n, min_count=0):
 
 
 def model_of(lines, n_max=2, weights=None):
-    return build_model(TextCorpus(tuple(lines), "t"), n_max, line_weights=weights)
+    return build_model(TextCorpus(tuple(lines)), n_max, line_weights=weights)
 
 
 def params(n=1, peak=0.5, prune=0, mode="union"):
@@ -160,7 +160,7 @@ class TestSegment:
 
     def test_empty_line_rejected(self):
         m = model_of(["ab"], 1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="cannot segment an empty line"):
             segment(m, "", params())
 
     def test_shared_prefix_vocabulary(self):
@@ -217,16 +217,21 @@ class TestSegment:
 class TestSegmentCorpus:
     def test_empty_corpus(self):
         m = model_of(["ab"], 1)
-        assert segment_corpus(m, TextCorpus((), "t"), params()) == []
+        assert segment_corpus(m, TextCorpus(()), params()) == []
+
+    def test_the_first_empty_line_is_named(self):
+        m = model_of(["ab"], 1)
+        with pytest.raises(DataError, match=r"^cannot segment an empty line \(line 2\)$"):
+            segment_corpus(m, TextCorpus(("ab", "", "b", "")), params())
 
     def test_identical_lines_identical_output(self):
         m = model_of(["ab", "ac"], 1)
-        segs = segment_corpus(m, TextCorpus(("ab", "ab"), "t"), params())
+        segs = segment_corpus(m, TextCorpus(("ab", "ab")), params())
         assert segs[0] == segs[1]
 
     def test_order_preserved_at_scale(self):
         m = model_of(["ab", "ac"], 1)
-        corpus = TextCorpus(tuple(f"a{'b' if i % 2 else 'c'}" for i in range(1000)), "t")
+        corpus = TextCorpus(tuple(f"a{'b' if i % 2 else 'c'}" for i in range(1000)))
         segs = segment_corpus(m, corpus, params())
         assert len(segs) == 1000
         assert all("".join(s) == l for s, l in zip(segs, corpus.lines))
@@ -237,5 +242,5 @@ class TestSegmentCorpus:
         real = ngram.freedom
         monkeypatch.setattr(ngram, "freedom", lambda *args: derived.append(args[:1] + args[2:]) or real(*args))
         m = model_of(["abcab", "abd", "cabd"], 3)
-        segment_corpus(m, TextCorpus(("abcd", "dcab"), "t"), params(n=2, prune=1, mode="union"))
+        segment_corpus(m, TextCorpus(("abcd", "dcab")), params(n=2, prune=1, mode="union"))
         assert derived == [(2, 1)]
