@@ -108,9 +108,14 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     if args.out:
         save_segmented(token_lines, args.out)
     else:
-        # the bytes --out would hold, whatever encoding the locale gives stdout
-        sys.stdout.flush()
-        sys.stdout.buffer.write(format_segmented(token_lines).encode("utf-8"))
+        text = format_segmented(token_lines)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO, takes the text itself
+            sys.stdout.write(text)
+        else:
+            # the bytes --out would hold, whatever encoding the locale gives stdout
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
     return 0
 
 

@@ -61,7 +61,8 @@ def _parse_axis(key: str, text: str) -> list:
     first and last values are checked against the axis domain."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
+        bound = _whole if key in ("n", "prune") else int
+        lo, hi = bound(lo_text), bound(hi_text)
         count = hi - lo + 1
 
         def value(k: int) -> int:
@@ -96,7 +97,13 @@ def _parse_axis(key: str, text: str) -> list:
 
 
 def _whole(value) -> int:
-    """An n or prune value as an int: a float range's 1.5 is a data error, not truncated to 1."""
+    """An n or prune value as an int: ``"2"``, ``"2.0"`` and a float range's
+    2.0 are 2, and 1.5 in any syntax is a data error, not truncated to 1."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, float) and not value.is_integer():
         raise DataError(f"n and prune values must be whole numbers, got {value!r}")
     return int(value)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .metrics import MetricsReport
@@ -86,40 +87,47 @@ def build_morph_model(lexicon: FreqLexicon, n_max: int) -> TransitionModel:
     return build_model(TextCorpus(words), n_max, line_weights=weights)
 
 
+@lru_cache(maxsize=32)
+def _by_length(affixes: frozenset[str]) -> tuple[tuple[int, frozenset[str]], ...]:
+    """``affixes`` grouped by length, as (length, affixes of that length), longest first."""
+    lengths = sorted({len(affix) for affix in affixes}, reverse=True)
+    return tuple((k, frozenset(affix for affix in affixes if len(affix) == k)) for k in lengths)
+
+
 def greedy_parse(word: str, inventory: AffixInventory) -> tuple[str, ...]:
     """Strip longest matching prefixes, then longest suffixes, keeping the stem
     at least ``min_stem`` long. Matching is case-folded; pieces keep original
     casing.
+
+    A piece of k scalars is matched only against the affixes of k scalars,
+    so a step slices and folds once per distinct affix length, however many
+    affixes share it. A piece is never looked up in the whole set: folding
+    can lengthen it (``"ß"`` folds to ``"ss"``).
     """
     if not word:
         raise DataError("cannot parse an empty word")
     start, end = 0, len(word)
+    floor = inventory.min_stem
     front: list[str] = []
     back: list[str] = []
-
-    def longest(affixes: Iterable[str], at_front: bool) -> str | None:
-        best = None
-        for affix in affixes:
-            k = len(affix)
-            if end - start - k < inventory.min_stem:
-                continue
-            piece = word[start : start + k] if at_front else word[end - k : end]
-            if piece.casefold() == affix and (best is None or k > len(best)):
-                best = affix
-        return best
+    prefixes, suffixes = _by_length(inventory.prefixes), _by_length(inventory.suffixes)
 
     while True:
-        match = longest(inventory.prefixes, at_front=True)
-        if match is None:
+        for k, affixes in prefixes:
+            if end - start - k >= floor and (piece := word[start : start + k]).casefold() in affixes:
+                front.append(piece)
+                start += k
+                break
+        else:
             break
-        front.append(word[start : start + len(match)])
-        start += len(match)
     while True:
-        match = longest(inventory.suffixes, at_front=False)
-        if match is None:
+        for k, affixes in suffixes:
+            if end - start - k >= floor and (piece := word[end - k : end]).casefold() in affixes:
+                back.append(piece)
+                end -= k
+                break
+        else:
             break
-        back.append(word[end - len(match) : end])
-        end -= len(match)
     return (*front, word[start:end], *reversed(back))
 
 

@@ -80,15 +80,16 @@ def make_affixed_lexicon(
         suffix_set.append(cand)
     inventory = AffixInventory(frozenset(), frozenset(suffix_set), min_stem=3)
 
-    stem_set: list[str] = []
+    stem_set: dict[str, None] = {}  # the stems in order of drawing, with a hashed membership test
+    suffix_tuple = tuple(suffix_set)
     while len(stem_set) < stems:
         length = rng.randint(4, 6)
         cand = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(length))
-        if cand in stem_set or any(cand.endswith(s) for s in suffix_set):
+        if cand in stem_set or cand.endswith(suffix_tuple):
             continue
         if any(greedy_parse(cand + s, inventory) != (cand, s) for s in suffix_set):
             continue
-        stem_set.append(cand)
+        stem_set[cand] = None
 
     entries = {stem + suffix: 1 for stem in stem_set for suffix in suffix_set}
     return FreqLexicon(entries), inventory

@@ -6,8 +6,10 @@ is the model file and the corpus drawer: :func:`bf_load_model` reads a
 model file the plain way, one table per record tag, as the reference for
 the one-table reader; :func:`bf_model_text` formats the windows that
 ``reference.window_counts`` counts one record at a time, as the reference
-for the writer; and :func:`bf_segmented_corpus` draws every line's words
-with the weights passed to ``random.choices`` afresh.
+for the writer; :func:`bf_segmented_corpus` draws every line's words
+with the weights passed to ``random.choices`` afresh; and
+:func:`bf_greedy_parse` tries every affix of the inventory at every strip
+step, as the reference for the parser that tries one length at a time.
 """
 
 from __future__ import annotations
@@ -116,3 +118,36 @@ def bf_segmented_corpus(words, weights, seed, lines, min_words, max_words, space
         raw.append((" " if spaces else "").join(tokens))
         gold.append(tuple(tokens))
     return raw, gold
+
+
+def bf_greedy_parse(word, inventory):
+    """The greedy affix parse of a non-empty ``word``, each step comparing the
+    case-folded piece of every affix's length with that affix."""
+    start, end = 0, len(word)
+    front = []
+    back = []
+
+    def longest(affixes, at_front):
+        best = None
+        for affix in affixes:
+            k = len(affix)
+            if end - start - k < inventory.min_stem:
+                continue
+            piece = word[start : start + k] if at_front else word[end - k : end]
+            if piece.casefold() == affix and (best is None or k > len(best)):
+                best = affix
+        return best
+
+    while True:
+        match = longest(inventory.prefixes, at_front=True)
+        if match is None:
+            break
+        front.append(word[start : start + len(match)])
+        start += len(match)
+    while True:
+        match = longest(inventory.suffixes, at_front=False)
+        if match is None:
+            break
+        back.append(word[end - len(match) : end])
+        end -= len(match)
+    return (*front, word[start:end], *reversed(back))

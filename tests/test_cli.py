@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -667,3 +669,17 @@ def test_tokenize_stdout_is_utf8_whatever_the_stdout_encoding(tmp_path):
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == out_path.read_bytes()
     assert "é".encode("utf-8") in done.stdout
+
+
+def test_tokenize_to_a_text_only_stdout(tmp_path):
+    # a standard output with no byte stream, as an in-process caller may redirect it, takes the text --out holds
+    corpus_path, model_path, out_path = tmp_path / "corpus.txt", tmp_path / "m.tsv", tmp_path / "out.txt"
+    corpus_path.write_text("héllo wörld\tx\nwörld héllo\n", encoding="utf-8")
+    assert main(["build-model", "--in", str(corpus_path), "--n-max", "2", "--out", str(model_path)]) == 0
+    argv = ["tokenize", "--model", str(model_path), "--n", "1", "--peak", "0.5", str(corpus_path)]
+    assert main([*argv, "--out", str(out_path)]) == 0
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        status = main(argv)
+    assert status == 0
+    assert stream.getvalue() == out_path.read_bytes().decode("utf-8")

@@ -94,13 +94,29 @@ class TestParseGridSpec:
                                       "n=1..2.5;prune=0", "n=1;prune=0..1.5"])
     def test_fractional_order_or_prune_rejected(self, axes):
         # whatever the syntax, a value is never truncated to a whole number
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="must be whole numbers"):
             parse_grid_spec(f"{axes};peak=0.5;mode=fwd")
 
     def test_whole_float_range_on_an_integer_axis(self):
         spec = parse_grid_spec("n=1:3:1;peak=0.5;prune=0:4:2;mode=fwd")
         assert (spec.n, spec.prune) == ((1, 2, 3), (0, 2, 4))
         assert {type(value) for value in spec.n + spec.prune} == {int}
+
+    @pytest.mark.parametrize("axes, n, prune", [
+        ("n=1.0;prune=2.0", (1,), (2,)),
+        ("n=1.0,3;prune=0,2.0", (1, 3), (0, 2)),
+        ("n=1.0..2;prune=0..1.0", (1, 2), (0, 1)),
+    ])
+    def test_whole_decimal_on_an_integer_axis(self, axes, n, prune):
+        spec = parse_grid_spec(f"{axes};peak=0.5;mode=fwd")
+        assert (spec.n, spec.prune) == (n, prune)
+        assert {type(value) for value in spec.n + spec.prune} == {int}
+
+    @pytest.mark.parametrize("axes, message", [("n=abc;prune=0", "non-numeric grid value"),
+                                               ("n=1;prune=x..2", "non-numeric grid range")])
+    def test_non_numeric_order_or_prune_rejected(self, axes, message):
+        with pytest.raises(DataError, match=message):
+            parse_grid_spec(f"{axes};peak=0.5;mode=fwd")
 
     def test_cardinality(self):
         spec = parse_grid_spec("n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -18,6 +20,11 @@ from tlab.morphology import (
 from tlab.segmenter import SegmenterParams, segment
 
 import reference
+from bruteforce import bf_greedy_parse
+
+# letters whose case folding changes their length ("ß" is "ss", "İ" is "i" and a
+# combining dot, "ﬁ" is "fi") next to the plain letters and upper case they fold onto
+FOLDING_ALPHABET = "abfisxIAFSßİﬁ\u0307"
 
 ENGLISH = AffixInventory(
     prefixes=frozenset({"un", "re"}),
@@ -107,6 +114,49 @@ class TestGreedyParse:
     def test_empty_word_rejected(self):
         with pytest.raises(DataError):
             greedy_parse("", ENGLISH)
+
+    def test_folding_never_lengthens_a_match(self):
+        # "ß" folds to "ss", but a one-scalar piece only matches a one-scalar suffix
+        inv = AffixInventory(frozenset(), frozenset({"ss", "x"}), min_stem=1)
+        assert greedy_parse("abcdeß", inv) == bf_greedy_parse("abcdeß", inv) == ("abcdeß",)
+
+    AFFIXES = st.frozensets(st.text(FOLDING_ALPHABET, min_size=1, max_size=4).map(str.casefold), max_size=6)
+
+    @given(st.text(FOLDING_ALPHABET, min_size=1, max_size=12), AFFIXES, AFFIXES, st.integers(1, 4))
+    def test_matches_the_per_affix_oracle(self, word, prefixes, suffixes, min_stem):
+        inv = AffixInventory(prefixes, suffixes, min_stem)
+        assert greedy_parse(word, inv) == bf_greedy_parse(word, inv)
+
+    def test_step_cost_does_not_grow_with_the_affix_count(self):
+        # a strip step costs one slice and fold per distinct affix length, so
+        # 400 more suffixes of the same lengths, none of them matching, add
+        # no line event once the inventory has been grouped
+        few = frozenset({"ab", "cd", "efg", "hij"})
+        letters = "klmnopqrstuvwxyz"
+        pairs = [a + b for a in letters for b in letters]
+        many = few | frozenset(pairs) | frozenset(p + "k" for p in pairs[:144])
+        assert len(many) == len(few) + 400
+
+        def line_events(inv):
+            greedy_parse("basehijcdab", inv)  # warm-up
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                parse = greedy_parse("basehijcdab", inv)
+            finally:
+                sys.settrace(previous)
+            assert parse == ("base", "hij", "cd", "ab")
+            return count
+
+        counts = [line_events(AffixInventory(frozenset(), suffixes, min_stem=3)) for suffixes in (few, many)]
+        assert counts[0] == counts[1] > 0
 
 
 class TestMorphSegment:
