@@ -169,7 +169,7 @@ def run_grid(
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
     windows_m = {n: _add(windows_a.get(n, {}), windows_b.get(n, {})) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
-                  lambda line_scores, lowest: WordWalk(test.lines, prefixes, cuts, *line_scores, lowest))
+                  lambda line_scores, peaks: WordWalk(test.lines, prefixes, cuts, *line_scores, peaks))
 
 
 def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> WindowTable:
@@ -194,8 +194,8 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     degree tables die with it. Every line's scores under each view are
     computed from its slices once per (n, prune, mode); a union cell takes
     its rises from the fwd cell, if the grid has one. ``walk`` makes the
-    cell's walker from those scores and the lowest peak; its ``report`` is
-    then called at each peak value from the highest down.
+    cell's walker from those scores and the grid's distinct peak values,
+    highest first; each call of its ``report`` gives the next peak's metrics.
 
     Prune values are visited in ascending order, and a window kept at one
     value is kept at every lower one. So when each view of a cell keeps as
@@ -233,7 +233,7 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
                         line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
                     if mode == "fwd":
                         rises = line_scores
-                    cell = walk(line_scores, peaks[-1])
+                    cell = walk(line_scores, peaks)
                     for peak in peaks:
                         cell_records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
                     del cell, line_scores  # free this cell's walker before the next one is built
@@ -244,10 +244,10 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     return records
 
 
-def _trial(report: Callable[[float], MetricsReport], params: SegmenterParams) -> TrialRecord:
-    """Score one grid point, recording any error instead of raising."""
+def _trial(report: Callable[[], MetricsReport], params: SegmenterParams) -> TrialRecord:
+    """Record the walker's ``report`` at the next peak, ``params.peak``, or the error it raises."""
     try:
-        return TrialRecord(params, report(params.peak))
+        return TrialRecord(params, report())
     except Exception as exc:  # noqa: BLE001 - recorded per trial
         return TrialRecord(params, None, f"{type(exc).__name__}: {exc}")
 
@@ -266,7 +266,7 @@ def run_morph_grid(
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
     return _sweep(spec, raw_windows, words,
-                  lambda line_scores, lowest: MorphWalk(words, freqs, references, *line_scores, lowest))
+                  lambda line_scores, peaks: MorphWalk(words, freqs, references, *line_scores, peaks))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_right
+from collections import Counter
+from functools import partial
 from itertools import accumulate, chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model, order_freedom
@@ -213,55 +215,46 @@ def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[in
     return cuts
 
 
-def _at_least(ascending: Sequence[float], threshold: float) -> int:
-    return len(ascending) - bisect_left(ascending, threshold)
+def peaks_reached(ascending: Sequence[float], values: Iterable[float]) -> Iterator[int]:
+    """How many of the ``ascending`` peaks each value reaches, as a gap is cut
+    at a peak iff its score is at least that peak: a value that reaches r
+    peaks is first cut at ``ascending[r - 1]`` as a walk descends."""
+    return map(partial(bisect_right, ascending), values)
 
 
-class SplitTally(NamedTuple):
-    """Boundary tallies at every threshold from ``lowest`` up between two
-    models' cuts of the same lines, as counts over sorted scores.
+def split_tallies(prefixes: Iterable[Sequence[int]], score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
+                  peaks: Sequence[float]) -> list[BoundaryCounts]:
+    """Boundary tallies between two models' cuts of the same lines at each of ``peaks`` (distinct, descending).
 
-    A stripped position is cut by a model at θ when its
-    :func:`stripped_maxima` value reaches θ, and by both when the lower of
-    its two values does. Either role order gives the same F1: swapping them
-    swaps fp and fn, hence precision and recall, which 2*p*r/(p+r) reads the
-    same to the last bit, so averaging both orders would change nothing.
+    ``prefixes`` are the lines' :func:`nonspace_prefix` tables and
+    ``score_pairs`` each line's gap scores under the two models. A model
+    cuts a stripped position at a peak when the position's
+    :func:`stripped_maxima` value reaches it, and both do when the lower of
+    their two values does. Each value is binned once by
+    :func:`peaks_reached`; one below the lowest peak, which counts at none,
+    is dropped as its line is read. Either role order gives the same F1:
+    swapping them swaps fp and fn, hence precision and recall, which
+    2*p*r/(p+r) reads the same to the last bit.
     """
-
-    lowest: float
-    both: list[float]
-    a: list[float]
-    b: list[float]
-
-    @classmethod
-    def of(cls, prefixes: Iterable[Sequence[int]], score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
-           lowest: float) -> "SplitTally":
-        """From the lines' :func:`nonspace_prefix` tables and each line's gap
-        scores under the two models; only thresholds of at least ``lowest``
-        can be asked for, so a score below it, which counts at none of them,
-        is never kept."""
-        both: list[float] = []
-        a: list[float] = []
-        b: list[float] = []
-        for prefix, (scores_a, scores_b) in zip(prefixes, score_pairs):
-            maxima_a, maxima_b = stripped_maxima(prefix, scores_a), stripped_maxima(prefix, scores_b)
-            a += [x for x in maxima_a if x >= lowest]
-            b += [y for y in maxima_b if y >= lowest]
-            both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x >= lowest and y >= lowest]
-        for values in (both, a, b):
-            values.sort()
-        return cls(lowest, both, a, b)
-
-    def at(self, threshold: float) -> BoundaryCounts:
-        if threshold < self.lowest:
-            raise ValueError(f"threshold {threshold} is below the lowest one, {self.lowest}")
-        tp = _at_least(self.both, threshold)
-        return BoundaryCounts(tp, _at_least(self.a, threshold) - tp, _at_least(self.b, threshold) - tp)
+    ascending = peaks[::-1]
+    lowest = ascending[0]
+    both: list[float] = []
+    a: list[float] = []
+    b: list[float] = []
+    for prefix, (scores_a, scores_b) in zip(prefixes, score_pairs):
+        maxima_a, maxima_b = stripped_maxima(prefix, scores_a), stripped_maxima(prefix, scores_b)
+        a += [x for x in maxima_a if x >= lowest]
+        b += [y for y in maxima_b if y >= lowest]
+        both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x >= lowest and y >= lowest]
+    bins = [Counter(peaks_reached(ascending, values)) for values in (both, a, b)]
+    # a peak counts the values that reach it or a higher one: each bin from the highest peak down, summed
+    tp, cut_a, cut_b = [list(accumulate(counts[r] for r in range(len(peaks), 0, -1))) for counts in bins]
+    return [BoundaryCounts(t, x - t, y - t) for t, x, y in zip(tp, cut_a, cut_b)]
 
 
 def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams) -> float:
     """Train on interleaved halves, cut a shared test set with both models,
-    and score one set of cuts against the other (see :class:`SplitTally`)."""
+    and score one set of cuts against the other (see :func:`split_tallies`)."""
     if not test.lines:
         raise DataError("cross-split F1 needs a non-empty test corpus")
     check_lines(test.lines)
@@ -269,10 +262,10 @@ def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams)
     n, mode = params.n, params.mode
     view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))
     sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
-    tallies = SplitTally.of(
+    (counts,) = split_tallies(
         map(nonspace_prefix, test.lines),
         ((scores(view_a, line, mode, grams), scores(view_b, line, mode, grams)) for line, grams in sliced),
-        params.peak,
+        (params.peak,),
     )
-    return f1_score(tallies.at(params.peak))
+    return f1_score(counts)
 

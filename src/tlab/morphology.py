@@ -151,5 +151,5 @@ def weighted_morph_f1(
     words = tuple(lexicon.entries)
     word_scores = [scores(view, word, params.mode) for word in words]
     return MorphWalk(
-        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, params.peak
-    ).report(params.peak)
+        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, (params.peak,)
+    ).report()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from .corpus import GoldSegmentation, TextCorpus
+from .corpus import DataError, GoldSegmentation, TextCorpus
 from .morphology import AffixInventory, FreqLexicon, greedy_parse
 
 DEFAULT_ALPHABET = "abcdefghijkl"
@@ -69,8 +69,13 @@ def make_affixed_lexicon(
     than the intended two pieces, so the greedy reference is unambiguous.
     """
     rng = random.Random(seed)
+    letters = len(DEFAULT_ALPHABET)
     suffix_set: list[str] = []
+    pairs, tails = 0, set()  # the 2-letter suffixes drawn, and the last two letters of the 3-letter ones
     while len(suffix_set) < suffixes:
+        # admissible: a 2-letter string neither drawn nor a tail, a 3-letter one neither drawn nor ending with a pair
+        if (letters + 1) * (letters**2 - pairs) - len(tails) - (len(suffix_set) - pairs) == 0:
+            raise DataError(f"only {len(suffix_set)} of {suffixes} suffixes drawn: no admissible one is left")
         length = rng.randint(2, 3)
         cand = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(length))
         if cand in suffix_set:
@@ -78,8 +83,16 @@ def make_affixed_lexicon(
         if any(cand.endswith(s) or s.endswith(cand) for s in suffix_set):
             continue
         suffix_set.append(cand)
+        if length == 2:
+            pairs += 1
+        else:
+            tails.add(cand[1:])
     inventory = AffixInventory(frozenset(), frozenset(suffix_set), min_stem=3)
 
+    # no suffix ends another, so no string ends with two of them
+    room = sum(letters**length - sum(letters ** (length - len(s)) for s in suffix_set) for length in range(4, 7))
+    if stems > room:
+        raise DataError(f"only {room} strings of 4 to 6 letters end with no suffix, but {stems} stems asked for")
     stem_set: dict[str, None] = {}  # the stems in order of drawing, with a hashed membership test
     suffix_tuple = tuple(suffix_set)
     while len(stem_set) < stems:

@@ -1,43 +1,45 @@
 """Descending peak walks: every peak value of a grid cell from one pass over its gaps.
 
 A gap is cut iff its score reaches the peak threshold, so cuts only grow as
-the threshold falls. A cell therefore visits its peak values from the
-highest to the lowest: each gap is cut once, when the walk first reaches its
-score, and splits one token of a running lexicon in two. Hits against a
-fixed reference are counted as the walk cuts (per word in the morph grid,
-per stripped position for the word grid's gold F1); cross-split F1, whose
-two sides both move with the threshold, counts over scores sorted once per
-cell (:class:`~tlab.metrics.SplitTally`). Every metric is still computed by
-the :mod:`tlab.metrics` functions, from the same integers and tables as a
-per-peak pass, and every report by :meth:`~tlab.metrics.MetricsReport.of`,
+the threshold falls. A cell therefore visits its distinct peak values from
+the highest to the lowest, and each gap is binned once by the peak at which
+the walk first cuts it (:func:`~tlab.metrics.peaks_reached`); there it
+splits one token of a running lexicon in two. Hits against a fixed
+reference are counted as the walk cuts (per word in the morph grid, per
+stripped position for the word grid's gold F1); cross-split F1, whose two
+sides both move with the threshold, bins its stripped maxima by the same
+rule (:func:`~tlab.metrics.split_tallies`). Every metric is still computed
+by the :mod:`tlab.metrics` functions, from the same integers and tables as
+a per-peak pass, and every report by :meth:`~tlab.metrics.MetricsReport.of`,
 so every float is the same.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Sequence
 
 from .metrics import (
     BoundaryCounts,
     MetricsReport,
-    SplitTally,
     TokenStats,
     anti_entropy,
     compression_factor,
     count_tokens,
     f1_score,
+    peaks_reached,
+    split_tallies,
 )
 
 
 class TokenWalk:
-    """Token statistics of lines cut at every gap whose score reaches a falling threshold.
+    """Token statistics of lines cut at each of a cell's peaks, from the highest down.
 
-    Line i's tokens count ``weights[i]`` times, and whitespace-only tokens are
-    skipped, as in :func:`~tlab.metrics.token_stats`. Gaps scoring below
-    ``lowest`` are never cut. ``stats`` holds the statistics at the current
-    threshold; its lexicon changes with the next advance.
+    ``peaks`` are distinct and descending. Line i's tokens count
+    ``weights[i]`` times, and whitespace-only tokens are skipped, as in
+    :func:`~tlab.metrics.token_stats`. A gap below every peak is never cut.
+    ``stats`` holds the statistics at the last peak advanced to; its lexicon
+    changes with the next advance.
     """
 
     def __init__(
@@ -45,36 +47,26 @@ class TokenWalk:
         lines: Sequence[str],
         line_scores: Sequence[Sequence[float]],
         weights: Sequence[int],
-        lowest: float,
+        peaks: Sequence[float],
     ) -> None:
         self.lines = lines
         self.weights = weights
         self.cuts = [[0, len(line)] for line in lines]
-        self.gaps = [
-            (score, i, k)
-            for i, gap_scores in enumerate(line_scores)
-            for k, score in enumerate(gap_scores, 1)
-            if score >= lowest
-        ]
-        self.gaps.sort(reverse=True)
-        self.reached = 0
-        self.threshold = math.inf
+        ascending = peaks[::-1]
+        # bins[r - 1] holds the gaps first cut at ascending[r - 1], so pop() takes the next peak's
+        self.bins: list[list[tuple[int, int]]] = [[] for _ in peaks]
+        for i, gap_scores in enumerate(line_scores):
+            for k, reached in enumerate(peaks_reached(ascending, gap_scores), 1):
+                if reached:
+                    self.bins[reached - 1].append((i, k))
         self.stats = count_tokens(TokenStats({}, 0, 0), zip(lines, weights))
 
-    def advance(self, threshold: float) -> list[tuple[float, int, int]]:
-        """Cut every gap scoring at least ``threshold``; return the newly cut (score, line, gap) triples."""
-        if threshold > self.threshold:
-            raise ValueError(f"threshold {threshold} is above the last one, {self.threshold}")
-        self.threshold = threshold
-        gaps, start = self.gaps, self.reached
-        end = start
-        while end < len(gaps) and gaps[end][0] >= threshold:
-            end += 1
-        self.reached = end
-        newly = gaps[start:end]
+    def advance(self) -> list[tuple[int, int]]:
+        """Cut every gap first reached at the next peak; return its (line, gap) pairs."""
+        newly = self.bins.pop()
         lines, all_cuts, weights = self.lines, self.cuts, self.weights
         changes = []  # token, weight, token, weight, ...: no tuple per token
-        for _, i, k in newly:
+        for i, k in newly:
             line, cuts, weight = lines[i], all_cuts[i], weights[i]
             j = bisect_left(cuts, k)
             left, right = cuts[j - 1], cuts[j]
@@ -87,7 +79,7 @@ class TokenWalk:
 
 class WordWalk:
     """One word-grid cell: boundary F1 against gold, token statistics and
-    cross-split F1 of the test lines at falling peak thresholds.
+    cross-split F1 of the test lines at each of ``peaks``, one per report.
 
     ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables
     and ``gold`` their :func:`~tlab.metrics.gold_cuts`; ``scores_m``,
@@ -104,19 +96,20 @@ class WordWalk:
         scores_m: Sequence[Sequence[float]],
         scores_a: Sequence[Sequence[float]],
         scores_b: Sequence[Sequence[float]],
-        lowest: float,
+        peaks: Sequence[float],
     ) -> None:
         self.prefixes = prefixes
         self.gold = gold
         self.cut: list[set[int]] = [set() for _ in lines]  # stripped positions cut so far
         self.hits = self.predicted = 0
         self.gold_total = sum(map(len, gold))
-        self.split = SplitTally.of(prefixes, zip(scores_a, scores_b), lowest)
-        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), lowest)
+        self.split = iter(split_tallies(prefixes, zip(scores_a, scores_b), peaks))
+        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), peaks)
 
-    def report(self, threshold: float) -> MetricsReport:
+    def report(self) -> MetricsReport:
+        split = next(self.split)  # taken first: a report that raises leaves the walk in step
         prefixes, gold, cut = self.prefixes, self.gold, self.cut
-        for _, i, k in self.tokens.advance(threshold):
+        for i, k in self.tokens.advance():
             prefix = prefixes[i]
             p = prefix[k]
             if 0 < p < prefix[-1] and p not in cut[i]:
@@ -127,13 +120,13 @@ class WordWalk:
         stats = self.tokens.stats
         return MetricsReport.of(
             f1_score(BoundaryCounts(hits, self.predicted - hits, self.gold_total - hits)),
-            anti_entropy(stats), compression_factor(stats), f1_score(self.split.at(threshold)),
+            anti_entropy(stats), compression_factor(stats), f1_score(split),
         )
 
 
 class MorphWalk:
     """Frequency-weighted morph F1, anti-entropy and compression factor of a
-    lexicon's freedom-peak cuts at falling peak thresholds.
+    lexicon's freedom-peak cuts at each of ``peaks``, one per report.
 
     Per-word boundary F1 against the reference cuts (words hold no
     whitespace, so cut sets compare directly) is averaged with word-frequency
@@ -147,19 +140,19 @@ class MorphWalk:
         freqs: Sequence[int],
         references: Sequence[frozenset[int]],
         word_scores: Sequence[Sequence[float]],
-        lowest: float,
+        peaks: Sequence[float],
     ) -> None:
         self.freqs = freqs
         self.references = references
-        self.tokens = TokenWalk(words, word_scores, freqs, lowest)
+        self.tokens = TokenWalk(words, word_scores, freqs, peaks)
         self.hits = [0] * len(words)
         self.cut_counts = [0] * len(words)
         self.terms = [freq * f1_score(BoundaryCounts(0, 0, len(ref))) for freq, ref in zip(freqs, references)]
         self.total_freq = sum(freqs)
 
-    def report(self, threshold: float) -> MetricsReport:
+    def report(self) -> MetricsReport:
         touched = set()
-        for _, i, k in self.tokens.advance(threshold):
+        for i, k in self.tokens.advance():
             self.cut_counts[i] += 1
             self.hits[i] += k in self.references[i]
             touched.add(i)

@@ -9,7 +9,6 @@ from tlab.corpus import DataError, GoldSegmentation, TextCorpus
 from tlab.metrics import (
     BoundaryCounts,
     MetricsReport,
-    SplitTally,
     TokenStats,
     anti_entropy,
     boundary_counts,
@@ -18,6 +17,7 @@ from tlab.metrics import (
     f1_score,
     nonspace_prefix,
     project_cuts,
+    split_tallies,
     stripped_boundaries,
     tally,
     token_stats,
@@ -283,23 +283,20 @@ def scored_line(draw):
 
 
 class TestSplitTally:
-    @given(st.lists(scored_line(), max_size=5), st.sampled_from(THRESHOLDS))
-    def test_counts_equal_tallying_each_threshold_cuts(self, scored, lowest):
+    @given(st.lists(scored_line(), max_size=5),
+           st.sets(st.one_of(st.sampled_from(THRESHOLDS), st.floats(0, 1)), min_size=1, max_size=4))
+    def test_counts_equal_tallying_each_threshold_cuts(self, scored, peaks):
+        # one entry per peak, from the highest down, each as tallying that peak's cuts
+        peaks = sorted(peaks, reverse=True)
         prefixes = [nonspace_prefix(line) for line, _ in scored]
-        tallied = SplitTally.of(prefixes, [pair for _, pair in scored], lowest)
-        for values in (tallied.both, tallied.a, tallied.b):
-            assert all(v >= lowest for v in values)
-            assert values == sorted(values)
-        for threshold in (t for t in THRESHOLDS if t >= lowest):
+        tallied = split_tallies(prefixes, [pair for _, pair in scored], peaks)
+        assert len(tallied) == len(peaks)
+        for peak, counts in zip(peaks, tallied):
             cut = [
-                tuple(project_cuts(prefix, detect_boundaries(gap_scores, threshold)) for gap_scores in pair)
+                tuple(project_cuts(prefix, detect_boundaries(gap_scores, peak)) for gap_scores in pair)
                 for prefix, (_, pair) in zip(prefixes, scored)
             ]
-            assert tallied.at(threshold) == tally(cut)
-
-    def test_threshold_below_the_lowest_rejected(self):
-        with pytest.raises(ValueError, match="below the lowest"):
-            SplitTally.of([(0, 1, 2)], [([0.5], [0.5])], 0.25).at(0.1)
+            assert counts == tally(cut)
 
 
 class TestDerivedMetrics:

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from tlab.synth import make_segmented_corpus, make_vocabulary
+from tlab.corpus import DataError
+from tlab.synth import DEFAULT_ALPHABET, make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 from bruteforce import bf_segmented_corpus
 
@@ -25,3 +28,21 @@ class TestSegmentedCorpus:
         corpus, gold = make_segmented_corpus(words, weights, 3, lines=200, min_words=2, max_words=9)
         raw, tokens = bf_segmented_corpus(words, weights, 3, 200, 2, 9, True)
         assert (corpus.lines, gold.lines) == (tuple(raw), tuple(tokens))
+
+
+class TestAffixedLexicon:
+    def test_counts_beyond_what_the_alphabet_admits_rejected(self):
+        # the suffix draw stops once no string of 2 or 3 letters is left that
+        # neither ends a drawn suffix nor ends with one, where it used to draw
+        # forever; such a set leaves no stem either, which stops the stem draw
+        with pytest.raises(DataError, match=r"only \d+ of 2000 suffixes drawn: no admissible one is left") as caught:
+            make_affixed_lexicon(0, stems=1, suffixes=2000)
+        drawn = int(caught.value.args[0].split()[1])
+        lexicon, inventory = make_affixed_lexicon(0, stems=0, suffixes=drawn)  # the same draws, as far as they got
+        kept = inventory.suffixes
+        assert len(kept) == drawn and not lexicon.entries
+        endings = {s[-k:] for s in kept for k in (2, 3)}  # a string of 2 or 3 letters that a suffix ends with
+        strings = ("".join(letters) for k in (2, 3) for letters in product(DEFAULT_ALPHABET, repeat=k))
+        assert not [c for c in strings if not c.endswith(tuple(kept)) and c not in endings]
+        with pytest.raises(DataError, match="only 0 strings of 4 to 6 letters end with no suffix"):
+            make_affixed_lexicon(0, stems=1, suffixes=drawn)
