@@ -12,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tlab.corpus import TextCorpus, save_text
+from tlab.cli import report_error
+from tlab.corpus import DataError, TextCorpus, save_text
 from tlab.lab import parse_grid_spec, run_morph_grid, summarize, write_summary_json, write_trials_csv
 from tlab.synth import make_affixed_lexicon
 
@@ -52,4 +53,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (DataError, OSError) as exc:
+        sys.exit(report_error(exc))

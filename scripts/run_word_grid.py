@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tlab.corpus import save_segmented, save_text
+from tlab.cli import report_error
+from tlab.corpus import DataError, save_segmented, save_text
 from tlab.lab import (
     DEFAULT_GRID,
     parse_grid_spec,
@@ -84,4 +85,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (DataError, OSError) as exc:
+        sys.exit(report_error(exc))

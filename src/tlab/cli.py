@@ -270,8 +270,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return report_error(exc)
+
+
+def report_error(exc: DataError | OSError) -> int:
+    """Print a data or I/O error as one JSON object on one line of stderr, and return its exit status, 2."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return 2
 
 
 def run() -> None:

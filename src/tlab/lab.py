@@ -22,14 +22,16 @@ CSV_HEADER = ",".join((*SegmenterParams._fields, *MetricsReport._fields, "wall_t
 
 DEFAULT_GRID = "n=1..7;peak=0:0.9:0.1;prune=0,2,5;mode=fwd,union"
 
-# the most values a grid axis may list; more is a mistyped range, slow and large to list
+# the most values a grid axis may list, and the most trials a grid may hold;
+# more is a mistyped range, slow and large to list and to sweep
 MAX_AXIS_VALUES = 100_000
 
 
 class GridSpec(namedtuple("GridSpec", SegmenterParams._fields)):
     """Value tuples whose Cartesian product defines the trial set, one per
     :class:`~tlab.segmenter.SegmenterParams` field and named as it is; every
-    value is checked by :func:`~tlab.segmenter.check_domain`."""
+    value is checked by :func:`~tlab.segmenter.check_domain`, and the set
+    holds at most :data:`MAX_AXIS_VALUES` distinct trials."""
 
     __slots__ = ()
 
@@ -40,6 +42,9 @@ class GridSpec(namedtuple("GridSpec", SegmenterParams._fields)):
                 raise DataError("every grid axis needs at least one value")
             for value in values:
                 check_domain(axis, value)
+        trials = math.prod(len(set(values)) for values in spec)
+        if trials > MAX_AXIS_VALUES:
+            raise DataError(f"grid holds {trials} trials, more than {MAX_AXIS_VALUES}")
         return spec
 
 
@@ -191,9 +196,10 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     so the caller must keep no other reference to them. Each line is sliced
     into n-grams once per order, and each (n, prune) cell derives its own
     :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
-    degree tables die with it. Every line's scores under each view are
-    computed from its slices once per (n, prune, mode); a union cell takes
-    its rises from the fwd cell, if the grid has one. ``walk`` makes the
+    degree tables die with it. Each direction the cell's modes need is
+    scored once per view and line, from the line's slices; a fwd or bwd
+    cell takes its direction's scores, and a union cell the
+    :func:`~tlab.segmenter.union` of the two. ``walk`` makes the
     cell's walker from those scores and the grid's distinct peak values,
     highest first; each call of its ``report`` gives the next peak's metrics.
 
@@ -206,7 +212,7 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     view, a half model's included, is scored in full.
     """
     peaks = sorted(set(spec.peak), reverse=True)
-    modes = sorted(set(spec.mode))  # bwd, fwd, then union
+    modes = sorted(set(spec.mode))
     records: list[TrialRecord] = []
     orders = sorted(set(spec.n))
     for windows in raw_windows:  # an order off the grid was counted only to derive the orders below it
@@ -223,21 +229,16 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
                 cell_records = [r._replace(params=r.params._replace(prune=prune)) for r in cell_records]
             else:
                 kept, cell_records = [view.windows for view in views], []
-                rises = None  # the fwd cell's scores, until the union cell takes them
+                scored = {d: [[scores(v, line, d, g) for line, g in zip(lines, sliced)] for v in views]
+                          for d in ("fwd", "bwd") if d in modes or "union" in modes}
                 for mode in modes:
-                    if mode == "union" and rises is not None:
-                        line_scores = [[union(r, scores(v, line, "bwd", g)) for line, g, r in zip(lines, sliced, rs)]
-                                       for v, rs in zip(views, rises)]
-                        rises = None
-                    else:
-                        line_scores = [[scores(v, line, mode, g) for line, g in zip(lines, sliced)] for v in views]
-                    if mode == "fwd":
-                        rises = line_scores
+                    line_scores = ([list(map(union, rs, ds)) for rs, ds in zip(scored["fwd"], scored["bwd"])]
+                                   if mode == "union" else scored[mode])
                     cell = walk(line_scores, peaks)
                     for peak in peaks:
                         cell_records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
                     del cell, line_scores  # free this cell's walker before the next one is built
-                del rises
+                del scored
             records += cell_records
             del views  # and this cell's degree tables before the next cell's
     records.sort(key=lambda r: r.params)

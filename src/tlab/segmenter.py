@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 from .corpus import DataError, TextCorpus
 from .ngram import Freedom, TransitionModel, order_freedom
 
-# the direction modes, sorted: a grid cell sweeps fwd before union, which reuses its rises
+# the direction modes: each freedom direction alone, and union, which cuts where either fires
 MODES = ("bwd", "fwd", "union")
 
 _DOMAINS = {

@@ -18,7 +18,16 @@ def make_vocabulary(
     min_len: int = 2,
     max_len: int = 6,
 ) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """Random distinct words with Zipf-ish sampling weights, 1 / (rank + 1) ** 1.1."""
+    """Random distinct words with Zipf-ish sampling weights, 1 / (rank + 1) ** 1.1.
+
+    Asking for more words than there are distinct strings of ``min_len`` to
+    ``max_len`` letters of ``alphabet`` raises a :class:`DataError`.
+    """
+    letters = len(set(alphabet))
+    room = sum(letters**length for length in range(min_len, max_len + 1))
+    if size > room:
+        raise DataError(f"only {room} distinct words of {min_len} to {max_len} letters over {letters} letters, "
+                        f"but {size} asked for")
     rng = random.Random(seed)
     words: list[str] = []
     seen = set()

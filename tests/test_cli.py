@@ -683,3 +683,20 @@ def test_tokenize_to_a_text_only_stdout(tmp_path):
         status = main(argv)
     assert status == 0
     assert stream.getvalue() == out_path.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("script, args, error", [
+    ("run_word_grid.py", ["--words", "4000000"], "DataError"),
+    ("run_word_grid.py", ["--lines", "10", "--test-lines", "5", "--grid", "n=1;peak=0.5;prune=0;mode=sideways"],
+     "DataError"),
+    ("run_morph_grid.py", ["--stems", "10000000"], "DataError"),
+    ("run_morph_grid.py", ["--out-dir", "taken/mg"], "NotADirectoryError"),
+])
+def test_experiment_scripts_fail_as_the_command_line_does(tmp_path, script, args, error):
+    # a data or I/O error ends in one JSON line on stderr and exit status 2, not a traceback
+    (tmp_path / "taken").write_bytes(b"")
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    done = subprocess.run([sys.executable, str(scripts / script), *args], cwd=tmp_path, capture_output=True)
+    assert done.returncode == 2
+    [line] = done.stderr.decode("utf-8").splitlines()
+    assert json.loads(line)["error"] == error

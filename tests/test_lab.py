@@ -123,6 +123,17 @@ class TestParseGridSpec:
         axes = (spec.n, spec.peak, spec.prune, spec.mode)
         assert tuple(map(len, axes)) == (7, 10, 3, 2)
 
+    def test_trial_limit(self):
+        # each axis within its limit, and the product named; a grid at the limit parses
+        with pytest.raises(DataError, match="grid holds 21002100000 trials, more than 100000"):
+            parse_grid_spec("n=1..7;peak=0:1:0.0001;prune=0..99999;mode=fwd,union,bwd")
+        assert len(parse_grid_spec("n=1,2;peak=0.5,0.5;prune=0..49999;mode=fwd").prune) == MAX_AXIS_VALUES // 2
+        with pytest.raises(DataError, match="grid holds 100002 trials"):
+            parse_grid_spec("n=1..3;peak=0.5;prune=0..33333;mode=fwd")
+        # repeated values are one trial
+        spec = parse_grid_spec(f"n=1,1;peak=0.5;prune=0..{MAX_AXIS_VALUES - 1};mode=fwd,fwd")
+        assert len(spec.n) * len(spec.prune) * len(spec.mode) == 4 * MAX_AXIS_VALUES
+
     def test_axis_value_limit(self):
         spec = parse_grid_spec(f"n=1;peak=0.5;prune=0..{MAX_AXIS_VALUES - 1};mode=fwd")
         assert len(spec.prune) == MAX_AXIS_VALUES
@@ -301,8 +312,8 @@ class TestRunMorphGrid:
         assert len(records) == 3 * 2 * 1 * 2
 
     def test_scores_and_model_orders(self, monkeypatch):
-        # with all three modes, the union cell takes its rises from the fwd
-        # cell and profiles only the backward direction again
+        # with all three modes, each cell profiles each word once per
+        # direction, and its union scores are read from those profiles
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         directions, orders = [], []
         real_profile, real_build = segmenter.profile, lab.build_morph_model
@@ -310,7 +321,7 @@ class TestRunMorphGrid:
         monkeypatch.setattr(lab, "build_morph_model", lambda *args: orders.append(args[1]) or real_build(*args))
         run_morph_grid(lex, inv, parse_grid_spec("n=1..3;peak=0.2,0.6;prune=0;mode=fwd,bwd,union"))
         per_direction = len(lex.entries) * 3  # words x orders
-        assert Counter(directions) == {"fwd": per_direction, "bwd": 2 * per_direction}
+        assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
         assert orders == [3]
 
     def test_matches_per_word_pipeline(self):
@@ -644,9 +655,46 @@ def draw_prunes(data, models, n_values):
     return (1, *data.draw(st.lists(pool, min_size=1, max_size=4)))
 
 
-def one_run_per_prune(run, spec):
-    """The grid run once per distinct prune value, its records merged in sorted order."""
-    return sorted((r for value in set(spec.prune) for r in run(spec._replace(prune=(value,)))), key=lambda r: r.params)
+def one_run_per(axis, run, spec):
+    """The grid run once per distinct value of ``axis``, its records merged in sorted order."""
+    values = set(getattr(spec, axis))
+    return sorted((r for value in values for r in run(spec._replace(**{axis: (value,)}))), key=lambda r: r.params)
+
+
+class TestModeSharing:
+    """A scored cell scores each direction once for all of its modes; every
+    record must equal, bit for bit, the record of a grid of its mode alone."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_word_grid_equals_one_run_per_mode(self, data):
+        train = TextCorpus(tuple(line for line, _ in data.draw(st.lists(spaced_line(), min_size=2, max_size=8))))
+        drawn = data.draw(st.lists(spaced_line(), min_size=1, max_size=5))
+        test = TextCorpus(tuple(line for line, _ in drawn))
+        gold = GoldSegmentation(tuple(tokens for _, tokens in drawn))
+        n_values, prune_values, modes = draw_axes(data)
+        models = [build_model(corpus, 3) for corpus in (train, *split_even_odd(train))]
+        spec = GridSpec(n_values, draw_peaks(data, models, test.lines, n_values), prune_values, modes)
+
+        def run(grid):
+            return run_grid(train, test, gold, grid)
+
+        assert repr(run(spec)) == repr(one_run_per("mode", run, spec))
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_morph_grid_equals_one_run_per_mode(self, data):
+        words = data.draw(st.lists(st.text(alphabet="abcd", min_size=1, max_size=7), min_size=1, max_size=8, unique=True))
+        lexicon = FreqLexicon({word: data.draw(st.integers(1, 5)) for word in words})
+        inventory = AffixInventory(frozenset(), frozenset(word[-2:] for word in words if len(word) > 2), min_stem=2)
+        n_values, prune_values, modes = draw_axes(data)
+        model = build_morph_model(lexicon, 3)
+        spec = GridSpec(n_values, draw_peaks(data, [model], words, n_values), prune_values, modes)
+
+        def run(grid):
+            return run_morph_grid(lexicon, inventory, grid)
+
+        assert repr(run(spec)) == repr(one_run_per("mode", run, spec))
 
 
 class TestPruneReuse:
@@ -670,7 +718,7 @@ class TestPruneReuse:
         def run(grid):
             return run_grid(train, test, gold, grid)
 
-        assert run(spec) == one_run_per_prune(run, spec)
+        assert run(spec) == one_run_per("prune", run, spec)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -686,7 +734,7 @@ class TestPruneReuse:
         def run(grid):
             return run_morph_grid(lexicon, inventory, grid)
 
-        assert run(spec) == one_run_per_prune(run, spec)
+        assert run(spec) == one_run_per("prune", run, spec)
 
     @staticmethod
     def count_work(monkeypatch):

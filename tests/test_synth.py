@@ -30,6 +30,20 @@ class TestSegmentedCorpus:
         assert (corpus.lines, gold.lines) == (tuple(raw), tuple(tokens))
 
 
+class TestVocabulary:
+    def test_every_string_of_the_lengths_can_be_drawn(self):
+        words, weights = make_vocabulary(0, size=144, min_len=2, max_len=2)
+        assert sorted(words) == ["".join(pair) for pair in product(DEFAULT_ALPHABET, repeat=2)]
+        assert len(weights) == 144
+
+    @pytest.mark.parametrize("alphabet, size, room", [(DEFAULT_ALPHABET, 145, 144), ("aab", 5, 4)])
+    def test_more_words_than_distinct_strings_rejected(self, alphabet, size, room):
+        # the draw used to run forever; a repeated letter adds no string
+        with pytest.raises(DataError, match=f"only {room} distinct words of 2 to 2 letters over .* {size} asked for"):
+            make_vocabulary(0, size=size, alphabet=alphabet, min_len=2, max_len=2)
+        assert len(set(make_vocabulary(0, size=room, alphabet=alphabet, min_len=2, max_len=2)[0])) == room
+
+
 class TestAffixedLexicon:
     def test_counts_beyond_what_the_alphabet_admits_rejected(self):
         # the suffix draw stops once no string of 2 or 3 letters is left that
