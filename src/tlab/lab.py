@@ -13,7 +13,7 @@ from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_cuts, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
 from .ngram import WindowTable, build_model, check_order, freedom
-from .segmenter import SegmenterParams, check_domain, grams_of, scores, union
+from .segmenter import SegmenterParams, check_domain, grams_of, levels, thresholds
 from .walk import MorphWalk, WordWalk
 
 METRIC_COLUMNS = MetricsReport._fields[1:]  # every report field but F1, which they are correlated with
@@ -162,7 +162,7 @@ def run_grid(
     sum of the halves'. The grid is swept one order at a time
     (:func:`_sweep`), each (n, prune) cell with its own freedom views of the
     three models' tables, and each order's tables freed once its cells are
-    done; each (n, prune, mode) cell scores its gaps once and walks its peak
+    done; each (n, prune, mode) cell levels its gaps once and walks its peak
     values from the highest down (:class:`~tlab.walk.WordWalk`). A cell
     whose three views keep as many windows as at the order's previous prune
     value copies that cell's records. Failed trials are recorded with an
@@ -174,7 +174,7 @@ def run_grid(
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
     windows_m = {n: _add(windows_a.get(n, {}), windows_b.get(n, {})) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
-                  lambda line_scores, peaks: WordWalk(test.lines, prefixes, cuts, *line_scores, peaks))
+                  lambda line_levels, bins: WordWalk(test.lines, prefixes, cuts, *line_levels, bins))
 
 
 def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> WindowTable:
@@ -196,23 +196,24 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     so the caller must keep no other reference to them. Each line is sliced
     into n-grams once per order, and each (n, prune) cell derives its own
     :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
-    degree tables die with it. Each direction the cell's modes need is
-    scored once per view and line, from the line's slices; a fwd or bwd
-    cell takes its direction's scores, and a union cell the
-    :func:`~tlab.segmenter.union` of the two. ``walk`` makes the
-    cell's walker from those scores and the grid's distinct peak values,
-    highest first; each call of its ``report`` gives the next peak's metrics.
+    degree tables die with it. Each view gets one
+    :func:`~tlab.segmenter.thresholds` table of the grid's distinct peaks,
+    and each direction the modes need is leveled once per view and line;
+    a fwd or bwd cell takes its direction's levels, and a union cell the
+    larger of the two. ``walk`` makes the cell's walker from those levels
+    and the number of peaks, and each of its ``report`` calls gives the
+    next peak's metrics, from the highest down.
 
     Prune values are visited in ascending order, and a window kept at one
     value is kept at every lower one. So when each view of a cell keeps as
     many windows (:attr:`~tlab.ngram.Freedom.windows`) as the same model's
     view at the order's previous prune value, the views are equal, and the
     cell takes that cell's records with ``prune`` replaced: it computes no
-    scores and builds no walker. A value that removes a window from any one
+    levels and builds no walker. A value that removes a window from any one
     view, a half model's included, is scored in full.
     """
     peaks = sorted(set(spec.peak), reverse=True)
-    modes = sorted(set(spec.mode))
+    ascending, modes = peaks[::-1], sorted(set(spec.mode))
     records: list[TrialRecord] = []
     orders = sorted(set(spec.n))
     for windows in raw_windows:  # an order off the grid was counted only to derive the orders below it
@@ -225,20 +226,21 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
         for prune in sorted(set(spec.prune)):
             views = [freedom(n, table, prune) for table in tables]
             if [view.windows for view in views] == kept:
-                # prune values nest, so these views keep the last cell's windows: its scores, its records
+                # prune values nest, so these views keep the last cell's windows: its levels, its records
                 cell_records = [r._replace(params=r.params._replace(prune=prune)) for r in cell_records]
             else:
                 kept, cell_records = [view.windows for view in views], []
-                scored = {d: [[scores(v, line, d, g) for line, g in zip(lines, sliced)] for v in views]
-                          for d in ("fwd", "bwd") if d in modes or "union" in modes}
+                rules = [(v, thresholds(v, ascending)) for v in views]  # each view with its one table
+                leveled = {d: [[levels(v, line, d, t, g) for line, g in zip(lines, sliced)] for v, t in rules]
+                           for d in ("fwd", "bwd") if d in modes or "union" in modes}
                 for mode in modes:
-                    line_scores = ([list(map(union, rs, ds)) for rs, ds in zip(scored["fwd"], scored["bwd"])]
-                                   if mode == "union" else scored[mode])
-                    cell = walk(line_scores, peaks)
+                    line_levels = leveled[mode] if mode != "union" else [
+                        [list(map(max, f, b)) for f, b in zip(*pair)] for pair in zip(leveled["fwd"], leveled["bwd"])]
+                    cell = walk(line_levels, len(peaks))
                     for peak in peaks:
                         cell_records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
-                    del cell, line_scores  # free this cell's walker before the next one is built
-                del scored
+                    del cell, line_levels  # free this cell's walker before the next one is built
+                del leveled, rules  # rules holds the views too
             records += cell_records
             del views  # and this cell's degree tables before the next cell's
     records.sort(key=lambda r: r.params)
@@ -267,7 +269,7 @@ def run_morph_grid(
     words, freqs = tuple(lexicon.entries), tuple(lexicon.entries.values())
     references = reference_cuts(lexicon, inventory)
     return _sweep(spec, raw_windows, words,
-                  lambda line_scores, peaks: MorphWalk(words, freqs, references, *line_scores, peaks))
+                  lambda line_levels, bins: MorphWalk(words, freqs, references, *line_levels, bins))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from collections import Counter
-from functools import partial
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .ngram import build_model, order_freedom
-from .segmenter import SegmenterParams, check_lines, grams_of, scores
+from .segmenter import SegmenterParams, check_lines, grams_of, levels, thresholds
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -185,20 +183,20 @@ def compression_factor(stats: TokenStats) -> float:
     return (stats.total_tokens + dictionary) / stats.total_chars
 
 
-def stripped_maxima(prefix: Sequence[int], gap_scores: Sequence[float]) -> Sequence[float]:
-    """The highest gap score at each internal position p of the stripped stream, at index p - 1.
+def stripped_maxima(prefix: Sequence[int], gap_levels: Sequence[int]) -> Sequence[int]:
+    """The highest gap level at each internal position p of the stripped stream, at index p - 1.
 
-    ``prefix`` is the line's :func:`nonspace_prefix` table. A threshold cuts
-    stripped position p iff its value here reaches it, which is
-    :func:`project_cuts` of every threshold's cuts at once.
+    ``prefix`` is the line's :func:`nonspace_prefix` table. A peak cuts
+    stripped position p iff its value here reaches the peak's level, which
+    is :func:`project_cuts` of every peak's cuts at once.
     """
     total = prefix[-1]
-    if total == len(gap_scores) + 1:  # no whitespace: gap k is position k
-        return gap_scores
-    best = [-math.inf] * max(total - 1, 0)
-    for p, score in zip(prefix[1:], gap_scores):
-        if 0 < p < total and score > best[p - 1]:
-            best[p - 1] = score
+    if total == len(gap_levels) + 1:  # no whitespace: gap k is position k
+        return gap_levels
+    best = [0] * max(total - 1, 0)
+    for p, level in zip(prefix[1:], gap_levels):
+        if 0 < p < total and level > best[p - 1]:
+            best[p - 1] = level
     return best
 
 
@@ -215,40 +213,28 @@ def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[in
     return cuts
 
 
-def peaks_reached(ascending: Sequence[float], values: Iterable[float]) -> Iterator[int]:
-    """How many of the ``ascending`` peaks each value reaches, as a gap is cut
-    at a peak iff its score is at least that peak: a value that reaches r
-    peaks is first cut at ``ascending[r - 1]`` as a walk descends."""
-    return map(partial(bisect_right, ascending), values)
-
-
-def split_tallies(prefixes: Iterable[Sequence[int]], score_pairs: Iterable[tuple[Sequence[float], Sequence[float]]],
-                  peaks: Sequence[float]) -> list[BoundaryCounts]:
-    """Boundary tallies between two models' cuts of the same lines at each of ``peaks`` (distinct, descending).
+def split_tallies(prefixes: Iterable[Sequence[int]], level_pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
+                  bins: int) -> list[BoundaryCounts]:
+    """Boundary tallies between two models' cuts of the same lines at each of ``bins`` peaks, from the highest down.
 
     ``prefixes`` are the lines' :func:`nonspace_prefix` tables and
-    ``score_pairs`` each line's gap scores under the two models. A model
+    ``level_pairs`` each line's gap levels under the two models. A model
     cuts a stripped position at a peak when the position's
-    :func:`stripped_maxima` value reaches it, and both do when the lower of
-    their two values does. Each value is binned once by
-    :func:`peaks_reached`; one below the lowest peak, which counts at none,
+    :func:`stripped_maxima` level reaches the peak's, and both do when the
+    lower of their two levels does. A level of 0, which counts at no peak,
     is dropped as its line is read. Either role order gives the same F1:
     swapping them swaps fp and fn, hence precision and recall, which
     2*p*r/(p+r) reads the same to the last bit.
     """
-    ascending = peaks[::-1]
-    lowest = ascending[0]
-    both: list[float] = []
-    a: list[float] = []
-    b: list[float] = []
-    for prefix, (scores_a, scores_b) in zip(prefixes, score_pairs):
-        maxima_a, maxima_b = stripped_maxima(prefix, scores_a), stripped_maxima(prefix, scores_b)
-        a += [x for x in maxima_a if x >= lowest]
-        b += [y for y in maxima_b if y >= lowest]
-        both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x >= lowest and y >= lowest]
-    bins = [Counter(peaks_reached(ascending, values)) for values in (both, a, b)]
-    # a peak counts the values that reach it or a higher one: each bin from the highest peak down, summed
-    tp, cut_a, cut_b = [list(accumulate(counts[r] for r in range(len(peaks), 0, -1))) for counts in bins]
+    both, a, b = [], [], []
+    for prefix, (levels_a, levels_b) in zip(prefixes, level_pairs):
+        maxima_a, maxima_b = stripped_maxima(prefix, levels_a), stripped_maxima(prefix, levels_b)
+        a += [x for x in maxima_a if x]
+        b += [y for y in maxima_b if y]
+        both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x and y]
+    # a peak counts the levels that reach it or a higher one: each bin from the highest peak down, summed
+    tp, cut_a, cut_b = [list(accumulate(counts[r] for r in range(bins, 0, -1)))
+                        for counts in map(Counter, (both, a, b))]
     return [BoundaryCounts(t, x - t, y - t) for t, x, y in zip(tp, cut_a, cut_b)]
 
 
@@ -261,11 +247,9 @@ def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.mode
     view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))
+    table_a, table_b = thresholds(view_a, (params.peak,)), thresholds(view_b, (params.peak,))
     sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
-    (counts,) = split_tallies(
-        map(nonspace_prefix, test.lines),
-        ((scores(view_a, line, mode, grams), scores(view_b, line, mode, grams)) for line, grams in sliced),
-        (params.peak,),
-    )
+    pairs = ((levels(view_a, line, mode, table_a, g), levels(view_b, line, mode, table_b, g)) for line, g in sliced)
+    (counts,) = split_tallies(map(nonspace_prefix, test.lines), pairs, 1)
     return f1_score(counts)
 

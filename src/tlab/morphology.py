@@ -11,7 +11,7 @@ from typing import NamedTuple
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .metrics import MetricsReport
 from .ngram import TransitionModel, build_model, order_freedom
-from .segmenter import SegmenterParams, scores
+from .segmenter import SegmenterParams, levels, thresholds
 from .walk import MorphWalk
 
 
@@ -148,8 +148,7 @@ def weighted_morph_f1(
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
     view = order_freedom(model, params.n, params.prune)
-    words = tuple(lexicon.entries)
-    word_scores = [scores(view, word, params.mode) for word in words]
-    return MorphWalk(
-        words, tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory), word_scores, (params.peak,)
-    ).report()
+    words, table = tuple(lexicon.entries), thresholds(view, (params.peak,))
+    word_levels = [levels(view, word, params.mode, table) for word in words]
+    freqs, references = tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory)
+    return MorphWalk(words, freqs, references, word_levels, 1).report()

@@ -1,10 +1,10 @@
-"""Transition-freedom profiles, gap scores, and score-then-threshold segmentation."""
+"""Transition-freedom profiles, the peak rule as integer levels, and thresholded segmentation."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, islice, repeat
-from operator import sub, truediv
 from typing import Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
@@ -59,53 +59,69 @@ def grams_of(line: str, n: int) -> list[str]:
     return [line[i : i + n] for i in range(len(line) - n + 1)]
 
 
-def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | None = None) -> tuple[float, ...]:
-    """Freedom at every gap of ``line``, scaled by the order's max freedom.
+def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | None = None) -> tuple[int, ...]:
+    """Freedom at every gap of ``line``: an out-degree of the view.
 
-    Position i scores the n-gram ending at scalar i-1 (``"fwd"``) or starting
-    at scalar i (``"bwd"``), n being the view's order; gaps without a full
-    n-gram of context score 0, as does everything when the order has no
-    grams at all. ``grams`` is the line's :func:`grams_of` at order n, when
-    a caller shares one slicing between views and directions.
+    Position i holds the degree of the n-gram ending at scalar i-1
+    (``"fwd"``) or starting at scalar i (``"bwd"``), n being the view's
+    order; gaps without a full n-gram of context hold 0, as do unseen grams.
+    ``grams`` is the line's :func:`grams_of` at order n, when a caller
+    shares one slicing between views and directions.
     """
-    n, maxf = view.n, view.top[direction]
-    length = len(line)
-    if length < 2:
-        return ()
-    if maxf == 0 or length <= n:
-        return (0.0,) * (length - 1)
+    n, length = view.n, len(line)
+    if length <= n:
+        return (0,) * (length - 1)
     grams = grams_of(line, n) if grams is None else grams
     degrees = map(view.degrees[direction].get, grams[:-1] if direction == "fwd" else grams[1:], repeat(0))
-    values, pad = map(truediv, degrees, repeat(maxf)), repeat(0.0, n - 1)
+    pad = repeat(0, n - 1)
     # built from a list, the tuple is allocated at its exact size and never resized
-    return tuple([*pad, *values] if direction == "fwd" else [*values, *pad])
+    return tuple([*pad, *degrees] if direction == "fwd" else [*degrees, *pad])
 
 
-def scores(view: Freedom, line: str, mode: str, grams: Sequence[str] | None = None) -> list[float]:
-    """The boundary score of every gap of ``line``; a gap is cut iff its score reaches the peak.
+def thresholds(view: Freedom, ascending: Sequence[float]) -> dict[str, list[list[int]]]:
+    """The peak rule. Per direction, row b holds for each ``ascending`` peak the
+    least degree a (``top + 1`` if none) whose gap, next to degree b, is cut.
 
-    ``"fwd"`` scores the rise from the previous gap (virtual 0 before the
-    line), ``"bwd"`` the drop to the next gap (virtual 0 after it), and
-    ``"union"`` their :func:`union`, from one slicing of the line.
-    ``grams`` is as for :func:`profile`.
+    A gap is cut iff its score, ``a / top - b / top``, reaches the peak: its
+    rise from the previous gap's degree b (``"fwd"``) or its drop to the next
+    one's (``"bwd"``). The score never falls as a grows, so a gap reaches
+    ``bisect_right(row, a)`` peaks; a threshold never falls as b grows, so
+    each is carried down the rows. A top of 0 has one row: every score is 0.
+    """
+    table = {}
+    for direction, top in view.top.items():
+        scaled = [degree / top for degree in range(top + 1)] if top else [0.0]
+        least, rows = [0] * len(ascending), []
+        for b in scaled:
+            for j, peak in enumerate(ascending):
+                a = least[j]
+                while a <= top and scaled[a] - b < peak:
+                    a += 1
+                least[j] = a
+            rows.append(least.copy())
+        table[direction] = rows
+    return table
+
+
+def levels(view: Freedom, line: str, mode: str, table: dict[str, list[list[int]]],
+           grams: Sequence[str] | None = None) -> list[int]:
+    """How many peaks of ``table``, the view's :func:`thresholds`, each gap of ``line`` reaches.
+
+    ``"fwd"`` reads each degree next to the previous gap's (0 before the
+    line), ``"bwd"`` next to the next gap's (0 after it), and ``"union"``
+    takes the larger level, from one slicing. ``grams`` is as for :func:`profile`.
     """
     if mode == "union":
         grams = grams_of(line, view.n) if grams is None else grams
-        return union(scores(view, line, "fwd", grams), scores(view, line, "bwd", grams))
-    values = profile(view, line, mode, grams)
-    if mode == "fwd":
-        return list(map(sub, values, chain((0.0,), values)))
-    return list(map(sub, values, chain(islice(values, 1, None), (0.0,))))
+        return list(map(max, levels(view, line, "fwd", table, grams), levels(view, line, "bwd", table, grams)))
+    degrees = profile(view, line, mode, grams)
+    neighbours = chain((0,), degrees) if mode == "fwd" else chain(islice(degrees, 1, None), (0,))
+    return list(map(bisect_right, map(table[mode].__getitem__, neighbours), degrees))
 
 
-def union(rises: Sequence[float], drops: Sequence[float]) -> list[float]:
-    """Union scores: the larger of each gap's rise and drop, so that union fires whenever either direction does."""
-    return list(map(max, rises, drops))
-
-
-def detect_boundaries(gap_scores: Sequence[float], threshold: float) -> list[int]:
-    """Cut positions (1-based gap indices) of the scores that reach ``threshold``."""
-    return [k for k, score in enumerate(gap_scores, 1) if score >= threshold]
+def detect_boundaries(gap_levels: Sequence[int], level: int) -> list[int]:
+    """Cut positions (1-based gap indices) of the gaps whose :func:`levels` reach ``level``."""
+    return [k for k, reached in enumerate(gap_levels, 1) if reached >= level]
 
 
 def check_lines(lines: Sequence[str]) -> None:
@@ -127,5 +143,5 @@ def segment_corpus(
     """Each line's tokens, in order, every line cut with one freedom view of the order ``params.n``."""
     view = order_freedom(model, params.n, params.prune)
     check_lines(corpus.lines)
-    mode, peak = params.mode, params.peak
-    return [tuple(split_at(line, detect_boundaries(scores(view, line, mode), peak))) for line in corpus.lines]
+    mode, table = params.mode, thresholds(view, (params.peak,))
+    return [tuple(split_at(line, detect_boundaries(levels(view, line, mode, table), 1))) for line in corpus.lines]

@@ -1,17 +1,16 @@
 """Descending peak walks: every peak value of a grid cell from one pass over its gaps.
 
-A gap is cut iff its score reaches the peak threshold, so cuts only grow as
-the threshold falls. A cell therefore visits its distinct peak values from
-the highest to the lowest, and each gap is binned once by the peak at which
-the walk first cuts it (:func:`~tlab.metrics.peaks_reached`); there it
+Each gap carries its level (:func:`~tlab.segmenter.levels`), the number of
+the cell's peaks it reaches, so cuts only grow as the peak falls. A cell
+visits its distinct peaks from the highest down, and each gap is binned
+once by its level, the peak at which the walk first cuts it; there it
 splits one token of a running lexicon in two. Hits against a fixed
 reference are counted as the walk cuts (per word in the morph grid, per
-stripped position for the word grid's gold F1); cross-split F1, whose two
-sides both move with the threshold, bins its stripped maxima by the same
-rule (:func:`~tlab.metrics.split_tallies`). Every metric is still computed
-by the :mod:`tlab.metrics` functions, from the same integers and tables as
-a per-peak pass, and every report by :meth:`~tlab.metrics.MetricsReport.of`,
-so every float is the same.
+stripped position for the word grid's gold F1); cross-split F1 bins its
+stripped maxima by level (:func:`~tlab.metrics.split_tallies`). Every
+metric is still computed by the :mod:`tlab.metrics` functions, from the
+same integers and tables as a per-peak pass, and every report by
+:meth:`~tlab.metrics.MetricsReport.of`, so every float is the same.
 """
 
 from __future__ import annotations
@@ -27,38 +26,37 @@ from .metrics import (
     compression_factor,
     count_tokens,
     f1_score,
-    peaks_reached,
     split_tallies,
 )
 
 
 class TokenWalk:
-    """Token statistics of lines cut at each of a cell's peaks, from the highest down.
+    """Token statistics of lines cut at each of a cell's ``bins`` peaks, from the highest down.
 
-    ``peaks`` are distinct and descending. Line i's tokens count
-    ``weights[i]`` times, and whitespace-only tokens are skipped, as in
-    :func:`~tlab.metrics.token_stats`. A gap below every peak is never cut.
-    ``stats`` holds the statistics at the last peak advanced to; its lexicon
-    changes with the next advance.
+    ``line_levels`` hold each gap's level, from 0 to ``bins``; the r-th
+    advance cuts the gaps of level ``bins - r + 1``, and a gap of level 0 is
+    never cut. Line i's tokens count ``weights[i]`` times, and
+    whitespace-only tokens are skipped, as in
+    :func:`~tlab.metrics.token_stats`. ``stats`` holds the statistics at
+    the last peak advanced to; its lexicon changes with the next advance.
     """
 
     def __init__(
         self,
         lines: Sequence[str],
-        line_scores: Sequence[Sequence[float]],
+        line_levels: Sequence[Sequence[int]],
         weights: Sequence[int],
-        peaks: Sequence[float],
+        bins: int,
     ) -> None:
         self.lines = lines
         self.weights = weights
         self.cuts = [[0, len(line)] for line in lines]
-        ascending = peaks[::-1]
-        # bins[r - 1] holds the gaps first cut at ascending[r - 1], so pop() takes the next peak's
-        self.bins: list[list[tuple[int, int]]] = [[] for _ in peaks]
-        for i, gap_scores in enumerate(line_scores):
-            for k, reached in enumerate(peaks_reached(ascending, gap_scores), 1):
-                if reached:
-                    self.bins[reached - 1].append((i, k))
+        # bins[r - 1] holds the gaps of level r, so pop() takes the next peak's
+        self.bins: list[list[tuple[int, int]]] = [[] for _ in range(bins)]
+        for i, gap_levels in enumerate(line_levels):
+            for k, level in enumerate(gap_levels, 1):
+                if level:
+                    self.bins[level - 1].append((i, k))
         self.stats = count_tokens(TokenStats({}, 0, 0), zip(lines, weights))
 
     def advance(self) -> list[tuple[int, int]]:
@@ -79,11 +77,11 @@ class TokenWalk:
 
 class WordWalk:
     """One word-grid cell: boundary F1 against gold, token statistics and
-    cross-split F1 of the test lines at each of ``peaks``, one per report.
+    cross-split F1 of the test lines at each of ``bins`` peaks, one per report.
 
     ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables
-    and ``gold`` their :func:`~tlab.metrics.gold_cuts`; ``scores_m``,
-    ``scores_a`` and ``scores_b`` are every line's gap scores under the
+    and ``gold`` their :func:`~tlab.metrics.gold_cuts`; ``levels_m``,
+    ``levels_a`` and ``levels_b`` are every line's gap levels under the
     full-train model and the two half models. A cut gap is predicted at its
     stripped position, once per internal one (:func:`~tlab.metrics.project_cuts`).
     """
@@ -93,18 +91,18 @@ class WordWalk:
         lines: Sequence[str],
         prefixes: Sequence[Sequence[int]],
         gold: Sequence[frozenset[int]],
-        scores_m: Sequence[Sequence[float]],
-        scores_a: Sequence[Sequence[float]],
-        scores_b: Sequence[Sequence[float]],
-        peaks: Sequence[float],
+        levels_m: Sequence[Sequence[int]],
+        levels_a: Sequence[Sequence[int]],
+        levels_b: Sequence[Sequence[int]],
+        bins: int,
     ) -> None:
         self.prefixes = prefixes
         self.gold = gold
         self.cut: list[set[int]] = [set() for _ in lines]  # stripped positions cut so far
         self.hits = self.predicted = 0
         self.gold_total = sum(map(len, gold))
-        self.split = iter(split_tallies(prefixes, zip(scores_a, scores_b), peaks))
-        self.tokens = TokenWalk(lines, scores_m, [1] * len(lines), peaks)
+        self.split = iter(split_tallies(prefixes, zip(levels_a, levels_b), bins))
+        self.tokens = TokenWalk(lines, levels_m, [1] * len(lines), bins)
 
     def report(self) -> MetricsReport:
         split = next(self.split)  # taken first: a report that raises leaves the walk in step
@@ -126,7 +124,7 @@ class WordWalk:
 
 class MorphWalk:
     """Frequency-weighted morph F1, anti-entropy and compression factor of a
-    lexicon's freedom-peak cuts at each of ``peaks``, one per report.
+    lexicon's freedom-peak cuts at each of ``bins`` peaks, one per report.
 
     Per-word boundary F1 against the reference cuts (words hold no
     whitespace, so cut sets compare directly) is averaged with word-frequency
@@ -139,12 +137,12 @@ class MorphWalk:
         words: Sequence[str],
         freqs: Sequence[int],
         references: Sequence[frozenset[int]],
-        word_scores: Sequence[Sequence[float]],
-        peaks: Sequence[float],
+        word_levels: Sequence[Sequence[int]],
+        bins: int,
     ) -> None:
         self.freqs = freqs
         self.references = references
-        self.tokens = TokenWalk(words, word_scores, freqs, peaks)
+        self.tokens = TokenWalk(words, word_levels, freqs, bins)
         self.hits = [0] * len(words)
         self.cut_counts = [0] * len(words)
         self.terms = [freq * f1_score(BoundaryCounts(0, 0, len(ref))) for freq, ref in zip(freqs, references)]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from tlab.ngram import order_freedom
-from tlab.segmenter import MODES, scores
+from tlab.segmenter import MODES
+
+import reference
 
 SMALL_ALPHABET = "abcdef"
 
@@ -43,16 +44,25 @@ def draw_axes(data):
     return n_values, prune_values, modes
 
 
+def oracle_scores(oracle: reference.Segmenter, line: str) -> dict[str, list[float]]:
+    """The oracle's float score of every gap of ``line`` in each mode: the
+    forward rise, the backward drop and the larger of the two."""
+    fwd, bwd = oracle.profiles(line)
+    rises = [value - before for value, before in zip(fwd, [0.0, *fwd])]
+    drops = [value - after for value, after in zip(bwd, [*bwd[1:], 0.0])]
+    return {"fwd": rises, "bwd": drops, "union": list(map(max, rises, drops))}
+
+
 def draw_peaks(data, models, lines, n_values):
     """Peak values with duplicates, with 0 (below every negative score), and
-    with values equal to gap scores of the lines."""
+    with values equal to the oracle's gap scores of the lines."""
+    oracles = [reference.Segmenter(model.windows.get(n, {}), n, 0) for model in models for n in n_values]
     gap_scores = sorted({
         score
-        for model in models
-        for n in n_values
-        for mode in MODES
+        for oracle in oracles
         for line in lines
-        for score in scores(order_freedom(model, n, 0), line, mode)
+        for mode_scores in oracle_scores(oracle, line).values()
+        for score in mode_scores
         if 0.0 <= score <= 1.0
     })
     pool = st.sampled_from([0.0, 0.25, 0.5, 1.0, *gap_scores])

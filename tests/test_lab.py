@@ -47,10 +47,11 @@ from tlab.ngram import build_model, order_freedom, prune
 from tlab.segmenter import (
     SegmenterParams,
     detect_boundaries,
-    scores,
+    levels,
     segment,
     segment_corpus,
     split_at,
+    thresholds,
 )
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
@@ -477,7 +478,7 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     for params in grid_points(spec):
         peak = params.peak
         cuts_m, cuts_a, cuts_b = (
-            [detect_boundaries(scores(view, line, params.mode), peak) for line in test.lines]
+            [detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,))), 1) for line in test.lines]
             for view in (order_freedom(m, params.n, params.prune) for m in raw)
         )
         f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
@@ -499,10 +500,11 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
     records = []
     for params in grid_points(spec):
         view = order_freedom(raw, params.n, params.prune)
+        table = thresholds(view, (params.peak,))
         f1_weighted = 0.0
         pieces = []
         for (word, freq), reference in zip(lexicon.entries.items(), references):
-            cuts = detect_boundaries(scores(view, word, params.mode), params.peak)
+            cuts = detect_boundaries(levels(view, word, params.mode, table), 1)
             hits = len(reference.intersection(cuts))
             f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
             pieces += [split_at(word, cuts)] * freq  # a word's pieces occur as often as the word
@@ -738,9 +740,9 @@ class TestPruneReuse:
 
     @staticmethod
     def count_work(monkeypatch):
-        """Count the sweep's scores and walker calls, by name."""
+        """Count the sweep's levels and walker calls, by name."""
         calls = Counter()
-        for name in ("scores", "WordWalk", "MorphWalk"):
+        for name in ("levels", "WordWalk", "MorphWalk"):
             real = getattr(lab, name)
             monkeypatch.setattr(lab, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
         return calls
@@ -753,7 +755,7 @@ class TestPruneReuse:
         run_grid(train, test, gold, parse_grid_spec(grid.format("0")))
         run_morph_grid(lex, inv, parse_grid_spec(grid.format("0")))
         single = Counter(calls)
-        assert single.keys() == {"scores", "WordWalk", "MorphWalk"}
+        assert single.keys() == {"levels", "WordWalk", "MorphWalk"}
         run_grid(train, test, gold, parse_grid_spec(grid.format("0,1")))
         run_morph_grid(lex, inv, parse_grid_spec(grid.format("0,1")))
         assert calls == {name: 2 * count for name, count in single.items()}  # prune 0 once, then 0 and a copy

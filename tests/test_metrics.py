@@ -256,8 +256,8 @@ class TestCrossSplitF1:
         assert 0.0 <= got <= 1.0
 
     def test_peak_memory_in_proportion_to_the_test_text(self):
-        # the split tally keeps only the scores that reach the peak, not
-        # every gap score of every line until the end
+        # the split tally keeps only the levels that reach the peak, not
+        # every gap level of every line until the end
         words, weights = make_vocabulary(7, size=50)
         train, _ = make_segmented_corpus(words, weights, 2, lines=600, spaces=False)
         test, _ = make_segmented_corpus(words, weights, 3, lines=600, spaces=False)
@@ -270,31 +270,28 @@ class TestCrossSplitF1:
         assert peak < 50 * sum(map(len, test.lines))
 
 
-THRESHOLDS = [0.0, 0.1, 0.25, 0.5, 1.0, math.inf]
-
-
 @st.composite
-def scored_line(draw):
+def leveled_line(draw, bins):
     """A line of letters and whitespace runs, with whitespace at either end,
-    and two models' scores for each of its gaps."""
+    and two models' levels, from 0 to ``bins``, for each of its gaps."""
     line = "".join(draw(st.lists(st.sampled_from(["a", "bc", " ", "\t", "  ", " \t"]), min_size=1, max_size=6)))
-    gap_scores = st.lists(st.sampled_from([-math.inf, *THRESHOLDS]), min_size=len(line) - 1, max_size=len(line) - 1)
-    return line, (draw(gap_scores), draw(gap_scores))
+    gap_levels = st.lists(st.integers(0, bins), min_size=len(line) - 1, max_size=len(line) - 1)
+    return line, (draw(gap_levels), draw(gap_levels))
 
 
 class TestSplitTally:
-    @given(st.lists(scored_line(), max_size=5),
-           st.sets(st.one_of(st.sampled_from(THRESHOLDS), st.floats(0, 1)), min_size=1, max_size=4))
-    def test_counts_equal_tallying_each_threshold_cuts(self, scored, peaks):
+    @given(st.data())
+    def test_counts_equal_tallying_each_threshold_cuts(self, data):
         # one entry per peak, from the highest down, each as tallying that peak's cuts
-        peaks = sorted(peaks, reverse=True)
-        prefixes = [nonspace_prefix(line) for line, _ in scored]
-        tallied = split_tallies(prefixes, [pair for _, pair in scored], peaks)
-        assert len(tallied) == len(peaks)
-        for peak, counts in zip(peaks, tallied):
+        bins = data.draw(st.integers(1, 4))
+        leveled = data.draw(st.lists(leveled_line(bins), max_size=5))
+        prefixes = [nonspace_prefix(line) for line, _ in leveled]
+        tallied = split_tallies(prefixes, [pair for _, pair in leveled], bins)
+        assert len(tallied) == bins
+        for level, counts in zip(range(bins, 0, -1), tallied):
             cut = [
-                tuple(project_cuts(prefix, detect_boundaries(gap_scores, peak)) for gap_scores in pair)
-                for prefix, (_, pair) in zip(prefixes, scored)
+                tuple(project_cuts(prefix, detect_boundaries(gap_levels, level)) for gap_levels in pair)
+                for prefix, (_, pair) in zip(prefixes, leveled)
             ]
             assert counts == tally(cut)
 
