@@ -168,13 +168,15 @@ def run_grid(
     value copies that cell's records. Failed trials are recorded with an
     error marker instead of aborting.
     """
-    top = max(spec.n)
-    cuts = gold_cuts(test.lines, gold)
+    top, bins = max(spec.n), len(set(spec.peak))
     prefixes = [nonspace_prefix(line) for line in test.lines]
+    # gold cuts each of its boundaries at every peak: the top level there, 0 at every other stripped position
+    gold_levels = [[bins if p in cuts else 0 for p in range(1, prefix[-1])]
+                   for prefix, cuts in zip(prefixes, gold_cuts(test.lines, gold))]
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
     windows_m = {n: _add(windows_a.get(n, {}), windows_b.get(n, {})) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,
-                  lambda line_levels, bins: WordWalk(test.lines, prefixes, cuts, *line_levels, bins))
+                  lambda line_levels, bins: WordWalk(test.lines, prefixes, gold_levels, *line_levels, bins))
 
 
 def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> WindowTable:
@@ -197,12 +199,12 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     into n-grams once per order, and each (n, prune) cell derives its own
     :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
     degree tables die with it. Each view gets one
-    :func:`~tlab.segmenter.thresholds` table of the grid's distinct peaks,
-    and each direction the modes need is leveled once per view and line;
-    a fwd or bwd cell takes its direction's levels, and a union cell the
-    larger of the two. ``walk`` makes the cell's walker from those levels
-    and the number of peaks, and each of its ``report`` calls gives the
-    next peak's metrics, from the highest down.
+    :func:`~tlab.segmenter.thresholds` table of the grid's distinct peaks
+    and modes, and each direction the modes need is leveled once per view
+    and line; a fwd or bwd cell takes its direction's levels, and a union
+    cell the larger of the two. ``walk`` makes the cell's walker from those
+    levels and the number of peaks, and each of its ``report`` calls gives
+    the next peak's metrics, from the highest down.
 
     Prune values are visited in ascending order, and a window kept at one
     value is kept at every lower one. So when each view of a cell keeps as
@@ -230,9 +232,9 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
                 cell_records = [r._replace(params=r.params._replace(prune=prune)) for r in cell_records]
             else:
                 kept, cell_records = [view.windows for view in views], []
-                rules = [(v, thresholds(v, ascending)) for v in views]  # each view with its one table
+                rules = [(v, thresholds(v, ascending, modes)) for v in views]  # each view with its one table
                 leveled = {d: [[levels(v, line, d, t, g) for line, g in zip(lines, sliced)] for v, t in rules]
-                           for d in ("fwd", "bwd") if d in modes or "union" in modes}
+                           for d in rules[0][1]}  # the directions the modes read, as thresholds built them
                 for mode in modes:
                     line_levels = leveled[mode] if mode != "union" else [
                         [list(map(max, f, b)) for f, b in zip(*pair)] for pair in zip(leveled["fwd"], leveled["bwd"])]

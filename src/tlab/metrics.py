@@ -201,7 +201,8 @@ def stripped_maxima(prefix: Sequence[int], gap_levels: Sequence[int]) -> Sequenc
 
 
 def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[int]]:
-    """Each test line's gold boundaries, as positions of its whitespace-stripped stream."""
+    """Each test line's gold boundaries, as positions of its whitespace-stripped stream. The word
+    grid levels them at its peak count, so :func:`split_tallies` bins gold F1 as cross-split F1."""
     if len(gold.lines) != len(lines):
         raise DataError(f"gold has {len(gold.lines)} lines but test has {len(lines)}")
     cuts = []
@@ -213,22 +214,20 @@ def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[in
     return cuts
 
 
-def split_tallies(prefixes: Iterable[Sequence[int]], level_pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
-                  bins: int) -> list[BoundaryCounts]:
-    """Boundary tallies between two models' cuts of the same lines at each of ``bins`` peaks, from the highest down.
+def split_tallies(maxima_pairs: Iterable[tuple[Sequence[int], Sequence[int]]], bins: int) -> list[BoundaryCounts]:
+    """Boundary tallies between two sides' cuts of the same lines at each of ``bins`` peaks, from the highest down.
 
-    ``prefixes`` are the lines' :func:`nonspace_prefix` tables and
-    ``level_pairs`` each line's gap levels under the two models. A model
-    cuts a stripped position at a peak when the position's
-    :func:`stripped_maxima` level reaches the peak's, and both do when the
-    lower of their two levels does. A level of 0, which counts at no peak,
-    is dropped as its line is read. Either role order gives the same F1:
-    swapping them swaps fp and fn, hence precision and recall, which
-    2*p*r/(p+r) reads the same to the last bit.
+    ``maxima_pairs`` hold each line's :func:`stripped_maxima` under the two
+    sides: two models for cross-split F1, or a model and gold, whose every
+    boundary holds level ``bins``, for gold F1. A side cuts a stripped
+    position at a peak when the position's level reaches the peak's, and
+    both do when the lower of their two levels does. A level of 0, which
+    counts at no peak, is dropped as its line is read. Either role order
+    gives the same F1: swapping them swaps fp and fn, hence precision and
+    recall, which 2*p*r/(p+r) reads the same to the last bit.
     """
     both, a, b = [], [], []
-    for prefix, (levels_a, levels_b) in zip(prefixes, level_pairs):
-        maxima_a, maxima_b = stripped_maxima(prefix, levels_a), stripped_maxima(prefix, levels_b)
+    for maxima_a, maxima_b in maxima_pairs:
         a += [x for x in maxima_a if x]
         b += [y for y in maxima_b if y]
         both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x and y]
@@ -246,10 +245,10 @@ def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams)
     check_lines(test.lines)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.mode
-    view_a, view_b = (order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train))
-    table_a, table_b = thresholds(view_a, (params.peak,)), thresholds(view_b, (params.peak,))
-    sliced = ((line, grams_of(line, n)) for line in test.lines)  # one slicing of each line for both views
-    pairs = ((levels(view_a, line, mode, table_a, g), levels(view_b, line, mode, table_b, g)) for line, g in sliced)
-    (counts,) = split_tallies(map(nonspace_prefix, test.lines), pairs, 1)
+    views = [order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train)]
+    rules = [(view, thresholds(view, (params.peak,), (mode,))) for view in views]
+    sliced = ((line, grams_of(line, n), nonspace_prefix(line)) for line in test.lines)  # each once, for both views
+    pairs = ([stripped_maxima(prefix, levels(view, line, mode, table, grams)) for view, table in rules]
+             for line, grams, prefix in sliced)
+    (counts,) = split_tallies(pairs, 1)
     return f1_score(counts)
-

@@ -148,7 +148,7 @@ def weighted_morph_f1(
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
     view = order_freedom(model, params.n, params.prune)
-    words, table = tuple(lexicon.entries), thresholds(view, (params.peak,))
+    words, table = tuple(lexicon.entries), thresholds(view, (params.peak,), (params.mode,))
     word_levels = [levels(view, word, params.mode, table) for word in words]
     freqs, references = tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory)
     return MorphWalk(words, freqs, references, word_levels, 1).report()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, islice, repeat
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .corpus import DataError, TextCorpus
 from .ngram import Freedom, TransitionModel, order_freedom
@@ -78,9 +78,10 @@ def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | Non
     return tuple([*pad, *degrees] if direction == "fwd" else [*degrees, *pad])
 
 
-def thresholds(view: Freedom, ascending: Sequence[float]) -> dict[str, list[list[int]]]:
-    """The peak rule. Per direction, row b holds for each ``ascending`` peak the
-    least degree a (``top + 1`` if none) whose gap, next to degree b, is cut.
+def thresholds(view: Freedom, ascending: Sequence[float], modes: Collection[str]) -> dict[str, list[list[int]]]:
+    """The peak rule. Per direction that ``modes`` read (union reads both), row b
+    holds for each ``ascending`` peak the least degree a (``top + 1`` if
+    none) whose gap, next to degree b, is cut.
 
     A gap is cut iff its score, ``a / top - b / top``, reaches the peak: its
     rise from the previous gap's degree b (``"fwd"``) or its drop to the next
@@ -90,6 +91,8 @@ def thresholds(view: Freedom, ascending: Sequence[float]) -> dict[str, list[list
     """
     table = {}
     for direction, top in view.top.items():
+        if direction not in modes and "union" not in modes:
+            continue
         scaled = [degree / top for degree in range(top + 1)] if top else [0.0]
         least, rows = [0] * len(ascending), []
         for b in scaled:
@@ -143,5 +146,5 @@ def segment_corpus(
     """Each line's tokens, in order, every line cut with one freedom view of the order ``params.n``."""
     view = order_freedom(model, params.n, params.prune)
     check_lines(corpus.lines)
-    mode, table = params.mode, thresholds(view, (params.peak,))
+    mode, table = params.mode, thresholds(view, (params.peak,), (params.mode,))
     return [tuple(split_at(line, detect_boundaries(levels(view, line, mode, table), 1))) for line in corpus.lines]

@@ -4,10 +4,11 @@ Each gap carries its level (:func:`~tlab.segmenter.levels`), the number of
 the cell's peaks it reaches, so cuts only grow as the peak falls. A cell
 visits its distinct peaks from the highest down, and each gap is binned
 once by its level, the peak at which the walk first cuts it; there it
-splits one token of a running lexicon in two. Hits against a fixed
-reference are counted as the walk cuts (per word in the morph grid, per
-stripped position for the word grid's gold F1); cross-split F1 bins its
-stripped maxima by level (:func:`~tlab.metrics.split_tallies`). Every
+splits one token of a running lexicon in two. The morph grid counts hits
+against its reference cuts per word as the walk cuts. The word grid bins
+stripped maxima by level (:func:`~tlab.metrics.split_tallies`) for both of
+its F1s: gold F1 with gold as a side whose every boundary holds the top
+level, and cross-split F1 between the two half models. Every
 metric is still computed by the :mod:`tlab.metrics` functions, from the
 same integers and tables as a per-peak pass, and every report by
 :meth:`~tlab.metrics.MetricsReport.of`, so every float is the same.
@@ -27,6 +28,7 @@ from .metrics import (
     count_tokens,
     f1_score,
     split_tallies,
+    stripped_maxima,
 )
 
 
@@ -79,47 +81,35 @@ class WordWalk:
     """One word-grid cell: boundary F1 against gold, token statistics and
     cross-split F1 of the test lines at each of ``bins`` peaks, one per report.
 
-    ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables
-    and ``gold`` their :func:`~tlab.metrics.gold_cuts`; ``levels_m``,
-    ``levels_a`` and ``levels_b`` are every line's gap levels under the
-    full-train model and the two half models. A cut gap is predicted at its
-    stripped position, once per internal one (:func:`~tlab.metrics.project_cuts`).
+    ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables,
+    ``gold`` their gold levels (``bins`` at each gold boundary, 0 at every
+    other stripped position), and ``levels_m``, ``levels_a`` and ``levels_b``
+    every line's gap levels under the full-train model and the two half
+    models. :func:`~tlab.metrics.split_tallies` bins gold F1 (the full-train
+    model against gold) and cross-split F1 (the half models) up front.
     """
 
     def __init__(
         self,
         lines: Sequence[str],
         prefixes: Sequence[Sequence[int]],
-        gold: Sequence[frozenset[int]],
+        gold: Sequence[Sequence[int]],
         levels_m: Sequence[Sequence[int]],
         levels_a: Sequence[Sequence[int]],
         levels_b: Sequence[Sequence[int]],
         bins: int,
     ) -> None:
-        self.prefixes = prefixes
-        self.gold = gold
-        self.cut: list[set[int]] = [set() for _ in lines]  # stripped positions cut so far
-        self.hits = self.predicted = 0
-        self.gold_total = sum(map(len, gold))
-        self.split = iter(split_tallies(prefixes, zip(levels_a, levels_b), bins))
+        maxima_m, maxima_a, maxima_b = (map(stripped_maxima, prefixes, line_levels)
+                                        for line_levels in (levels_m, levels_a, levels_b))
+        self.gold = iter(split_tallies(zip(maxima_m, gold), bins))
+        self.split = iter(split_tallies(zip(maxima_a, maxima_b), bins))
         self.tokens = TokenWalk(lines, levels_m, [1] * len(lines), bins)
 
     def report(self) -> MetricsReport:
-        split = next(self.split)  # taken first: a report that raises leaves the walk in step
-        prefixes, gold, cut = self.prefixes, self.gold, self.cut
-        for i, k in self.tokens.advance():
-            prefix = prefixes[i]
-            p = prefix[k]
-            if 0 < p < prefix[-1] and p not in cut[i]:
-                cut[i].add(p)
-                self.predicted += 1
-                self.hits += p in gold[i]
-        hits = self.hits
+        gold, split = next(self.gold), next(self.split)  # taken first: a report that raises leaves the walk in step
+        self.tokens.advance()
         stats = self.tokens.stats
-        return MetricsReport.of(
-            f1_score(BoundaryCounts(hits, self.predicted - hits, self.gold_total - hits)),
-            anti_entropy(stats), compression_factor(stats), f1_score(split),
-        )
+        return MetricsReport.of(f1_score(gold), anti_entropy(stats), compression_factor(stats), f1_score(split))
 
 
 class MorphWalk:

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from tlab import lab, metrics, segmenter, walk
+from tlab import lab, metrics, morphology, segmenter, walk
 from tlab.corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from tlab.lab import (
     MAX_AXIS_VALUES,
@@ -45,6 +45,7 @@ from tlab.morphology import (
 )
 from tlab.ngram import build_model, order_freedom, prune
 from tlab.segmenter import (
+    MODES,
     SegmenterParams,
     detect_boundaries,
     levels,
@@ -267,10 +268,11 @@ class TestRunGrid:
         per_direction = len(test.lines) * 3 * 1 * 2  # lines x models x scored prune values x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
 
-    def test_only_the_split_tally_maps_scores_to_stripped_positions(self, monkeypatch):
-        # gold F1 is counted as the walk cuts, so each scored (n, prune, mode)
-        # cell maps only the two half models' scores of each line, wherever
-        # the mapping is imported; the prune-1 cells are copies
+    def test_one_stripped_maxima_call_per_model_and_line_in_each_scored_cell(self, monkeypatch):
+        # gold F1 and cross-split F1 are both binned by split_tallies, so each
+        # scored (n, prune, mode) cell maps each line's levels under each of
+        # its three models once, wherever the mapping is imported; gold is
+        # mapped once for the whole grid, and the prune-1 cells are copies
         train, test, gold = tiny_setup()
         calls = []
         real = metrics.stripped_maxima
@@ -278,7 +280,7 @@ class TestRunGrid:
             if getattr(module, "stripped_maxima", None) is real:
                 monkeypatch.setattr(module, "stripped_maxima", lambda *args: calls.append(1) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"))
-        assert len(calls) == 2 * len(test.lines) * 2 * 1 * 2  # models x lines x modes x scored prune values x orders
+        assert len(calls) == 3 * len(test.lines) * 2 * 1 * 2  # models x lines x modes x scored prune values x orders
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
         train, test, gold = tiny_setup()
@@ -478,7 +480,7 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     for params in grid_points(spec):
         peak = params.peak
         cuts_m, cuts_a, cuts_b = (
-            [detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,))), 1) for line in test.lines]
+            [detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,), (params.mode,))), 1) for line in test.lines]
             for view in (order_freedom(m, params.n, params.prune) for m in raw)
         )
         f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
@@ -500,7 +502,7 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
     records = []
     for params in grid_points(spec):
         view = order_freedom(raw, params.n, params.prune)
-        table = thresholds(view, (params.peak,))
+        table = thresholds(view, (params.peak,), (params.mode,))
         f1_weighted = 0.0
         pieces = []
         for (word, freq), reference in zip(lexicon.entries.items(), references):
@@ -697,6 +699,36 @@ class TestModeSharing:
             return run_morph_grid(lexicon, inventory, grid)
 
         assert repr(run(spec)) == repr(one_run_per("mode", run, spec))
+
+    def test_a_single_direction_builds_only_its_own_threshold_rows(self, monkeypatch):
+        # at mode fwd no caller builds a bwd row, and every output equals
+        # that of tables holding both directions
+        train, test, gold = tiny_setup()
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        params, spec = SegmenterParams(2, 0.4, 0, "fwd"), parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd")
+        model, morph_model = build_model(train, 2), build_morph_model(lex, 2)
+
+        def outputs():
+            return (segment_corpus(model, test, params), cross_split_f1(train, test, params),
+                    weighted_morph_f1(morph_model, lex, inv, params),
+                    run_grid(train, test, gold, spec), run_morph_grid(lex, inv, spec))
+
+        real = segmenter.thresholds
+        modules = [module for module in (segmenter, metrics, lab, morphology) if module.thresholds is real]
+        built = []
+
+        def recorded(view, ascending, modes):
+            table = real(view, ascending, modes)
+            built.append(tuple(table))
+            return table
+
+        for module in modules:
+            monkeypatch.setattr(module, "thresholds", recorded)
+        fwd_only = outputs()
+        assert len(modules) == 4 and set(built) == {("fwd",)}
+        for module in modules:
+            monkeypatch.setattr(module, "thresholds", lambda view, ascending, modes: real(view, ascending, MODES))
+        assert repr(outputs()) == repr(fwd_only)
 
 
 class TestPruneReuse:

@@ -19,6 +19,7 @@ from tlab.metrics import (
     project_cuts,
     split_tallies,
     stripped_boundaries,
+    stripped_maxima,
     tally,
     token_stats,
 )
@@ -282,17 +283,30 @@ def leveled_line(draw, bins):
 class TestSplitTally:
     @given(st.data())
     def test_counts_equal_tallying_each_threshold_cuts(self, data):
-        # one entry per peak, from the highest down, each as tallying that peak's cuts
+        # one entry per peak, from the highest down, each as tallying that
+        # peak's cuts; the second side is a model's, or gold's, which holds
+        # level bins at drawn stripped positions and cuts them at every peak
         bins = data.draw(st.integers(1, 4))
         leveled = data.draw(st.lists(leveled_line(bins), max_size=5))
+        gold = data.draw(st.booleans(), label="second side is gold")
         prefixes = [nonspace_prefix(line) for line, _ in leveled]
-        tallied = split_tallies(prefixes, [pair for _, pair in leveled], bins)
+        pairs = [[stripped_maxima(prefix, gap_levels) for gap_levels in pair] for prefix, (_, pair) in zip(prefixes, leveled)]
+        gold_cuts = []
+        if gold:
+            for prefix, pair in zip(prefixes, pairs):
+                size = max(prefix[-1] - 1, 0)
+                flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                pair[1] = [bins if flag else 0 for flag in flags]
+                gold_cuts.append(frozenset(p for p, flag in enumerate(flags, 1) if flag))
+        tallied = split_tallies(pairs, bins)
         assert len(tallied) == bins
         for level, counts in zip(range(bins, 0, -1), tallied):
             cut = [
                 tuple(project_cuts(prefix, detect_boundaries(gap_levels, level)) for gap_levels in pair)
                 for prefix, (_, pair) in zip(prefixes, leveled)
             ]
+            if gold:
+                cut = [(model, reference) for (model, _), reference in zip(cut, gold_cuts)]
             assert counts == tally(cut)
 
 

@@ -114,7 +114,7 @@ class TestSharedSlices:
             assert view.top == {"fwd": 0, "bwd": 0}
         oracle = reference.Segmenter(reference.window_counts(train, n + 1, weights), n, prune_t)
         ascending = (0.0, 0.5, 1.0)
-        table = thresholds(view, ascending)
+        table = thresholds(view, ascending, MODES)
         for line in test_lines:
             grams = grams_of(line, n)
             for direction, expected in zip(("fwd", "bwd"), oracle.profiles(line)):
@@ -129,20 +129,20 @@ class TestDetectBoundaries:
     def test_all_zero_profiles(self):
         m = model_of(["ab"], 1)
         view = view_of(m, 1)
-        assert levels(view, "zzzz", "union", thresholds(view, (0.5,))) == [0, 0, 0]
+        assert levels(view, "zzzz", "union", thresholds(view, (0.5,), ("union",))) == [0, 0, 0]
         assert detect_boundaries([0, 0, 0], 1) == []
 
     def test_zero_threshold_marks_nonnegative(self):
         # "abz" rises by 1 at its first gap and by -1 at its second: a peak
         # of 0 is reached by every score but a negative one
         view = view_of(model_of(["ab", "ac"], 1), 1)
-        assert levels(view, "abz", "fwd", thresholds(view, (0.0,))) == [1, 0]
+        assert levels(view, "abz", "fwd", thresholds(view, (0.0,), ("fwd",))) == [1, 0]
         assert detect_boundaries([1, 0, 1], 1) == [1, 3]
         assert detect_boundaries([0, 2, 1], 2) == [2]
 
     def test_rising_edge(self):
         view = view_of(model_of(["ab", "ac"], 1), 1)
-        assert detect_boundaries(levels(view, "ab", "fwd", thresholds(view, (0.5,))), 1) == [1]
+        assert detect_boundaries(levels(view, "ab", "fwd", thresholds(view, (0.5,), ("fwd",))), 1) == [1]
 
     def test_scores_are_rises_drops_and_their_max(self):
         # "abc"/"abd": "a" has 1 successor of the maximum 2 ("b" -> c|d);
@@ -151,7 +151,7 @@ class TestDetectBoundaries:
         view = view_of(model_of(["abc", "abd"], 1), 1)
         assert profile(view, "abc", "fwd") == (1, 2)
         assert profile(view, "abc", "bwd") == (1, 1)
-        table = thresholds(view, (0.25, 0.5, 1.0))
+        table = thresholds(view, (0.25, 0.5, 1.0), MODES)
         assert levels(view, "abc", "fwd", table) == [2, 2]
         assert levels(view, "abc", "bwd", table) == [0, 3]
         assert levels(view, "abc", "union", table) == [2, 3]
@@ -160,7 +160,7 @@ class TestDetectBoundaries:
     def test_union_contains_single_modes(self, lines_weights, n, peak):
         lines, weights = lines_weights
         view = view_of(model_of(lines, 4, weights=weights), n)
-        table = thresholds(view, (peak,))
+        table = thresholds(view, (peak,), MODES)
         for line in lines[:3]:
             union = set(detect_boundaries(levels(view, line, "union", table), 1))
             fwd_only = set(detect_boundaries(levels(view, line, "fwd", table), 1))
@@ -183,7 +183,7 @@ class TestThresholds:
         near = {p for s in chain.from_iterable(line_scores) for p in (math.nextafter(s, -1), s, math.nextafter(s, 2))}
         pool = sorted(p for p in near | {0.0, 1.0} if 0.0 <= p <= 1.0)
         ascending = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=6)))
-        table = thresholds(view, ascending)
+        table = thresholds(view, ascending, (mode,))
         for line, gap_scores in zip(lines, line_scores):
             assert levels(view, line, mode, table) == [bisect_right(ascending, score) for score in gap_scores]
 
@@ -194,7 +194,7 @@ class TestThresholds:
         assert 7 / 10 - 4 / 10 < 0.3 == 3 / 10 - 0 / 10
         degrees = {"fwd": Counter({"a": 4, "b": 7, "c": 10, "d": 3}), "bwd": Counter()}
         view = Freedom(1, degrees, {"fwd": 10, "bwd": 0}, 0)
-        table = thresholds(view, (0.3,))
+        table = thresholds(view, (0.3,), MODES)
         assert len(table["fwd"]) == 11 and table["fwd"][0] == [3] and table["fwd"][4] == [8]
         assert table["bwd"] == [[1]]  # a top of 0 has one row, where no score reaches a peak above 0
         assert levels(view, "abz", "fwd", table) == [1, 0]
@@ -219,7 +219,7 @@ class TestThresholds:
             previous = sys.gettrace()
             sys.settrace(tracer)
             try:
-                thresholds(view, ascending)
+                thresholds(view, ascending, MODES)
             finally:
                 sys.settrace(previous)
             return count
