@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Sequence
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_cuts, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import WindowTable, build_model, check_order, freedom
+from .ngram import build_model, check_order, freedom
 from .segmenter import SegmenterParams, check_domain, grams_of, levels, thresholds
 from .walk import MorphWalk, WordWalk
 
@@ -179,9 +179,9 @@ def run_grid(
                   lambda line_levels, bins: WordWalk(test.lines, prefixes, gold_levels, *line_levels, bins))
 
 
-def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> WindowTable:
+def _add(counts_a: dict[str, int], counts_b: dict[str, int]) -> dict[str, int]:
     """Two window tables summed, ``counts_a``'s windows first."""
-    total = WindowTable(counts_a)
+    total = dict(counts_a)
     get = total.get
     for window, count in counts_b.items():
         total[window] = get(window, 0) + count
@@ -317,18 +317,14 @@ def _format_field(value: float | None) -> str:
     return "" if value is None else format(value, ".9g")
 
 
-def write_trials_csv(
-    records: Sequence[TrialRecord],
-    path: str | Path,
-    config: dict | None = None,
-) -> None:
+def write_trials_csv(records: Sequence[TrialRecord], path: str | Path, config: dict) -> None:
     """Trial table with 9-significant-digit floats and LF line endings.
 
-    The ``wall_time_ms`` column is kept in the layout and always reads 0.
+    ``config`` is echoed in a leading ``# config:`` comment. The
+    ``wall_time_ms`` column is kept in the layout and always reads 0.
     """
     buf = io.StringIO()
-    if config is not None:
-        buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     buf.write(CSV_HEADER + "\n")
     for r in records:
         fields = [
@@ -344,20 +340,14 @@ def write_trials_csv(
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
-def summary_to_dict(summary: CorrelationSummary) -> dict:
-    return {
+def write_summary_json(summary: CorrelationSummary, path: str | Path, config: dict) -> None:
+    """The summary's correlations and argmax parameters, floats at 9 significant digits, with ``config``."""
+    payload = {
         "pearson_f1_vs": {k: _round9(v) for k, v in summary.pearson_f1_vs.items()},
         "argmax_params": {
             k: (None if p is None else p._asdict() | {"peak": _round9(p.peak)})
             for k, p in summary.argmax_params.items()
         },
+        "config": config,
     }
-
-
-def write_summary_json(
-    summary: CorrelationSummary, path: str | Path, config: dict | None = None
-) -> None:
-    payload = summary_to_dict(summary)
-    if config is not None:
-        payload["config"] = config
     Path(path).write_bytes((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))

@@ -24,25 +24,13 @@ class ModelFormatError(DataError):
     """Model file is malformed or carries an unsupported format version."""
 
 
-class WindowTable(dict):
-    """One order's window counts, derived or summed by item assignment.
-
-    Unlike ``Counter``, which defines ``__delitem__`` in Python and so routes
-    every item assignment through a slot wrapper (about 2.3 times a dict's
-    cost), this subclass keeps a plain dict's speed; unlike a plain dict, a
-    weak reference can follow it, so a table's lifetime can be observed.
-    """
-
-    __slots__ = ("__weakref__",)
-
-
 class TransitionModel(NamedTuple):
     """Weighted counts of every in-line window of n+1 characters, n = 1..n_max.
 
     ``windows[n][w]`` sums the line weights of the occurrences of ``w``, and
     a window that never occurs has no entry (:func:`build_model` fills a
-    ``Counter`` for its top order and a :class:`WindowTable` for each order
-    below it, :func:`load_model` plain dicts); an order with no window has no
+    ``Counter`` for its top order and a plain dict for each order below it,
+    :func:`load_model` plain dicts); an order with no window has no
     table, so ``n_max`` is only the declared bound. A window is both a
     forward edge (``w[:-1]`` followed by ``w[-1]``) and a backward edge
     (``w[1:]`` preceded by ``w[0]``), so the successor and predecessor
@@ -112,7 +100,8 @@ def build_model(
                 counts[gram] += w
     windows: dict[int, dict[str, int]] = {top: counts}
     for n in range(top - 1, 0, -1):
-        lower = WindowTable()
+        # a dict, not a Counter: Counter's Python __delitem__ makes each item assignment about 2.3 times slower
+        lower: dict[str, int] = {}
         get = lower.get
         for gram, c in counts.items():
             prefix = gram[:-1]

@@ -6,7 +6,7 @@ import random
 from itertools import accumulate
 
 from .corpus import DataError, GoldSegmentation, TextCorpus
-from .morphology import AffixInventory, FreqLexicon, greedy_parse
+from .morphology import AffixInventory, FreqLexicon
 
 DEFAULT_ALPHABET = "abcdefghijkl"
 
@@ -74,8 +74,10 @@ def make_affixed_lexicon(
     Over :data:`DEFAULT_ALPHABET`, stems have 4 to 6 letters, suffixes 2 or
     3, and every word has frequency 1.
 
-    Stems are resampled until no stem+suffix word strips to anything other
-    than the intended two pieces, so the greedy reference is unambiguous.
+    Suffixes are redrawn until none ends another, and stems until none ends
+    with a suffix. With no prefixes and a stem floor of 3 letters, the
+    greedy parse of stem+suffix strips the intended suffix, and then none
+    is left to strip from the stem.
     """
     rng = random.Random(seed)
     letters = len(DEFAULT_ALPHABET)
@@ -108,8 +110,6 @@ def make_affixed_lexicon(
         length = rng.randint(4, 6)
         cand = "".join(rng.choice(DEFAULT_ALPHABET) for _ in range(length))
         if cand in stem_set or cand.endswith(suffix_tuple):
-            continue
-        if any(greedy_parse(cand + s, inventory) != (cand, s) for s in suffix_set):
             continue
         stem_set[cand] = None
 

@@ -424,15 +424,24 @@ class TestRawWindowLifetime:
 
     GRID = "n=1,3,4;peak=0.2,0.6;prune=0,1;mode=fwd,union"
 
+    class Table(dict):
+        """A window table a weak reference can follow."""
+
+        __slots__ = ("__weakref__",)
+
     def alive_at_each_derivation(self, monkeypatch):
-        """Patch the sweep to keep a weakref and the order of every raw window
-        table it is given, and its freedom views to record, at each new view,
-        the view's order and the orders of the raw tables still alive."""
+        """Patch the sweep to replace every raw window table it is given, in
+        place, with a copy a weak reference can follow, and keep that weakref
+        and the table's order; and its freedom views to record, at each new
+        view, the view's order and the orders of the raw tables still alive."""
         raw, snapshots = [], []
         real_sweep, real_freedom = lab._sweep, lab.freedom
 
         def sweep(spec, raw_windows, *rest):
-            raw.extend((weakref.ref(table), n) for windows in raw_windows for n, table in windows.items())
+            for windows in raw_windows:
+                for n, table in windows.items():
+                    windows[n] = self.Table(table)
+                    raw.append((weakref.ref(windows[n]), n))
             return real_sweep(spec, raw_windows, *rest)
 
         def derive(n, windows, min_count):
@@ -599,8 +608,9 @@ class TestSummarize:
         records = run_grid(train, test, gold, spec)
         summary = summarize(records)
         path = tmp_path / "trials.csv"
-        write_trials_csv(records, path)
+        write_trials_csv(records, path, config={"run": "recompute"})
         with path.open(encoding="utf-8") as handle:
+            assert handle.readline().startswith("# config:")
             rows = list(csv.DictReader(handle))
         xs = [float(r["f1"]) for r in rows if not r["error"]]
         ys = [float(r["avg3"]) for r in rows if not r["error"]]
@@ -636,8 +646,8 @@ class TestTrialCsv:
         report = MetricsReport.of(1 / 3, 2 / 3, 1.25, 0.5)
         record = TrialRecord(SegmenterParams(1, 0.1, 0, "fwd"), report)
         path = tmp_path / "t.csv"
-        write_trials_csv([record], path)
-        row = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        write_trials_csv([record], path, config={})
+        row = path.read_text(encoding="utf-8").splitlines()[2].split(",")  # past the config comment and the header
         assert row[4] == "0.333333333"
         assert row[5] == "0.666666667"
 

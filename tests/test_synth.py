@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from tlab.corpus import DataError
+from tlab.morphology import greedy_parse
 from tlab.synth import DEFAULT_ALPHABET, make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 from bruteforce import bf_segmented_corpus
@@ -45,6 +46,19 @@ class TestVocabulary:
 
 
 class TestAffixedLexicon:
+    @pytest.mark.parametrize("stems, suffixes", [(20, 4), (80, 5), (40, 12)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_greedy_parse_is_each_word_stem_and_suffix(self, seed, stems, suffixes):
+        # what the draws' rules guarantee with no check of the parse itself: no
+        # suffix ends another, no stem ends with a suffix, stems have 4 to 6
+        # letters against a stem floor of 3, and there are no prefixes
+        lexicon, inventory = make_affixed_lexicon(seed, stems=stems, suffixes=suffixes)
+        parses = [greedy_parse(word, inventory) for word in lexicon.entries]
+        assert all(len(parse) == 2 and parse[1] in inventory.suffixes for parse in parses)
+        drawn = {stem for stem, _ in parses}
+        assert len(drawn) == stems and all(4 <= len(stem) <= 6 for stem in drawn)
+        assert sorted(parses) == sorted(product(drawn, inventory.suffixes))
+
     def test_counts_beyond_what_the_alphabet_admits_rejected(self):
         # the suffix draw stops once no string of 2 or 3 letters is left that
         # neither ends a drawn suffix nor ends with one, where it used to draw
