@@ -170,9 +170,7 @@ def run_grid(
     """
     top, bins = max(spec.n), len(set(spec.peak))
     prefixes = [nonspace_prefix(line) for line in test.lines]
-    # gold cuts each of its boundaries at every peak: the top level there, 0 at every other stripped position
-    gold_levels = [[bins if p in cuts else 0 for p in range(1, prefix[-1])]
-                   for prefix, cuts in zip(prefixes, gold_cuts(test.lines, gold))]
+    gold_levels = gold_cuts(test.lines, gold, bins)
     windows_a, windows_b = (build_model(part, top).windows for part in split_even_odd(train))
     windows_m = {n: _add(windows_a.get(n, {}), windows_b.get(n, {})) for n in windows_a.keys() | windows_b.keys()}
     return _sweep(spec, [windows_m, windows_a, windows_b], test.lines,

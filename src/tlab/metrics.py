@@ -73,36 +73,37 @@ def nonspace_prefix(line: str) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def project_cuts(prefix: Sequence[int], cuts: Iterable[int]) -> frozenset[int]:
-    """Map raw cut positions onto the whitespace-stripped stream.
+def project_cuts(prefix: Sequence[int], gap_levels: Sequence[int]) -> Sequence[int]:
+    """A line's gap levels on its whitespace-stripped stream: the highest at internal position p, at index p - 1.
 
-    Cuts adjacent to removed whitespace land on the same stripped position
-    and collapse; cuts at the stream edges are not internal and are dropped.
+    ``prefix`` is the line's :func:`nonspace_prefix` table, and ``gap_levels[k - 1]`` the level of the cut
+    before ``line[k]``. Gaps beside removed whitespace land on one position and keep the highest level;
+    gaps at the stream edges are dropped. At a peak of level L, the line cuts p iff the entry reaches L.
     """
     total = prefix[-1]
-    return frozenset([p for c in cuts if 0 < (p := prefix[c]) < total])
+    if total == len(gap_levels) + 1:  # no whitespace: gap k is position k
+        return gap_levels
+    best = [0] * max(total - 1, 0)
+    for p, level in zip(prefix[1:], gap_levels):
+        if 0 < p < total and level > best[p - 1]:
+            best[p - 1] = level
+    return best
 
 
-def stripped_boundaries(tokens: Sequence[str]) -> tuple[str, frozenset[int]]:
-    """Whitespace-stripped stream of a token sequence and its boundary set."""
+def stripped_boundaries(tokens: Sequence[str], level: int) -> tuple[str, Sequence[int]]:
+    """Whitespace-stripped stream of a token sequence and its :func:`project_cuts`
+    levels: ``level`` at each token boundary, 0 at every other internal position."""
     line = "".join(tokens)
     prefix = nonspace_prefix(line)
-    cuts = accumulate(map(len, tokens[:-1]))
+    gap_levels = [0] * max(len(line) - 1, 0)
+    for cut in accumulate(map(len, tokens[:-1])):
+        if 0 < cut < len(line):
+            gap_levels[cut - 1] = level
     if prefix[-1] == len(line):
         stream = line  # no whitespace to strip
     else:
         stream = "".join(ch for ch in line if not ch.isspace())
-    return stream, project_cuts(prefix, cuts)
-
-
-def tally(pairs: Iterable[tuple[frozenset, frozenset]]) -> BoundaryCounts:
-    """Micro-aggregated tallies of (predicted, reference) unit sets, one pair per line."""
-    tp = fp = fn = 0
-    for predicted, reference in pairs:
-        tp += len(predicted & reference)
-        fp += len(predicted - reference)
-        fn += len(reference - predicted)
-    return BoundaryCounts(tp, fp, fn)
+    return stream, project_cuts(prefix, gap_levels)
 
 
 def boundary_counts(
@@ -112,15 +113,16 @@ def boundary_counts(
     if len(pred) != len(ref):
         raise DataError(f"line count mismatch: {len(pred)} predicted vs {len(ref)} reference")
 
-    def pairs():  # one line's boundary sets at a time, as tally reads them
+    def pairs():  # one line's boundaries at a time, as split_tallies reads them
         for i, (pt, rt) in enumerate(zip(pred, ref)):
-            p_stream, p_bounds = stripped_boundaries(pt)
-            r_stream, r_bounds = stripped_boundaries(rt)
+            p_stream, p_levels = stripped_boundaries(pt, 1)
+            r_stream, r_levels = stripped_boundaries(rt, 1)
             if p_stream != r_stream:
                 raise DataError(f"character streams diverge at line {i + 1}: {p_stream!r} vs {r_stream!r}")
-            yield p_bounds, r_bounds
+            yield p_levels, r_levels
 
-    return tally(pairs())
+    (counts,) = split_tallies(pairs(), 1)
+    return counts
 
 
 def f1_score(counts: BoundaryCounts) -> float:
@@ -183,54 +185,38 @@ def compression_factor(stats: TokenStats) -> float:
     return (stats.total_tokens + dictionary) / stats.total_chars
 
 
-def stripped_maxima(prefix: Sequence[int], gap_levels: Sequence[int]) -> Sequence[int]:
-    """The highest gap level at each internal position p of the stripped stream, at index p - 1.
-
-    ``prefix`` is the line's :func:`nonspace_prefix` table. A peak cuts
-    stripped position p iff its value here reaches the peak's level, which
-    is :func:`project_cuts` of every peak's cuts at once.
-    """
-    total = prefix[-1]
-    if total == len(gap_levels) + 1:  # no whitespace: gap k is position k
-        return gap_levels
-    best = [0] * max(total - 1, 0)
-    for p, level in zip(prefix[1:], gap_levels):
-        if 0 < p < total and level > best[p - 1]:
-            best[p - 1] = level
-    return best
-
-
-def gold_cuts(lines: Sequence[str], gold: GoldSegmentation) -> list[frozenset[int]]:
-    """Each test line's gold boundaries, as positions of its whitespace-stripped stream. The word
-    grid levels them at its peak count, so :func:`split_tallies` bins gold F1 as cross-split F1."""
+def gold_cuts(lines: Sequence[str], gold: GoldSegmentation, bins: int) -> list[Sequence[int]]:
+    """Each test line's :func:`stripped_boundaries` at level ``bins``: gold cuts its boundaries at each of the
+    word grid's ``bins`` peaks, so :func:`split_tallies` bins gold F1 as it bins cross-split F1."""
     if len(gold.lines) != len(lines):
         raise DataError(f"gold has {len(gold.lines)} lines but test has {len(lines)}")
     cuts = []
     for i, (line, tokens) in enumerate(zip(lines, gold.lines)):
-        stream, bounds = stripped_boundaries(tokens)
+        stream, gold_levels = stripped_boundaries(tokens, bins)
         if stream != "".join(ch for ch in line if not ch.isspace()):
             raise DataError(f"gold/test character streams diverge at line {i + 1}")
-        cuts.append(bounds)
+        cuts.append(gold_levels)
     return cuts
 
 
-def split_tallies(maxima_pairs: Iterable[tuple[Sequence[int], Sequence[int]]], bins: int) -> list[BoundaryCounts]:
-    """Boundary tallies between two sides' cuts of the same lines at each of ``bins`` peaks, from the highest down.
+def split_tallies(level_pairs: Iterable[tuple[Sequence[int], Sequence[int]]], bins: int) -> list[BoundaryCounts]:
+    """Micro-aggregated boundary tallies of two sides' cuts at each of ``bins`` peaks, from the highest down.
 
-    ``maxima_pairs`` hold each line's :func:`stripped_maxima` under the two
-    sides: two models for cross-split F1, or a model and gold, whose every
-    boundary holds level ``bins``, for gold F1. A side cuts a stripped
-    position at a peak when the position's level reaches the peak's, and
-    both do when the lower of their two levels does. A level of 0, which
-    counts at no peak, is dropped as its line is read. Either role order
-    gives the same F1: swapping them swaps fp and fn, hence precision and
-    recall, which 2*p*r/(p+r) reads the same to the last bit.
+    ``level_pairs`` hold each line's :func:`project_cuts` under the two sides:
+    two token sequences at level 1 for :func:`boundary_counts`, two models
+    for cross-split F1, or a model and gold, whose every boundary holds level
+    ``bins``, for gold F1. A side cuts a stripped position at a peak when the
+    position's level reaches the peak's, and both do when the lower of their
+    two levels does. A level of 0, which counts at no peak, is dropped as its
+    line is read. Either role order gives the same F1: swapping them swaps fp
+    and fn, hence precision and recall, which 2*p*r/(p+r) reads the same to
+    the last bit.
     """
     both, a, b = [], [], []
-    for maxima_a, maxima_b in maxima_pairs:
-        a += [x for x in maxima_a if x]
-        b += [y for y in maxima_b if y]
-        both += [x if x < y else y for x, y in zip(maxima_a, maxima_b) if x and y]
+    for levels_a, levels_b in level_pairs:
+        a += [x for x in levels_a if x]
+        b += [y for y in levels_b if y]
+        both += [x if x < y else y for x, y in zip(levels_a, levels_b) if x and y]
     # a peak counts the levels that reach it or a higher one: each bin from the highest peak down, summed
     tp, cut_a, cut_b = [list(accumulate(counts[r] for r in range(bins, 0, -1)))
                         for counts in map(Counter, (both, a, b))]
@@ -248,7 +234,7 @@ def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams)
     views = [order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train)]
     rules = [(view, thresholds(view, (params.peak,), (mode,))) for view in views]
     sliced = ((line, grams_of(line, n), nonspace_prefix(line)) for line in test.lines)  # each once, for both views
-    pairs = ([stripped_maxima(prefix, levels(view, line, mode, table, grams)) for view, table in rules]
+    pairs = ([project_cuts(prefix, levels(view, line, mode, table, grams)) for view, table in rules]
              for line, grams, prefix in sliced)
     (counts,) = split_tallies(pairs, 1)
     return f1_score(counts)

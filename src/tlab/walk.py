@@ -6,9 +6,10 @@ visits its distinct peaks from the highest down, and each gap is binned
 once by its level, the peak at which the walk first cuts it; there it
 splits one token of a running lexicon in two. The morph grid counts hits
 against its reference cuts per word as the walk cuts. The word grid bins
-stripped maxima by level (:func:`~tlab.metrics.split_tallies`) for both of
-its F1s: gold F1 with gold as a side whose every boundary holds the top
-level, and cross-split F1 between the two half models. Every
+each line's levels on its whitespace-stripped stream
+(:func:`~tlab.metrics.project_cuts`) with :func:`~tlab.metrics.split_tallies`
+for both of its F1s: gold F1 with gold as a side whose every boundary holds
+the top level, and cross-split F1 between the two half models. Every
 metric is still computed by the :mod:`tlab.metrics` functions, from the
 same integers and tables as a per-peak pass, and every report by
 :meth:`~tlab.metrics.MetricsReport.of`, so every float is the same.
@@ -27,8 +28,8 @@ from .metrics import (
     compression_factor,
     count_tokens,
     f1_score,
+    project_cuts,
     split_tallies,
-    stripped_maxima,
 )
 
 
@@ -82,11 +83,12 @@ class WordWalk:
     cross-split F1 of the test lines at each of ``bins`` peaks, one per report.
 
     ``prefixes`` are the lines' :func:`~tlab.metrics.nonspace_prefix` tables,
-    ``gold`` their gold levels (``bins`` at each gold boundary, 0 at every
-    other stripped position), and ``levels_m``, ``levels_a`` and ``levels_b``
-    every line's gap levels under the full-train model and the two half
-    models. :func:`~tlab.metrics.split_tallies` bins gold F1 (the full-train
-    model against gold) and cross-split F1 (the half models) up front.
+    ``gold`` their :func:`~tlab.metrics.gold_cuts` levels, and ``levels_m``,
+    ``levels_a`` and ``levels_b`` every line's gap levels under the
+    full-train model and the two half models. Each model's levels go through
+    :func:`~tlab.metrics.project_cuts` once, and
+    :func:`~tlab.metrics.split_tallies` bins gold F1 (the full-train model
+    against gold) and cross-split F1 (the half models) up front.
     """
 
     def __init__(
@@ -99,10 +101,10 @@ class WordWalk:
         levels_b: Sequence[Sequence[int]],
         bins: int,
     ) -> None:
-        maxima_m, maxima_a, maxima_b = (map(stripped_maxima, prefixes, line_levels)
-                                        for line_levels in (levels_m, levels_a, levels_b))
-        self.gold = iter(split_tallies(zip(maxima_m, gold), bins))
-        self.split = iter(split_tallies(zip(maxima_a, maxima_b), bins))
+        stripped_m, stripped_a, stripped_b = (map(project_cuts, prefixes, line_levels)
+                                              for line_levels in (levels_m, levels_a, levels_b))
+        self.gold = iter(split_tallies(zip(stripped_m, gold), bins))
+        self.split = iter(split_tallies(zip(stripped_a, stripped_b), bins))
         self.tokens = TokenWalk(lines, levels_m, [1] * len(lines), bins)
 
     def report(self) -> MetricsReport:

@@ -29,10 +29,6 @@ from tlab.metrics import (
     compression_factor,
     cross_split_f1,
     f1_score,
-    nonspace_prefix,
-    project_cuts,
-    stripped_boundaries,
-    tally,
     token_stats,
 )
 from tlab.morphology import (
@@ -56,6 +52,7 @@ from tlab.segmenter import (
 )
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
+import reference
 from strategies import SEPARATORS, draw_axes, draw_peaks, spaced_line
 
 
@@ -268,19 +265,20 @@ class TestRunGrid:
         per_direction = len(test.lines) * 3 * 1 * 2  # lines x models x scored prune values x orders
         assert Counter(directions) == {"fwd": per_direction, "bwd": per_direction}
 
-    def test_one_stripped_maxima_call_per_model_and_line_in_each_scored_cell(self, monkeypatch):
+    def test_one_project_cuts_call_per_model_and_line_in_each_scored_cell(self, monkeypatch):
         # gold F1 and cross-split F1 are both binned by split_tallies, so each
         # scored (n, prune, mode) cell maps each line's levels under each of
         # its three models once, wherever the mapping is imported; gold is
-        # mapped once for the whole grid, and the prune-1 cells are copies
+        # mapped once per line for the whole grid, and the prune-1 cells are copies
         train, test, gold = tiny_setup()
         calls = []
-        real = metrics.stripped_maxima
+        real = metrics.project_cuts
         for module in (metrics, walk, lab):
-            if getattr(module, "stripped_maxima", None) is real:
-                monkeypatch.setattr(module, "stripped_maxima", lambda *args: calls.append(1) or real(*args))
+            if getattr(module, "project_cuts", None) is real:
+                monkeypatch.setattr(module, "project_cuts", lambda *args: calls.append(1) or real(*args))
         run_grid(train, test, gold, parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd,union"))
-        assert len(calls) == 3 * len(test.lines) * 2 * 1 * 2  # models x lines x modes x scored prune values x orders
+        # models x lines x modes x scored prune values x orders, and gold's lines
+        assert len(calls) == 3 * len(test.lines) * 2 * 1 * 2 + len(test.lines)
 
     def test_models_count_up_to_the_largest_grid_order(self, monkeypatch):
         train, test, gold = tiny_setup()
@@ -483,18 +481,17 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     """run_grid as thresholding every line again at every peak: (params, report, error) per point."""
     part_a, part_b = split_even_odd(train)
     raw = [build_model(train, n_max), build_model(part_a, n_max), build_model(part_b, n_max)]
-    prefixes = [nonspace_prefix(line) for line in test.lines]
-    gold_bounds = [stripped_boundaries(tokens)[1] for tokens in gold.lines]
     records = []
     for params in grid_points(spec):
         peak = params.peak
-        cuts_m, cuts_a, cuts_b = (
-            [detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,), (params.mode,))), 1) for line in test.lines]
+        tokens_m, tokens_a, tokens_b = (
+            [split_at(line, detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,), (params.mode,))), 1))
+             for line in test.lines]
             for view in (order_freedom(m, params.n, params.prune) for m in raw)
         )
-        f1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_m), gold_bounds)))
-        csf1 = f1_score(tally(zip(map(project_cuts, prefixes, cuts_a), map(project_cuts, prefixes, cuts_b))))
-        stats = token_stats(map(split_at, test.lines, cuts_m))
+        f1 = f1_score(BoundaryCounts(*reference.boundary_tally(tokens_m, gold.lines)))
+        csf1 = f1_score(BoundaryCounts(*reference.boundary_tally(tokens_a, tokens_b)))
+        stats = token_stats(tokens_m)
         try:
             s_value, c_value = anti_entropy(stats), compression_factor(stats)
         except DataError as exc:

@@ -19,8 +19,6 @@ from tlab.metrics import (
     project_cuts,
     split_tallies,
     stripped_boundaries,
-    stripped_maxima,
-    tally,
     token_stats,
 )
 from tlab.ngram import build_model
@@ -76,6 +74,15 @@ class TestBoundaryF1:
         with pytest.raises(DataError, match="line count"):
             f1_score(boundary_counts(segs(("ab",)), GoldSegmentation((("ab",), ("cd",))).lines))
 
+    def test_sums_over_lines(self):
+        # cuts {1, 2} against {2, 3}, none against {4}, and {5} against none
+        pred = segs(("a", "b", "cd"), ("abcde",), ("abcde", "f"))
+        ref = segs(("ab", "c", "d"), ("abcd", "e"), ("abcdef",))
+        assert boundary_counts(pred, ref) == BoundaryCounts(1, 2, 2)
+
+    def test_empty(self):
+        assert boundary_counts([], []) == BoundaryCounts(0, 0, 0)
+
     def test_stream_mismatch_reports_line(self):
         pred = segs(("ab",), ("xy",))
         gold = GoldSegmentation((("ab",), ("zz",)))
@@ -99,15 +106,14 @@ class TestBoundaryF1:
         assert f1_score(c_ab) == f1_score(c_ba)
 
 
-def general_stripped_boundaries(tokens):
-    """Prefix, stream and cut set by the per-character loop, for any line."""
+def general_prefix_and_stream(tokens):
+    """Prefix table and stream by the per-character loop, for any line."""
     line = "".join(tokens)
     prefix = [0]
     for ch in line:
         prefix.append(prefix[-1] + (not ch.isspace()))
-    cuts = [sum(len(t) for t in tokens[:i]) for i in range(1, len(tokens))]
     stream = "".join(ch for ch in line if not ch.isspace())
-    return tuple(prefix), stream, project_cuts(prefix, cuts)
+    return tuple(prefix), stream
 
 
 class TestStrippedBoundaries:
@@ -120,18 +126,23 @@ class TestStrippedBoundaries:
         )
     )
     def test_whitespace_free_fast_path_matches_general_path(self, tokens):
-        prefix, stream, cuts = general_stripped_boundaries(tokens)
+        prefix, stream = general_prefix_and_stream(tokens)
         assert nonspace_prefix("".join(tokens)) == prefix
-        assert stripped_boundaries(tokens) == (stream, cuts)
+        assert stripped_boundaries(tokens, 1)[0] == stream
 
-
-class TestTally:
-    def test_sums_over_lines(self):
-        pairs = [(frozenset({1, 2}), frozenset({2, 3})), (frozenset(), frozenset({4})), (frozenset({5}), frozenset())]
-        assert tally(pairs) == BoundaryCounts(1, 2, 2)
-
-    def test_empty(self):
-        assert tally([]) == BoundaryCounts(0, 0, 0)
+    @given(
+        st.lists(st.sampled_from(["", " ", "\t", " \u3000", "a", "bc", "a b", " d", "e\x85"]), max_size=8),
+        st.integers(1, 5),
+    )
+    def test_boundaries_are_the_reference_set(self, tokens, level):
+        # whitespace-only and empty tokens included: a cut beside removed
+        # whitespace, at a stream edge or repeated lands where the oracle's does
+        stream, projected = stripped_boundaries(tokens, level)
+        ref_stream, bounds = reference.stripped_boundaries(tokens)
+        assert stream == ref_stream
+        assert len(projected) == max(len(stream) - 1, 0)
+        assert {p for p, x in enumerate(projected, 1) if x} == bounds
+        assert set(projected) <= {0, level}
 
 
 class TestTokenStats:
@@ -290,24 +301,22 @@ class TestSplitTally:
         leveled = data.draw(st.lists(leveled_line(bins), max_size=5))
         gold = data.draw(st.booleans(), label="second side is gold")
         prefixes = [nonspace_prefix(line) for line, _ in leveled]
-        pairs = [[stripped_maxima(prefix, gap_levels) for gap_levels in pair] for prefix, (_, pair) in zip(prefixes, leveled)]
-        gold_cuts = []
+        pairs = [[project_cuts(prefix, gap_levels) for gap_levels in pair] for prefix, (_, pair) in zip(prefixes, leveled)]
+        gold_tokens = []
         if gold:
-            for prefix, pair in zip(prefixes, pairs):
-                size = max(prefix[-1] - 1, 0)
-                flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            for (line, _), pair in zip(leveled, pairs):
+                stream = "".join(line.split())
+                flags = data.draw(st.lists(st.booleans(), min_size=len(pair[1]), max_size=len(pair[1])))
                 pair[1] = [bins if flag else 0 for flag in flags]
-                gold_cuts.append(frozenset(p for p, flag in enumerate(flags, 1) if flag))
+                gold_tokens.append(reference.split_at(stream, [p for p, flag in enumerate(flags, 1) if flag]))
         tallied = split_tallies(pairs, bins)
         assert len(tallied) == bins
         for level, counts in zip(range(bins, 0, -1), tallied):
-            cut = [
-                tuple(project_cuts(prefix, detect_boundaries(gap_levels, level)) for gap_levels in pair)
-                for prefix, (_, pair) in zip(prefixes, leveled)
-            ]
-            if gold:
-                cut = [(model, reference) for (model, _), reference in zip(cut, gold_cuts)]
-            assert counts == tally(cut)
+            cut = [[reference.split_at(line, detect_boundaries(gap_levels, level)) for gap_levels in pair]
+                   for line, pair in leveled]
+            side_a = [a for a, _ in cut]
+            side_b = gold_tokens if gold else [b for _, b in cut]
+            assert counts == reference.boundary_tally(side_a, side_b)
 
 
 class TestDerivedMetrics:

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -21,6 +19,7 @@ from tlab.segmenter import SegmenterParams, segment
 
 import reference
 from bruteforce import bf_greedy_parse
+from cost import line_events
 
 # letters whose case folding changes their length ("ß" is "ss", "İ" is "i" and a
 # combining dot, "ﬁ" is "fi") next to the plain letters and upper case they fold onto
@@ -137,25 +136,13 @@ class TestGreedyParse:
         many = few | frozenset(pairs) | frozenset(p + "k" for p in pairs[:144])
         assert len(many) == len(few) + 400
 
-        def line_events(inv):
+        def parse_events(inv):
             greedy_parse("basehijcdab", inv)  # warm-up
-            count = 0
-
-            def tracer(frame, event, arg):
-                nonlocal count
-                count += event == "line"
-                return tracer
-
-            previous = sys.gettrace()
-            sys.settrace(tracer)
-            try:
-                parse = greedy_parse("basehijcdab", inv)
-            finally:
-                sys.settrace(previous)
+            parse, count = line_events(greedy_parse, "basehijcdab", inv)
             assert parse == ("base", "hij", "cd", "ab")
             return count
 
-        counts = [line_events(AffixInventory(frozenset(), suffixes, min_stem=3)) for suffixes in (few, many)]
+        counts = [parse_events(AffixInventory(frozenset(), suffixes, min_stem=3)) for suffixes in (few, many)]
         assert counts[0] == counts[1] > 0
 
 

@@ -1,5 +1,4 @@
 import math
-import sys
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, chain
@@ -24,6 +23,7 @@ from tlab.segmenter import (
 )
 
 import reference
+from cost import line_events
 from strategies import (
     corpora_with_weights,
     modes,
@@ -205,26 +205,13 @@ class TestThresholds:
         # as large costs about ten times as many line events, not a hundred
         ascending = [k / 10 for k in range(10)]
 
-        def line_events(top):
+        def table_events(top):
             others = [chr(0x100 + i) for i in range(top)]  # "a" has top successors and "b" top predecessors
             view = freedom(1, {window: 1 for c in others for window in ("a" + c, c + "b")}, 0)
             assert view.top == {"fwd": top, "bwd": top}
-            count = 0
+            return line_events(thresholds, view, ascending, MODES)[1]
 
-            def tracer(frame, event, arg):
-                nonlocal count
-                count += event == "line"
-                return tracer
-
-            previous = sys.gettrace()
-            sys.settrace(tracer)
-            try:
-                thresholds(view, ascending, MODES)
-            finally:
-                sys.settrace(previous)
-            return count
-
-        small, large = line_events(50), line_events(500)
+        small, large = table_events(50), table_events(500)
         assert 9 * small < large < 11 * small
 
 
