@@ -12,8 +12,8 @@ from typing import Callable, NamedTuple, Sequence
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
 from .metrics import MetricsReport, gold_cuts, nonspace_prefix
 from .morphology import AffixInventory, FreqLexicon, build_morph_model, reference_cuts
-from .ngram import build_model, check_order, freedom
-from .segmenter import SegmenterParams, check_domain, grams_of, levels, thresholds
+from .ngram import build_model, check_order, prune
+from .segmenter import SegmenterParams, check_domain, freedom, grams_of, levels
 from .walk import MorphWalk, WordWalk
 
 METRIC_COLUMNS = MetricsReport._fields[1:]  # every report field but F1, which they are correlated with
@@ -160,13 +160,13 @@ def run_grid(
     The two interleaved train halves (for cross-split F1) are counted once,
     up to the grid's largest order, and each full-train window table is the
     sum of the halves'. The grid is swept one order at a time
-    (:func:`_sweep`), each (n, prune) cell with its own freedom views of the
-    three models' tables, and each order's tables freed once its cells are
-    done; each (n, prune, mode) cell levels its gaps once and walks its peak
+    (:func:`_sweep`), each (n, prune) cell with its own pruned tables of the
+    three models, and each order's tables freed once its cells are done;
+    each (n, prune, mode) cell levels its gaps once and walks its peak
     values from the highest down (:class:`~tlab.walk.WordWalk`). A cell
-    whose three views keep as many windows as at the order's previous prune
-    value copies that cell's records. Failed trials are recorded with an
-    error marker instead of aborting.
+    whose three pruned tables keep as many windows as at the order's
+    previous prune value copies that cell's records. Failed trials are
+    recorded with an error marker instead of aborting.
     """
     top, bins = max(spec.n), len(set(spec.peak))
     prefixes = [nonspace_prefix(line) for line in test.lines]
@@ -194,23 +194,23 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     the grid at once, and is order-major: each order's tables are taken out
     of ``raw_windows`` as the order starts and freed as the next one starts,
     so the caller must keep no other reference to them. Each line is sliced
-    into n-grams once per order, and each (n, prune) cell derives its own
-    :func:`~tlab.ngram.freedom` view of every raw table, so the cell's
-    degree tables die with it. Each view gets one
-    :func:`~tlab.segmenter.thresholds` table of the grid's distinct peaks
-    and modes, and each direction the modes need is leveled once per view
-    and line; a fwd or bwd cell takes its direction's levels, and a union
-    cell the larger of the two. ``walk`` makes the cell's walker from those
-    levels and the number of peaks, and each of its ``report`` calls gives
-    the next peak's metrics, from the highest down.
+    into n-grams once per order, and each (n, prune) cell prunes every raw
+    table (:func:`~tlab.ngram.prune`) and derives its
+    :func:`~tlab.segmenter.freedom` view, for the grid's distinct peaks and
+    modes, so the cell's degree tables die with it. Each direction the modes
+    read is leveled once per view and line; a fwd or bwd cell takes its
+    direction's levels, and a union cell the larger of the two. ``walk``
+    makes the cell's walker from those levels and the number of peaks, and
+    each of its ``report`` calls gives the next peak's metrics, from the
+    highest down.
 
     Prune values are visited in ascending order, and a window kept at one
-    value is kept at every lower one. So when each view of a cell keeps as
-    many windows (:attr:`~tlab.ngram.Freedom.windows`) as the same model's
-    view at the order's previous prune value, the views are equal, and the
-    cell takes that cell's records with ``prune`` replaced: it computes no
-    levels and builds no walker. A value that removes a window from any one
-    view, a half model's included, is scored in full.
+    value is kept at every lower one. So when each pruned table of a cell
+    keeps as many windows as the same model's table at the order's previous
+    prune value, the tables are equal, and the cell takes that cell's
+    records with ``prune`` replaced: it derives no view, computes no levels
+    and builds no walker. A value that removes a window from any one table,
+    a half model's included, is scored in full.
     """
     peaks = sorted(set(spec.peak), reverse=True)
     ascending, modes = peaks[::-1], sorted(set(spec.mode))
@@ -222,27 +222,27 @@ def _sweep(spec: GridSpec, raw_windows: list[dict], lines, walk) -> list[TrialRe
     for n in orders:
         tables = [windows.pop(n, {}) for windows in raw_windows]
         sliced = [grams_of(line, n) for line in lines]
-        kept, cell_records = None, []  # the windows each view of the order's last cell keeps, and its records
-        for prune in sorted(set(spec.prune)):
-            views = [freedom(n, table, prune) for table in tables]
-            if [view.windows for view in views] == kept:
-                # prune values nest, so these views keep the last cell's windows: its levels, its records
-                cell_records = [r._replace(params=r.params._replace(prune=prune)) for r in cell_records]
+        kept, cell_records = None, []  # how many windows each table kept at the order's last cell, and its records
+        for min_count in sorted(set(spec.prune)):
+            pruned = [prune(table, min_count) for table in tables]
+            if list(map(len, pruned)) == kept:
+                # prune values nest, so these are the last cell's tables: its levels, its records
+                cell_records = [r._replace(params=r.params._replace(prune=min_count)) for r in cell_records]
             else:
-                kept, cell_records = [view.windows for view in views], []
-                rules = [(v, thresholds(v, ascending, modes)) for v in views]  # each view with its one table
-                leveled = {d: [[levels(v, line, d, t, g) for line, g in zip(lines, sliced)] for v, t in rules]
-                           for d in rules[0][1]}  # the directions the modes read, as thresholds built them
+                kept, cell_records = list(map(len, pruned)), []
+                views = [freedom(n, table, ascending, modes) for table in pruned]
+                leveled = {d: [[levels(v, line, d, g) for line, g in zip(lines, sliced)] for v in views]
+                           for d in views[0].rows}  # the directions the modes read, as freedom derived them
                 for mode in modes:
                     line_levels = leveled[mode] if mode != "union" else [
                         [list(map(max, f, b)) for f, b in zip(*pair)] for pair in zip(leveled["fwd"], leveled["bwd"])]
                     cell = walk(line_levels, len(peaks))
                     for peak in peaks:
-                        cell_records.append(_trial(cell.report, SegmenterParams(n, peak, prune, mode)))
+                        cell_records.append(_trial(cell.report, SegmenterParams(n, peak, min_count, mode)))
                     del cell, line_levels  # free this cell's walker before the next one is built
-                del leveled, rules  # rules holds the views too
+                del leveled, views
             records += cell_records
-            del views  # and this cell's degree tables before the next cell's
+            del pruned  # and this cell's pruned tables before the next cell's
     records.sort(key=lambda r: r.params)
     return records
 

@@ -17,8 +17,8 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, GoldSegmentation, TextCorpus, split_even_odd
-from .ngram import build_model, order_freedom
-from .segmenter import SegmenterParams, check_lines, grams_of, levels, thresholds
+from .ngram import build_model
+from .segmenter import SegmenterParams, check_lines, grams_of, levels, order_freedom
 
 # \s matches exactly the scalars for which str.isspace() holds
 _HAS_SPACE = re.compile(r"\s").search
@@ -231,10 +231,9 @@ def cross_split_f1(train: TextCorpus, test: TextCorpus, params: SegmenterParams)
     check_lines(test.lines)
     # only order n is read, and its counts do not depend on the orders above it
     n, mode = params.n, params.mode
-    views = [order_freedom(build_model(part, n), n, params.prune) for part in split_even_odd(train)]
-    rules = [(view, thresholds(view, (params.peak,), (mode,))) for view in views]
+    views = [order_freedom(build_model(part, n), params) for part in split_even_odd(train)]
     sliced = ((line, grams_of(line, n), nonspace_prefix(line)) for line in test.lines)  # each once, for both views
-    pairs = ([project_cuts(prefix, levels(view, line, mode, table, grams)) for view, table in rules]
+    pairs = ([project_cuts(prefix, levels(view, line, mode, grams)) for view in views]
              for line, grams, prefix in sliced)
     (counts,) = split_tallies(pairs, 1)
     return f1_score(counts)

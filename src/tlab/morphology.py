@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 from .corpus import DataError, TextCorpus, _decode, _split_lines
 from .metrics import MetricsReport
-from .ngram import TransitionModel, build_model, order_freedom
-from .segmenter import SegmenterParams, levels, thresholds
+from .ngram import TransitionModel, build_model
+from .segmenter import SegmenterParams, levels, order_freedom
 from .walk import MorphWalk
 
 
@@ -147,8 +147,8 @@ def weighted_morph_f1(
     factor and the columns derived from them; csf1 and avg3 are None."""
     if not lexicon.entries:
         raise DataError("cannot evaluate an empty lexicon")
-    view = order_freedom(model, params.n, params.prune)
-    words, table = tuple(lexicon.entries), thresholds(view, (params.peak,), (params.mode,))
-    word_levels = [levels(view, word, params.mode, table) for word in words]
+    view = order_freedom(model, params)
+    words = tuple(lexicon.entries)
+    word_levels = [levels(view, word, params.mode) for word in words]
     freqs, references = tuple(lexicon.entries.values()), reference_cuts(lexicon, inventory)
     return MorphWalk(words, freqs, references, word_levels, 1).report()

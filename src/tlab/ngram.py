@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -16,8 +15,6 @@ _CONTROL = ("\t", "\n", "\r")
 # only a window holding "x" or a control character can have a field to escape
 _MAY_ESCAPE = re.compile("[x\t\n\r]").search
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
-# the gram a window is an edge of: fwd, w[:-1] followed by w[-1]; bwd, w[1:] preceded by w[0]
-_GRAM_OF_WINDOW = {"fwd": itemgetter(slice(None, -1)), "bwd": itemgetter(slice(1, None))}
 
 
 class ModelFormatError(DataError):
@@ -35,28 +32,12 @@ class TransitionModel(NamedTuple):
     forward edge (``w[:-1]`` followed by ``w[-1]``) and a backward edge
     (``w[1:]`` preceded by ``w[0]``), so the successor and predecessor
     varieties of every gram are read off the same table (see
-    :func:`freedom`). Treat instances, ``windows`` included, as immutable.
+    :func:`~tlab.segmenter.freedom`). Treat instances, ``windows``
+    included, as immutable.
     """
 
     n_max: int
     windows: dict[int, dict[str, int]]
-
-
-class Freedom(NamedTuple):
-    """One order's freedom view: ``degrees[direction]`` maps each gram of order
-    ``n`` to its out-degree in that direction (``"fwd"`` or ``"bwd"``), and
-    ``top[direction]`` is the largest of them (0 when the order has no edge).
-
-    ``windows`` is the number of windows the view keeps. Pruning keeps the
-    windows whose count reaches a threshold, so the views of one table at
-    two thresholds are equal exactly when they keep as many windows; the
-    grid sweep reuses a cell's records on that test.
-    """
-
-    n: int
-    degrees: dict[str, Counter[str]]
-    top: dict[str, int]
-    windows: int
 
 
 def build_model(
@@ -123,24 +104,10 @@ def prune(windows: dict[str, int], min_count: int) -> dict[str, int]:
     return {w: c for w, c in windows.items() if c >= min_count}
 
 
-def freedom(n: int, windows: dict[str, int], min_count: int) -> Freedom:
-    """The freedom view of order ``n``'s window table, pruned at ``min_count``."""
-    kept = prune(windows, min_count)
-    degrees = {direction: Counter(map(gram_of, kept)) for direction, gram_of in _GRAM_OF_WINDOW.items()}
-    top = {direction: max(table.values(), default=0) for direction, table in degrees.items()}
-    return Freedom(n, degrees, top, len(kept))
-
-
 def check_order(n: int, n_max: int) -> None:
     """Reject an order that a model counted up to ``n_max`` does not hold."""
     if not 1 <= n <= n_max:
         raise DataError(f"order {n} outside the model's range 1..{n_max}")
-
-
-def order_freedom(model: TransitionModel, n: int, min_count: int) -> Freedom:
-    """The freedom view of ``model``'s order ``n``, which must be within its ``n_max``."""
-    check_order(n, model.n_max)
-    return freedom(n, model.windows.get(n, {}), min_count)
 
 
 def _escape(text: str) -> str:

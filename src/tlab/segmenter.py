@@ -1,14 +1,15 @@
-"""Transition-freedom profiles, the peak rule as integer levels, and thresholded segmentation."""
+"""Freedom views of an order's windows, the peak rule as integer levels, and thresholded segmentation."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, islice, repeat
-from typing import Collection, Iterable, Sequence
+from operator import itemgetter
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, TextCorpus
-from .ngram import Freedom, TransitionModel, order_freedom
+from .ngram import TransitionModel, check_order, prune
 
 # the direction modes: each freedom direction alone, and union, which cuts where either fires
 MODES = ("bwd", "fwd", "union")
@@ -19,6 +20,9 @@ _DOMAINS = {
     "prune": ("prune threshold must be >= 0", lambda value: value >= 0),
     "mode": (f"direction mode must be one of {MODES}", MODES.__contains__),
 }
+
+# the gram a window is an edge of: fwd, w[:-1] followed by w[-1]; bwd, w[1:] preceded by w[0]
+_GRAM_OF_WINDOW = {"fwd": itemgetter(slice(None, -1)), "bwd": itemgetter(slice(1, None))}
 
 
 def check_domain(axis: str, value) -> None:
@@ -41,6 +45,18 @@ class SegmenterParams(namedtuple("SegmenterParams", tuple(_DOMAINS), defaults=("
         for axis, value in zip(_DOMAINS, params):
             check_domain(axis, value)
         return params
+
+
+class Freedom(NamedTuple):
+    """One order's freedom view, for the directions a set of modes reads
+    (``"fwd"``, ``"bwd"`` or both): ``degrees[direction]`` maps each gram of
+    order ``n`` to its out-degree in that direction, and ``rows[direction]``
+    holds the peak rule's threshold rows, one per neighbouring degree from 0
+    to the direction's top (see :func:`freedom`)."""
+
+    n: int
+    degrees: dict[str, Counter[str]]
+    rows: dict[str, list[list[int]]]
 
 
 def split_at(line: str, cuts: Iterable[int]) -> list[str]:
@@ -78,37 +94,47 @@ def profile(view: Freedom, line: str, direction: str, grams: Sequence[str] | Non
     return tuple([*pad, *degrees] if direction == "fwd" else [*degrees, *pad])
 
 
-def thresholds(view: Freedom, ascending: Sequence[float], modes: Collection[str]) -> dict[str, list[list[int]]]:
-    """The peak rule. Per direction that ``modes`` read (union reads both), row b
-    holds for each ``ascending`` peak the least degree a (``top + 1`` if
-    none) whose gap, next to degree b, is cut.
+def freedom(n: int, windows: dict[str, int], ascending: Sequence[float], modes: Collection[str]) -> Freedom:
+    """The freedom view of order ``n``'s window table ``windows``, pruned by the
+    caller, for the directions that ``modes`` read (union reads both).
 
-    A gap is cut iff its score, ``a / top - b / top``, reaches the peak: its
-    rise from the previous gap's degree b (``"fwd"``) or its drop to the next
-    one's (``"bwd"``). The score never falls as a grows, so a gap reaches
-    ``bisect_right(row, a)`` peaks; a threshold never falls as b grows, so
-    each is carried down the rows. A top of 0 has one row: every score is 0.
+    The peak rule: a gap of degree a next to degree b is cut iff its score,
+    ``a / top - b / top``, reaches the peak: its rise from the previous gap's
+    degree b (``"fwd"``) or its drop to the next one's (``"bwd"``). Row b of a
+    direction holds for each ``ascending`` peak the least degree a (``top + 1``
+    if none) whose gap, next to degree b, is cut. The score never falls as a
+    grows, so a gap reaches ``bisect_right(row, a)`` peaks; a threshold never
+    falls as b grows, so each is carried down the rows. A top of 0 has one
+    row: every score is 0.
     """
-    table = {}
-    for direction, top in view.top.items():
+    degrees, rows = {}, {}
+    for direction, gram_of in _GRAM_OF_WINDOW.items():
         if direction not in modes and "union" not in modes:
             continue
+        degrees[direction] = counts = Counter(map(gram_of, windows))
+        top = max(counts.values(), default=0)
         scaled = [degree / top for degree in range(top + 1)] if top else [0.0]
-        least, rows = [0] * len(ascending), []
+        least = [0] * len(ascending)
+        rows[direction] = carried = []
         for b in scaled:
             for j, peak in enumerate(ascending):
                 a = least[j]
                 while a <= top and scaled[a] - b < peak:
                     a += 1
                 least[j] = a
-            rows.append(least.copy())
-        table[direction] = rows
-    return table
+            carried.append(least.copy())
+    return Freedom(n, degrees, rows)
 
 
-def levels(view: Freedom, line: str, mode: str, table: dict[str, list[list[int]]],
-           grams: Sequence[str] | None = None) -> list[int]:
-    """How many peaks of ``table``, the view's :func:`thresholds`, each gap of ``line`` reaches.
+def order_freedom(model: TransitionModel, params: SegmenterParams) -> Freedom:
+    """The one-peak view that ``params`` cut with: ``model``'s order ``params.n``,
+    which must be within its ``n_max``, pruned at ``params.prune``."""
+    check_order(params.n, model.n_max)
+    return freedom(params.n, prune(model.windows.get(params.n, {}), params.prune), (params.peak,), (params.mode,))
+
+
+def levels(view: Freedom, line: str, mode: str, grams: Sequence[str] | None = None) -> list[int]:
+    """How many of the view's peaks each gap of ``line`` reaches, read off its threshold rows.
 
     ``"fwd"`` reads each degree next to the previous gap's (0 before the
     line), ``"bwd"`` next to the next gap's (0 after it), and ``"union"``
@@ -116,10 +142,10 @@ def levels(view: Freedom, line: str, mode: str, table: dict[str, list[list[int]]
     """
     if mode == "union":
         grams = grams_of(line, view.n) if grams is None else grams
-        return list(map(max, levels(view, line, "fwd", table, grams), levels(view, line, "bwd", table, grams)))
+        return list(map(max, levels(view, line, "fwd", grams), levels(view, line, "bwd", grams)))
     degrees = profile(view, line, mode, grams)
     neighbours = chain((0,), degrees) if mode == "fwd" else chain(islice(degrees, 1, None), (0,))
-    return list(map(bisect_right, map(table[mode].__getitem__, neighbours), degrees))
+    return list(map(bisect_right, map(view.rows[mode].__getitem__, neighbours), degrees))
 
 
 def detect_boundaries(gap_levels: Sequence[int], level: int) -> list[int]:
@@ -144,7 +170,6 @@ def segment_corpus(
     params: SegmenterParams,
 ) -> list[tuple[str, ...]]:
     """Each line's tokens, in order, every line cut with one freedom view of the order ``params.n``."""
-    view = order_freedom(model, params.n, params.prune)
+    view = order_freedom(model, params)
     check_lines(corpus.lines)
-    mode, table = params.mode, thresholds(view, (params.peak,), (params.mode,))
-    return [tuple(split_at(line, detect_boundaries(levels(view, line, mode, table), 1))) for line in corpus.lines]
+    return [tuple(split_at(line, detect_boundaries(levels(view, line, params.mode), 1))) for line in corpus.lines]

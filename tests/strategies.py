@@ -4,11 +4,27 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from tlab.segmenter import MODES
+from tlab.corpus import TextCorpus
+from tlab.ngram import build_model
+from tlab.segmenter import MODES, SegmenterParams, order_freedom
 
 import reference
 
 SMALL_ALPHABET = "abcdef"
+
+
+def model_of(lines, n_max=2, weights=None):
+    return build_model(TextCorpus(tuple(lines)), n_max, line_weights=weights)
+
+
+def view_of(m, n, min_count=0):
+    """The view of both directions that ``segment_corpus`` cuts with at peak 0.5."""
+    return order_freedom(m, SegmenterParams(n, 0.5, min_count, "union"))
+
+
+def tops(view):
+    """Each direction's largest out-degree: one less than its count of threshold rows."""
+    return {direction: len(rows) - 1 for direction, rows in view.rows.items()}
 
 
 def small_lines(alphabet: str = SMALL_ALPHABET, max_lines: int = 20, max_len: int = 12):

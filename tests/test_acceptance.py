@@ -27,12 +27,12 @@ from tlab.metrics import (
     token_stats,
 )
 from tlab.morphology import AffixInventory, greedy_parse
-from tlab.ngram import build_model, load_model, order_freedom, save_model
+from tlab.ngram import build_model, load_model, save_model
 from tlab.segmenter import SegmenterParams, profile, segment, segment_corpus
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
 import reference
-from strategies import corpora_with_weights, modes, orders, prune_thresholds
+from strategies import corpora_with_weights, modes, orders, prune_thresholds, tops, view_of
 
 
 def criterion(name):
@@ -248,9 +248,9 @@ def test_a7_property_suites():
         lines, weights = lines_weights
         model = model_of(lines, weights)
         for n in (1, 2, 3):
-            full, pruned = order_freedom(model, n, 0), order_freedom(model, n, threshold)
+            full, pruned = view_of(model, n), view_of(model, n, threshold)
             for direction in ("fwd", "bwd"):
-                assert pruned.top[direction] <= full.top[direction]
+                assert tops(pruned)[direction] <= tops(full)[direction]
                 for gram in full.degrees[direction]:
                     assert pruned.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
 
@@ -284,8 +284,8 @@ def test_a7_property_suites():
         model = model_of(lines, weights, n_max=4)
         model_rev = model_of([l[::-1] for l in lines], weights, n_max=4)
         for line in lines[:3]:
-            backward = profile(order_freedom(model, n, 0), line, "bwd")
-            forward_rev = profile(order_freedom(model_rev, n, 0), line[::-1], "fwd")
+            backward = profile(view_of(model, n), line, "bwd")
+            forward_rev = profile(view_of(model_rev, n), line[::-1], "fwd")
             assert backward == tuple(reversed(forward_rev))
 
     @settings(max_examples=100, deadline=None)

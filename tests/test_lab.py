@@ -39,16 +39,16 @@ from tlab.morphology import (
     reference_cuts,
     weighted_morph_f1,
 )
-from tlab.ngram import build_model, order_freedom, prune
+from tlab.ngram import build_model, prune
 from tlab.segmenter import (
     MODES,
     SegmenterParams,
     detect_boundaries,
     levels,
+    order_freedom,
     segment,
     segment_corpus,
     split_at,
-    thresholds,
 )
 from tlab.synth import make_affixed_lexicon, make_segmented_corpus, make_vocabulary
 
@@ -387,8 +387,8 @@ class TestDegreeTableLifetime:
         tables, snapshots = [], []
         real = lab.freedom
 
-        def derive(n, windows, min_count):
-            view = real(n, windows, min_count)
+        def derive(n, windows, ascending, modes):
+            view = real(n, windows, ascending, modes)
             tables.extend((weakref.ref(table), n) for table in view.degrees.values())
             snapshots.append((n, [order for ref, order in tables if ref() is not None]))
             return view
@@ -442,9 +442,9 @@ class TestRawWindowLifetime:
                     raw.append((weakref.ref(windows[n]), n))
             return real_sweep(spec, raw_windows, *rest)
 
-        def derive(n, windows, min_count):
+        def derive(n, windows, ascending, modes):
             snapshots.append((n, sorted(order for ref, order in raw if ref() is not None)))
-            return real_freedom(n, windows, min_count)
+            return real_freedom(n, windows, ascending, modes)
 
         monkeypatch.setattr(lab, "_sweep", sweep)
         monkeypatch.setattr(lab, "freedom", derive)
@@ -483,11 +483,9 @@ def per_peak_word_records(train, test, gold, spec, n_max):
     raw = [build_model(train, n_max), build_model(part_a, n_max), build_model(part_b, n_max)]
     records = []
     for params in grid_points(spec):
-        peak = params.peak
         tokens_m, tokens_a, tokens_b = (
-            [split_at(line, detect_boundaries(levels(view, line, params.mode, thresholds(view, (peak,), (params.mode,))), 1))
-             for line in test.lines]
-            for view in (order_freedom(m, params.n, params.prune) for m in raw)
+            [split_at(line, detect_boundaries(levels(view, line, params.mode), 1)) for line in test.lines]
+            for view in (order_freedom(m, params) for m in raw)
         )
         f1 = f1_score(BoundaryCounts(*reference.boundary_tally(tokens_m, gold.lines)))
         csf1 = f1_score(BoundaryCounts(*reference.boundary_tally(tokens_a, tokens_b)))
@@ -507,12 +505,11 @@ def per_peak_morph_records(lexicon, inventory, spec, n_max):
     references = reference_cuts(lexicon, inventory)
     records = []
     for params in grid_points(spec):
-        view = order_freedom(raw, params.n, params.prune)
-        table = thresholds(view, (params.peak,), (params.mode,))
+        view = order_freedom(raw, params)
         f1_weighted = 0.0
         pieces = []
         for (word, freq), reference in zip(lexicon.entries.items(), references):
-            cuts = detect_boundaries(levels(view, word, params.mode, table), 1)
+            cuts = detect_boundaries(levels(view, word, params.mode), 1)
             hits = len(reference.intersection(cuts))
             f1_weighted += freq * f1_score(BoundaryCounts(hits, len(cuts) - hits, len(reference) - hits))
             pieces += [split_at(word, cuts)] * freq  # a word's pieces occur as often as the word
@@ -708,34 +705,36 @@ class TestModeSharing:
         assert repr(run(spec)) == repr(one_run_per("mode", run, spec))
 
     def test_a_single_direction_builds_only_its_own_threshold_rows(self, monkeypatch):
-        # at mode fwd no caller builds a bwd row, and every output equals
-        # that of tables holding both directions
+        # at mode fwd no caller derives a bwd degree table or builds a bwd
+        # row, and every output equals that of views holding both directions
         train, test, gold = tiny_setup()
         lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
         params, spec = SegmenterParams(2, 0.4, 0, "fwd"), parse_grid_spec("n=1,2;peak=0.2,0.6;prune=0,1;mode=fwd")
         model, morph_model = build_model(train, 2), build_morph_model(lex, 2)
+        callers = [lambda: segment_corpus(model, test, params), lambda: cross_split_f1(train, test, params),
+                   lambda: weighted_morph_f1(morph_model, lex, inv, params),
+                   lambda: run_grid(train, test, gold, spec), lambda: run_morph_grid(lex, inv, spec)]
 
-        def outputs():
-            return (segment_corpus(model, test, params), cross_split_f1(train, test, params),
-                    weighted_morph_f1(morph_model, lex, inv, params),
-                    run_grid(train, test, gold, spec), run_morph_grid(lex, inv, spec))
-
-        real = segmenter.thresholds
-        modules = [module for module in (segmenter, metrics, lab, morphology) if module.thresholds is real]
+        real = segmenter.freedom
+        modules = [module for module in (segmenter, metrics, lab, morphology) if getattr(module, "freedom", None) is real]
         built = []
 
-        def recorded(view, ascending, modes):
-            table = real(view, ascending, modes)
-            built.append(tuple(table))
-            return table
+        def recorded(n, windows, ascending, modes):
+            view = real(n, windows, ascending, modes)
+            built.append((tuple(view.degrees), tuple(view.rows)))
+            return view
 
         for module in modules:
-            monkeypatch.setattr(module, "thresholds", recorded)
-        fwd_only = outputs()
-        assert len(modules) == 4 and set(built) == {("fwd",)}
+            monkeypatch.setattr(module, "freedom", recorded)
+        fwd_only = []
+        for call in callers:
+            built.clear()
+            fwd_only.append(call())
+            assert built and set(built) == {(("fwd",), ("fwd",))}
+        assert modules == [segmenter, lab]
         for module in modules:
-            monkeypatch.setattr(module, "thresholds", lambda view, ascending, modes: real(view, ascending, MODES))
-        assert repr(outputs()) == repr(fwd_only)
+            monkeypatch.setattr(module, "freedom", lambda n, windows, ascending, modes: real(n, windows, ascending, MODES))
+        assert repr([call() for call in callers]) == repr(fwd_only)
 
 
 class TestPruneReuse:
@@ -785,6 +784,40 @@ class TestPruneReuse:
             real = getattr(lab, name)
             monkeypatch.setattr(lab, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
         return calls
+
+    @staticmethod
+    def scored_cells(models, spec):
+        """The (n, prune) cells of ``spec`` whose pruned tables of ``models``
+        keep a different number of windows than at the order's last prune value."""
+        cells = []
+        for n in sorted(set(spec.n)):
+            kept = None
+            for min_count in sorted(set(spec.prune)):
+                sizes = [len(prune(model.windows.get(n, {}), min_count)) for model in models]
+                if sizes != kept:
+                    cells.append((n, min_count))
+                kept = sizes
+        return cells
+
+    def test_only_a_scored_cell_derives_views_one_per_model(self, monkeypatch):
+        # every train line four times and every word at twice its frequency,
+        # so on the default grid some prune values remove no window
+        train, test, gold = tiny_setup(train_lines=12)
+        train = TextCorpus(tuple(line for line in train.lines for _ in range(4)))
+        lex, inv = make_affixed_lexicon(3, stems=5, suffixes=2)
+        lex = FreqLexicon({word: 2 * freq for word, freq in lex.entries.items()})
+        spec = parse_grid_spec(lab.DEFAULT_GRID)
+        derived = []
+        real = lab.freedom
+        monkeypatch.setattr(lab, "freedom", lambda *args: derived.append(args[0]) or real(*args))
+        run_grid(train, test, gold, spec)
+        models = [build_model(corpus, 7) for corpus in (train, *split_even_odd(train))]
+        cells = self.scored_cells(models, spec)
+        assert len(cells) == 14 and sorted(derived) == sorted(n for n, _ in cells for _ in models)
+        derived.clear()
+        run_morph_grid(lex, inv, spec)
+        cells = self.scored_cells([build_morph_model(lex, 7)], spec)
+        assert len(cells) == 13 and sorted(derived) == sorted(n for n, _ in cells)
 
     def test_a_prune_value_that_removes_no_window_scores_nothing(self, monkeypatch):
         train, test, gold = tiny_setup()

@@ -4,7 +4,6 @@ import hypothesis.strategies as st
 
 from tlab.corpus import DataError
 from tlab.metrics import boundary_counts, f1_score
-from tlab.ngram import order_freedom
 from tlab.morphology import (
     AffixInventory,
     FreqLexicon,
@@ -20,6 +19,7 @@ from tlab.segmenter import SegmenterParams, segment
 import reference
 from bruteforce import bf_greedy_parse
 from cost import line_events
+from strategies import view_of
 
 # letters whose case folding changes their length ("ß" is "ss", "İ" is "i" and a
 # combining dot, "ﬁ" is "fi") next to the plain letters and upper case they fold onto
@@ -58,7 +58,7 @@ class TestBuildMorphModel:
 
     def test_freedom_counts_words(self):
         m = build_morph_model(FreqLexicon({"ab": 1, "ac": 1}), 1)
-        assert order_freedom(m, 1, 0).degrees["fwd"].get("a", 0) == 2
+        assert view_of(m, 1).degrees["fwd"].get("a", 0) == 2
 
     def test_doubling_frequencies_keeps_freedom(self):
         lex = {"ab": 2, "ac": 3, "abc": 1}
@@ -66,7 +66,7 @@ class TestBuildMorphModel:
         m2 = build_morph_model(FreqLexicon({w: 2 * c for w, c in lex.items()}), 2)
         for n in (1, 2):
             assert m2.windows[n] == {w: 2 * c for w, c in m1.windows[n].items()}
-            assert order_freedom(m1, n, 0) == order_freedom(m2, n, 0)
+            assert view_of(m1, n) == view_of(m2, n)
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(DataError):

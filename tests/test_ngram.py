@@ -7,29 +7,20 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tlab.corpus import DataError, TextCorpus
+from tlab.corpus import DataError
 from tlab.ngram import (
     ModelFormatError,
     build_model,
-    freedom,
     load_model,
-    order_freedom,
     prune,
     save_model,
 )
+from tlab.segmenter import MODES, freedom
 from tlab.synth import make_segmented_corpus, make_vocabulary
 
 import reference
 from bruteforce import BfFormatError, bf_load_model, bf_model_text
-from strategies import corpora_with_weights, small_lines, weights_for
-
-
-def model_of(lines, n_max=2, weights=None):
-    return build_model(TextCorpus(tuple(lines)), n_max, line_weights=weights)
-
-
-def view_of(m, n, min_count=0):
-    return order_freedom(m, n, min_count)
+from strategies import corpora_with_weights, model_of, small_lines, tops, view_of, weights_for
 
 
 def synth_model():
@@ -127,7 +118,7 @@ class TestBuildModel:
                 degrees = reference.degrees(windows, direction, 0)
                 for gram in view.degrees[direction]:
                     assert view.degrees[direction].get(gram, 0) == degrees.get(gram, 0)
-                assert view.top[direction] == max(degrees.values(), default=0)
+                assert tops(view)[direction] == max(degrees.values(), default=0)
 
     def test_huge_order_bound_allocates_in_proportion_to_the_lines(self):
         lines = ("abc", "abd", "x y", "b")
@@ -141,16 +132,16 @@ class TestBuildModel:
 class TestDerivedTables:
     def test_no_table_derived_until_read(self, tmp_path):
         # a model holds its window tables only; a view derives one order's
-        # degree tables, for both directions, when it is asked for
+        # degree tables, for both directions of a union view, when it is asked for
         m = model_of(["abc", "abd", "abd"], 3)
         save_model(m, tmp_path / "m.tsv")
         for model in (m, load_model(tmp_path / "m.tsv")):
             assert model._fields == ("n_max", "windows")
         view = view_of(m, 2)
         assert view.n == 2
-        assert view.degrees.keys() == view.top.keys() == {"fwd", "bwd"}
+        assert view.degrees.keys() == view.rows.keys() == {"fwd", "bwd"}
         assert all(len(gram) == 2 for table in view.degrees.values() for gram in table)
-        assert view.top["bwd"] == 1
+        assert tops(view)["bwd"] == 1
         assert view.degrees["fwd"].get("ab", 0) == 2
 
     def test_unknown_direction_is_a_missing_key(self):
@@ -174,7 +165,7 @@ class TestAddition:
         parts = {n: Counter(part_a.get(n, {})) + Counter(part_b.get(n, {})) for n in part_a.keys() | part_b.keys()}
         assert parts == whole.windows
         for n in (1, 2, 3):
-            assert freedom(n, parts.get(n, {}), 0) == view_of(whole, n)
+            assert freedom(n, parts.get(n, {}), (0.5,), ("union",)) == view_of(whole, n)
 
 
 class TestPrune:
@@ -208,11 +199,11 @@ class TestPrune:
             table = m.windows.get(n, {})
             pruned = prune(table, threshold)
             assert prune(pruned, threshold) == pruned
-            assert freedom(n, pruned, threshold) == freedom(n, table, threshold)
+            assert freedom(n, prune(pruned, threshold), (0.5,), MODES) == freedom(n, pruned, (0.5,), MODES)
             full, kept = view_of(m, n), view_of(m, n, threshold)
             windows = reference.window_counts(lines, n + 1, weights)
             for direction in ("fwd", "bwd"):
-                assert kept.top[direction] <= full.top[direction]
+                assert tops(kept)[direction] <= tops(full)[direction]
                 degrees = reference.degrees(windows, direction, threshold)
                 for gram in full.degrees[direction]:
                     assert kept.degrees[direction].get(gram, 0) <= full.degrees[direction].get(gram, 0)
@@ -234,11 +225,11 @@ class TestFreedom:
             view_of(m, 2)
 
     def test_max_freedom_examples(self):
-        assert view_of(model_of(["ab"], 1), 1).top["fwd"] == 1
-        assert view_of(model_of([], 1), 1).top == {"fwd": 0, "bwd": 0}
-        assert view_of(model_of(["abc", "abd", "abe"], 2), 2).top == {"fwd": 3, "bwd": 1}
+        assert tops(view_of(model_of(["ab"], 1), 1))["fwd"] == 1
+        assert tops(view_of(model_of([], 1), 1)) == {"fwd": 0, "bwd": 0}
+        assert tops(view_of(model_of(["abc", "abd", "abe"], 2), 2)) == {"fwd": 3, "bwd": 1}
         # an order below n_max that no line is long enough for
-        assert view_of(model_of(["ab"], 3), 3).top == {"fwd": 0, "bwd": 0}
+        assert tops(view_of(model_of(["ab"], 3), 3)) == {"fwd": 0, "bwd": 0}
 
     @given(corpora_with_weights(max_lines=6))
     def test_freedom_bounded_by_max(self, lines_weights):
@@ -247,7 +238,7 @@ class TestFreedom:
         for n in (1, 2):
             view = view_of(m, n)
             for direction in ("fwd", "bwd"):
-                top = view.top[direction]
+                top = tops(view)[direction]
                 assert top == max(view.degrees[direction].values(), default=0)
                 for gram in view.degrees[direction]:
                     assert view.degrees[direction].get(gram, 0) <= top
