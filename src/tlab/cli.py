@@ -102,7 +102,7 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
+    model = load_model(args.model, (args.n,))  # only the order that segmentation reads
     corpus = load_text(args.input)
     token_lines = segment_corpus(model, corpus, _params_from(args))
     if args.out:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter, deque
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 from .corpus import DataError, TextCorpus
 
@@ -15,6 +16,7 @@ _CONTROL = ("\t", "\n", "\r")
 # only a window holding "x" or a control character can have a field to escape
 _MAY_ESCAPE = re.compile("[x\t\n\r]").search
 _HEADER_RE = re.compile(r"^tlab-model v1 n_max=(\d+)$")
+_CHUNK = 1 << 14  # characters load_model reads at a time, then up to a line end
 
 
 class ModelFormatError(DataError):
@@ -27,8 +29,9 @@ class TransitionModel(NamedTuple):
     ``windows[n][w]`` sums the line weights of the occurrences of ``w``, and
     a window that never occurs has no entry (:func:`build_model` fills a
     ``Counter`` for its top order and a plain dict for each order below it,
-    :func:`load_model` plain dicts); an order with no window has no
-    table, so ``n_max`` is only the declared bound. A window is both a
+    :func:`load_model` plain dicts, for the orders it was asked to read
+    only); an order with no window has no table, so ``n_max`` is only the
+    declared bound. A window is both a
     forward edge (``w[:-1]`` followed by ``w[-1]``) and a backward edge
     (``w[1:]`` preceded by ``w[0]``), so the successor and predecessor
     varieties of every gram are read off the same table (see
@@ -132,10 +135,14 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
     Every window becomes a ``b`` record (gram, preceding char) and an ``f``
     record (gram, following char), all ``b`` records first, each sorted by
     order, gram and char. Each order's records are written as soon as they
-    are formatted, so only one order's text is held at a time.
+    are formatted, so only one order's text is held at a time. In an order
+    with no field to escape every gram has n characters, so its formatted
+    ``gram\tchar\tcount\n`` records sort as their (gram, char) pairs do,
+    and they are sorted as strings; an order that may hold an escaped field
+    sorts its windows by key before formatting them.
     """
     # each order's table, and whether any of its windows may hold a field to escape
-    orders = [(n, counts, _MAY_ESCAPE("".join(counts))) for n, counts in sorted(model.windows.items())]
+    orders = [(n, counts, _MAY_ESCAPE("".join(counts))) for n, counts in sorted(model.windows.items()) if counts]
     # each tag's gram and char of a window, and a key sorting its records by (gram, char):
     # for equal-length windows, w[1:] + w[0] sorts as (w[1:], w[0]) and w itself as (w[:-1], w[-1])
     tags = (("b", slice(1, None), 0, lambda w: w[1:] + w[0]), ("f", slice(None, -1), -1, None))
@@ -144,33 +151,48 @@ def save_model(model: TransitionModel, path: str | Path) -> None:
         for tag, gram, ch, key in tags:
             for n, counts, may_escape in orders:
                 prefix = f"{tag}\t{n}\t"
-                text = "".join([
-                    f"{prefix}{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
-                    if may_escape and _MAY_ESCAPE(w)
-                    else f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n"
-                    for w in sorted(counts, key=key)
-                ])
+                if may_escape:
+                    text = "".join([
+                        f"{prefix}{_escape(w[gram])}\t{_escape(w[ch])}\t{counts[w]}\n"
+                        if _MAY_ESCAPE(w)
+                        else f"{prefix}{w[gram]}\t{w[ch]}\t{counts[w]}\n"
+                        for w in sorted(counts, key=key)
+                    ])
+                else:
+                    # the record list is a temporary of the join, freed before the text is encoded
+                    text = prefix + prefix.join(sorted([f"{w[gram]}\t{w[ch]}\t{c}\n" for w, c in counts.items()]))
                 out.write(text.encode("utf-8"))
 
 
-def load_model(path: str | Path) -> TransitionModel:
-    """Read a model file; its ``b`` records must mirror its ``f`` records exactly.
+def load_model(path: str | Path, orders: Container[int]) -> TransitionModel:
+    """Read a model file's ``orders``; their ``b`` records must mirror their ``f`` records exactly.
 
-    The file is read one record at a time into one window table per order. A
-    ``b`` record stores its count negated, meaning not yet mirrored, and the
-    ``f`` record of the same window stores it back as positive. An ``f``
-    record that comes before its ``b`` waits in ``pending``, which stays
-    empty for every file :func:`save_model` writes. A record that repeats an
-    earlier one (same tag, order, gram and char) is rejected whatever its
-    count.
+    Records of ``orders`` get every check: counts, escapes, field lengths,
+    repeats and mirroring. Every other record is checked for framing only:
+    five fields, a tag of ``f`` or ``b`` and an order field within
+    ``1..n_max``; its gram, char and count are not read, and the model holds
+    no table for its order. The whole file must be UTF-8 and start with the
+    header whatever ``orders`` holds; passing ``range(1, n_max + 1)`` reads
+    and checks every record.
+
+    The text is read in chunks of about ``_CHUNK`` characters, each ending
+    at a line end. A record of an order that is read goes into that order's
+    window table: a ``b`` record stores its count negated, meaning not yet
+    mirrored, and the ``f`` record of the same window stores it back as
+    positive. An ``f`` record that comes before its ``b`` waits in
+    ``pending``, which stays empty for every file :func:`save_model`
+    writes. A record that repeats an earlier one (same tag, order, gram and
+    char) is rejected whatever its count. After a record of an order that
+    is not read, one regex match skips the well-framed records with the
+    same order field text that follow it in the chunk.
     """
     with open(path, "rb") as raw:
         try:
             raw.read().decode("utf-8")  # only to report the first bad byte's offset in the file
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    with open(path, encoding="utf-8", newline="\n") as lines:
-        first = lines.readline()
+    with open(path, encoding="utf-8", newline="\n") as src:
+        first = src.readline()
         if not first:
             raise ModelFormatError(f"{path}: empty model file")
         first = first.rstrip("\n")
@@ -181,56 +203,99 @@ def load_model(path: str | Path) -> TransitionModel:
         if n_max < 1:
             raise ModelFormatError(f"{path}: n_max must be >= 1")
         # an order's table is made at its first record, so only orders that have one get a table
-        tables: dict[int, dict[str, int]] = defaultdict(dict)
+        tables: dict[int, dict[str, int]] = {}
         pending: dict[tuple[int, str], int] = {}  # f records whose b record has not come yet
         confirmed = 0  # windows whose b and f records have both come, with the same count
-        orders: dict[str, int] = {}  # each order field's text, parsed once
-        for lineno, record in enumerate(lines, start=2):
-            # the line's "\n" stays on the count field, which int() reads as it reads a trailing CR
-            parts = record.split("\t")
-            if len(parts) != 5:
-                raise ModelFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            tag, n_text, gram, ch, count_text = parts
-            if tag != "f" and tag != "b":
-                raise ModelFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
-            try:
-                n = orders.get(n_text) or orders.setdefault(n_text, int(n_text))
-                count = int(count_text)
-            except ValueError as exc:
-                raise ModelFormatError(f"{path}:{lineno}: non-integer field") from exc
-            if n < 1 or n > n_max:
-                raise ModelFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
-            if count < 1:
-                raise ModelFormatError(f"{path}:{lineno}: count must be positive")
-            if "x" in record:  # an escaped field starts with "x", and the fields parsed above hold none
-                if gram.startswith("x"):
-                    gram = _unescape(gram)
-                if ch.startswith("x"):
-                    ch = _unescape(ch)
-            if len(gram) != n or len(ch) != 1:
-                raise ModelFormatError(f"{path}:{lineno}: field lengths disagree with order")
-            table = tables[n]
-            # a window is in the table once its b record has come, and positive once its f record has too;
-            # a count mismatch leaves the window unconfirmed, so it fails only after every line is checked
-            if tag == "b":
-                window = ch + gram
-                if window in table:
-                    raise ModelFormatError(f"{path}:{lineno}: duplicate record")
-                if pending and (n, window) in pending:
-                    confirmed += pending.pop((n, window)) == count
-                    table[window] = count
+        # each valid order field's text: its order, and its table if read, else the match that skips its run
+        fields: dict[str, tuple[int, dict[str, int] | None, Callable | None]] = {}
+        skip_lines = deque(maxlen=0).extend  # consumes an iterator
+        lineno = 2
+        carry = None  # the skip of the run the last chunk ended in, which may go on in the next
+        while chunk := src.read(_CHUNK):
+            chunk += src.readline()  # the chunk ends at a line end, or at the end of the file
+            if carry is not None:
+                offset = carry(chunk).end()
+                lineno += chunk.count("\n", 0, offset)
+                chunk = chunk[offset:]
+                if not chunk:
+                    continue
+            carry = None
+            records = chunk.split("\n")
+            if not records[-1]:
+                records.pop()  # the final newline ends the last line and starts none
+            base = lineno  # the first record's line
+            numbered = enumerate(records, base)
+            lineno += len(records)
+            done = offset = 0  # records[done] starts at chunk[offset]
+            for line, record in numbered:
+                parts = record.split("\t")
+                if len(parts) != 5:
+                    raise ModelFormatError(f"{path}:{line}: expected 5 tab-separated fields, got {len(parts)}")
+                tag, n_text, gram, ch, count_text = parts
+                if tag != "f" and tag != "b":
+                    raise ModelFormatError(f"{path}:{line}: unknown direction tag {tag!r}")
+                field = fields.get(n_text)
+                if field is None:
+                    try:
+                        n = int(n_text)
+                        if n in orders:
+                            int(count_text)  # a read record's non-integer count is reported before its order's range
+                    except ValueError as exc:
+                        raise ModelFormatError(f"{path}:{line}: non-integer field") from exc
+                    if n < 1 or n > n_max:
+                        raise ModelFormatError(f"{path}:{line}: order {n} outside 1..{n_max}")
+                    if n in orders:
+                        field = (n, tables.setdefault(n, {}), None)
+                    else:
+                        run = f"(?:[fb]\t{re.escape(n_text)}\t[^\t\n]*\t[^\t\n]*\t[^\t\n]*\n)*"
+                        field = (n, None, re.compile(run).match)
+                    fields[n_text] = field
+                n, table, skip = field
+                if table is None:
+                    # one match skips the run of well-framed records with this order field that follows
+                    i = line - base
+                    start = offset + sum(map(len, records[done : i + 1])) + i + 1 - done
+                    offset = skip(chunk, start).end()
+                    skipped = chunk.count("\n", start, offset)
+                    skip_lines(islice(numbered, skipped))
+                    done = i + 1 + skipped
+                    if offset == len(chunk):
+                        carry = skip
+                    continue
+                try:
+                    count = int(count_text)
+                except ValueError as exc:
+                    raise ModelFormatError(f"{path}:{line}: non-integer field") from exc
+                if count < 1:
+                    raise ModelFormatError(f"{path}:{line}: count must be positive")
+                if "x" in record:  # an escaped field starts with "x", and the fields parsed above hold none
+                    if gram.startswith("x"):
+                        gram = _unescape(gram)
+                    if ch.startswith("x"):
+                        ch = _unescape(ch)
+                if len(gram) != n or len(ch) != 1:
+                    raise ModelFormatError(f"{path}:{line}: field lengths disagree with order")
+                # a window is in the table once its b record has come, and positive once its f record has too;
+                # a count mismatch leaves the window unconfirmed, so it fails only after every line is checked
+                if tag == "b":
+                    window = ch + gram
+                    if window in table:
+                        raise ModelFormatError(f"{path}:{line}: duplicate record")
+                    if pending and (n, window) in pending:
+                        confirmed += pending.pop((n, window)) == count
+                        table[window] = count
+                    else:
+                        table[window] = -count
                 else:
-                    table[window] = -count
-            else:
-                window = gram + ch
-                stored = table.get(window, 0)  # 0 for a window whose b record has not come
-                if stored < 0:
-                    confirmed += stored + count == 0
-                    table[window] = count
-                elif stored or (n, window) in pending:
-                    raise ModelFormatError(f"{path}:{lineno}: duplicate record")
-                else:
-                    pending[n, window] = count
+                    window = gram + ch
+                    stored = table.get(window, 0)  # 0 for a window whose b record has not come
+                    if stored < 0:
+                        confirmed += stored + count == 0
+                        table[window] = count
+                    elif stored or (n, window) in pending:
+                        raise ModelFormatError(f"{path}:{line}: duplicate record")
+                    else:
+                        pending[n, window] = count
     if pending or confirmed != sum(map(len, tables.values())):
         raise ModelFormatError(f"{path}: backward records do not mirror the forward records")
-    return TransitionModel(n_max, dict(tables))
+    return TransitionModel(n_max, tables)

@@ -3,8 +3,8 @@
 Window counts, degrees, profiles and the cut rule come from that one
 independent reference, which shares no code with tlab. What is left here
 is the model file and the corpus drawer: :func:`bf_load_model` reads a
-model file the plain way, one table per record tag, as the reference for
-the one-table reader; :func:`bf_model_text` formats the windows that
+model file the plain way, one table per record tag and one line at a time,
+as the reference for the one-table reader and the runs it skips; :func:`bf_model_text` formats the windows that
 ``reference.window_counts`` counts one record at a time, as the reference
 for the writer; :func:`bf_segmented_corpus` draws every line's words
 with the weights passed to ``random.choices`` afresh; and
@@ -33,11 +33,13 @@ def _bf_unescape(field):
     return field
 
 
-def bf_load_model(path):
-    """Read a model file into one table per record tag and compare the two at the end.
+def bf_load_model(path, orders):
+    """Read a model file's ``orders`` into one table per record tag and compare the two at the end.
 
-    Returns ``(n_max, {n: {window: count}})`` with a table for each order
-    that has a record, or raises :class:`BfFormatError`.
+    A record of any other order is checked for its five fields, its tag and
+    its order only. Returns ``(n_max, {n: {window: count}})`` with a table
+    for each order of ``orders`` that has a record, or raises
+    :class:`BfFormatError`.
     """
     with open(path, "rb") as raw:
         data = raw.read()
@@ -66,11 +68,13 @@ def bf_load_model(path):
             raise BfFormatError(f"{path}:{lineno}: unknown direction tag {tag!r}")
         try:
             n = int(n_text)
-            count = int(count_text)
+            count = int(count_text) if n in orders else None
         except ValueError as exc:
             raise BfFormatError(f"{path}:{lineno}: non-integer field") from exc
         if n < 1 or n > n_max:
             raise BfFormatError(f"{path}:{lineno}: order {n} outside 1..{n_max}")
+        if count is None:
+            continue
         if count < 1:
             raise BfFormatError(f"{path}:{lineno}: count must be positive")
         gram, ch = _bf_unescape(gram), _bf_unescape(ch)

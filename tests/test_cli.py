@@ -130,6 +130,26 @@ def test_tokenize_rejects_duplicate_model_record(tmp_path, capsys):
     assert err["message"] == f"{model_path}:4: duplicate record"
 
 
+def test_tokenize_reads_only_its_order_of_the_model(word_data, tmp_path, capsys):
+    # a record corrupt in order 1 fails a tokenize at --n 1, and one at --n 2 tokenizes as from the clean file
+    model_path, out_path = tmp_path / "m.tsv", tmp_path / "tokens.txt"
+    assert main(["build-model", "--in", str(word_data["train"]), "--n-max", "3", "--out", str(model_path)]) == 0
+    tokenize = ["tokenize", "--model", str(model_path), "--peak", "0.4", str(word_data["test"]), "--out", str(out_path)]
+    assert main([*tokenize, "--n", "2"]) == 0
+    clean = out_path.read_bytes()
+    lines = model_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("f\t1\t"))
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\t0\n"
+    model_path.write_text("".join(lines), encoding="utf-8")
+    out_path.unlink()
+    assert main([*tokenize, "--n", "2"]) == 0
+    assert out_path.read_bytes() == clean
+    capsys.readouterr()
+    assert main([*tokenize, "--n", "1"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["message"] == f"{model_path}:{i + 1}: count must be positive"
+
+
 def test_tokenize_evaluate_keeps_backslashes(tmp_path, capsys):
     corpus_path = tmp_path / "win.txt"
     corpus_path.write_text("C:\\sdir x\nC:\\sdir\n", encoding="utf-8")
@@ -642,7 +662,7 @@ def test_run_parameters_have_one_vocabulary(word_data, tmp_path, capsys):
         capsys.readouterr()
         assert main(["tokenize", "--model", str(model), "--n", "2", "--peak", "0.4", "--mode", mode,
                      str(word_data["test"])]) == 0
-        expected = segment_corpus(load_model(model), load_text(word_data["test"]), SegmenterParams(2, 0.4, 0, mode))
+        expected = segment_corpus(load_model(model, (2,)), load_text(word_data["test"]), SegmenterParams(2, 0.4, 0, mode))
         assert capsys.readouterr().out == format_segmented(expected)
         assert main(["grid-search", *data, "--n-max", "2", "--grid", f"n=1,2;peak=0.2,0.6;prune=0;mode={mode}",
                      "--out-csv", str(out_csv), "--out-summary", str(out_summary)]) == 0

@@ -20,6 +20,7 @@ from tlab.synth import make_segmented_corpus, make_vocabulary
 
 import reference
 from bruteforce import BfFormatError, bf_load_model, bf_model_text
+from cost import line_events
 from strategies import corpora_with_weights, model_of, small_lines, tops, view_of, weights_for
 
 
@@ -135,7 +136,7 @@ class TestDerivedTables:
         # degree tables, for both directions of a union view, when it is asked for
         m = model_of(["abc", "abd", "abd"], 3)
         save_model(m, tmp_path / "m.tsv")
-        for model in (m, load_model(tmp_path / "m.tsv")):
+        for model in (m, load_model(tmp_path / "m.tsv", range(1, 4))):
             assert model._fields == ("n_max", "windows")
         view = view_of(m, 2)
         assert view.n == 2
@@ -249,7 +250,7 @@ class TestPersistence:
         m = model_of(["abc", "abd"], 2)
         path = tmp_path / "m.tsv"
         save_model(m, path)
-        assert load_model(path) == m
+        assert load_model(path, range(1, 3)) == m
 
     def test_saves_byte_identical(self, tmp_path):
         m = model_of(["abc", "abd"], 2)
@@ -262,19 +263,19 @@ class TestPersistence:
         path = tmp_path / "empty.tsv"
         path.write_bytes(b"")
         with pytest.raises(ModelFormatError, match=r"empty\.tsv: empty model file$"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("tlab-model v9 n_max=2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, range(1, 3))
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "trunc.tsv"
         path.write_text("tlab-model v1 n_max=1\nf\t1\ta\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_control_characters_escaped(self, tmp_path):
         m = model_of(["a\tb", "a\tc"], 2)
@@ -282,7 +283,7 @@ class TestPersistence:
         save_model(m, path)
         text = path.read_text(encoding="utf-8")
         assert "\t".join(["f", "2", "x6109", "b", "1"]) in text  # "a\t" as hex
-        assert load_model(path) == m
+        assert load_model(path, range(1, 3)) == m
 
     def test_literal_hex_like_grams_escaped(self, tmp_path):
         m = model_of(["ab x0a cd"], 3)
@@ -291,31 +292,31 @@ class TestPersistence:
         text = path.read_text(encoding="utf-8")
         assert "\t".join(["f", "3", "x783061", " ", "1"]) in text  # "x0a" as hex
         assert "\t".join(["f", "1", " ", "x78", "1"]) in text  # "x" as hex
-        assert load_model(path) == m
+        assert load_model(path, range(1, 4)) == m
 
     def test_unmirrored_backward_records_rejected(self, tmp_path):
         path = tmp_path / "half.tsv"
         path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, range(1, 2))
         path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:4: duplicate record"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_conflicting_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("tlab-model v1 n_max=1\nf\t1\ta\tb\t1\nf\t1\ta\tb\t2\nb\t1\tb\ta\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
-            load_model(path)
+            load_model(path, range(1, 2))
         path.write_text("tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nb\t1\tb\ta\t2\nf\t1\ta\tb\t2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match=r"dup\.tsv:3: duplicate record"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_invalid_utf8_reported_first_with_file_offset(self, tmp_path):
         # line 3 repeats line 2, and the bad byte comes after several read chunks' worth of records
@@ -323,13 +324,13 @@ class TestPersistence:
         header = b"tlab-model v1 n_max=1\n"
         path.write_bytes(header + b"f\t1\ta\tb\t1\n" * 1000 + b"\xff\n")
         with pytest.raises(ModelFormatError, match="invalid UTF-8 at byte offset 10022$"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_crlf_header_rejected(self, tmp_path):
         path = tmp_path / "crlf.tsv"
         path.write_bytes(b"tlab-model v1 n_max=1\r\nb\t1\tb\ta\t1\r\nf\t1\ta\tb\t1\r\n")
         with pytest.raises(ModelFormatError, match=re.escape("bad header 'tlab-model v1 n_max=1\\r'")):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     @pytest.mark.parametrize(
         "body, lineno",
@@ -339,29 +340,29 @@ class TestPersistence:
         path = tmp_path / "blank.tsv"
         path.write_text("tlab-model v1 n_max=1\n" + body, encoding="utf-8")
         with pytest.raises(ModelFormatError, match=rf":{lineno}: expected 5 tab-separated fields, got 1$"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_missing_final_newline_and_record_cr_accepted(self, tmp_path):
         path = tmp_path / "edge.tsv"
         path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1")
         with pytest.raises(ModelFormatError, match="do not mirror"):
-            load_model(path)
+            load_model(path, range(1, 2))
         path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1")
-        assert load_model(path) == model_of(["ab"], 1)
+        assert load_model(path, range(1, 2)) == model_of(["ab"], 1)
         # the count field is read as an integer, which ignores a trailing CR
         path.write_bytes(b"tlab-model v1 n_max=1\nb\t1\tb\ta\t1\r\nf\t1\ta\tb\t1\r\n")
-        assert load_model(path) == model_of(["ab"], 1)
+        assert load_model(path, range(1, 2)) == model_of(["ab"], 1)
 
     def test_order_field_read_as_integer(self, tmp_path):
         path = tmp_path / "pad.tsv"
         path.write_text("tlab-model v1 n_max=1\nb\t01\tb\ta\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
-        assert load_model(path) == model_of(["ab"], 1)
+        assert load_model(path, range(1, 2)) == model_of(["ab"], 1)
         path.write_text("tlab-model v1 n_max=1\nb\t2\tbc\ta\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="order 2 outside"):
-            load_model(path)
+            load_model(path, range(1, 2))
         path.write_text("tlab-model v1 n_max=1\nb\tone\tb\ta\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="non-integer"):
-            load_model(path)
+            load_model(path, range(1, 2))
 
     def test_save_peak_memory_under_twice_the_file(self, tmp_path):
         m = synth_model()
@@ -372,22 +373,22 @@ class TestPersistence:
     def test_huge_order_bound_loads_in_proportion_to_the_file(self, tmp_path):
         path = tmp_path / "huge.tsv"
         path.write_text("tlab-model v1 n_max=1000000000\nb\t1\tb\ta\t1\nf\t1\ta\tb\t1\n", encoding="utf-8")
-        peak = traced_peak(lambda: load_model(path))
+        peak = traced_peak(lambda: load_model(path, range(1, 10**9 + 1)))
         assert peak < 2**20
-        assert load_model(path) == (10**9, {1: {"ab": 1}})
+        assert load_model(path, range(1, 10**9 + 1)) == (10**9, {1: {"ab": 1}})
 
     def test_orders_of_the_two_directions_must_match(self, tmp_path):
         path = tmp_path / "orders.tsv"
         # order 2 mirrors, and order 1 has backward records only
         path.write_text("tlab-model v1 n_max=2\nb\t1\tb\ta\t1\nb\t2\tbc\ta\t1\nf\t2\tab\tc\t1\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="do not mirror"):
-            load_model(path)
+            load_model(path, range(1, 3))
 
     def test_load_peak_memory_under_four_times_the_file(self, tmp_path):
         # one window table is filled, not a second one per record tag to compare
         path = tmp_path / "m.tsv"
         save_model(synth_model(), path)
-        peak = traced_peak(lambda: load_model(path))
+        peak = traced_peak(lambda: load_model(path, range(1, 8)))
         assert peak < 4 * path.stat().st_size
 
     @settings(max_examples=300)
@@ -395,15 +396,16 @@ class TestPersistence:
         st.lists(st.text(alphabet="abx\t", min_size=1, max_size=6), min_size=1, max_size=5),
         st.integers(min_value=1, max_value=3),
         st.sampled_from(["as saved", "f first", "shuffled"]),
-        st.sampled_from([None, "repeat", "recount", "drop"]),
+        st.sampled_from([None, "repeat", "recount", "drop", "pad"]),
         st.data(),
     )
     def test_any_record_order_loads_as_the_reference_reads_it(
         self, tmp_path_factory, lines, n_max, order, change, data
     ):
         # a saved model's records in some order, then changed in at most one
-        # way: the model, or the error message with its line, must be the
-        # reference reader's
+        # way, read for some of its orders: the model, or the error message
+        # with its line, must be the reference reader's
+        orders = data.draw(st.sets(st.integers(min_value=1, max_value=n_max)), label="orders")
         path = tmp_path_factory.mktemp("order") / "m.tsv"
         save_model(model_of(lines, n_max), path)
         header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -419,17 +421,20 @@ class TestPersistence:
                 *fields, count = records[i].split("\t")
                 new_count = data.draw(st.integers(min_value=0, max_value=9).filter(lambda c: c != int(count)))
                 records[i] = "\t".join([*fields, f"{new_count}\n"])
+            elif change == "pad":  # an order field int() reads, written as no saved file writes it
+                tag, n_text, rest = records[i].split("\t", 2)
+                records[i] = f"{tag}\t0{n_text}\t{rest}"
             else:
                 del records[i]
         path.write_text(header + "".join(records), encoding="utf-8")
         try:
-            expected = bf_load_model(path)
+            expected = bf_load_model(path, orders)
         except BfFormatError as exc:
             with pytest.raises(ModelFormatError) as raised:
-                load_model(path)
+                load_model(path, orders)
             assert str(raised.value) == str(exc)
         else:
-            assert load_model(path) == expected
+            assert load_model(path, orders) == expected
 
     @given(
         st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6).flatmap(
@@ -445,7 +450,7 @@ class TestPersistence:
         save_model(m, directory / "a.tsv")
         save_model(m, directory / "b.tsv")
         assert (directory / "a.tsv").read_bytes() == (directory / "b.tsv").read_bytes()
-        assert load_model(directory / "a.tsv") == m
+        assert load_model(directory / "a.tsv", range(1, n_max + 1)) == m
 
     @given(
         st.one_of(
@@ -468,4 +473,123 @@ class TestPersistence:
         m = model_of(lines, 2)
         path = tmp_path_factory.mktemp("esc") / "m.tsv"
         save_model(m, path)
-        assert load_model(path) == m
+        assert load_model(path, range(1, 3)) == m
+
+
+@pytest.fixture(scope="module")
+def synth_file(tmp_path_factory):
+    """synth_model() saved: orders 1-7 over several of load_model's read chunks."""
+    path = tmp_path_factory.mktemp("synth") / "m.tsv"
+    save_model(synth_model(), path)
+    return path
+
+
+def changed_copy(source, target, n, change):
+    """Write ``source`` to ``target`` with one record of order ``n`` changed; return that record's line.
+
+    The record is in the middle of the order's run of ``f`` records (of its
+    ``b`` records for "mirror", which drops one), so a read that skips the
+    order skips it inside a run.
+    """
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    tag = "b" if change == "mirror" else "f"
+    run = [i for i, line in enumerate(lines) if line.startswith(f"{tag}\t{n}\t")]
+    i = run[len(run) // 2]
+    _, n_text, gram, ch, count = lines[i].split("\t")
+    fields = {
+        "count": [tag, n_text, gram, ch, "0\n"],
+        "length": [tag, n_text, gram, ch + "a", count],
+        "fields": [tag, n_text, gram, ch + count],
+        "tag": ["g", n_text, gram, ch, count],
+        "order one": [tag, "one", gram, ch, count],
+        "order 9": [tag, "9", gram, ch, count],
+    }
+    if change == "mirror":
+        del lines[i]
+    elif change == "duplicate":
+        lines.insert(i, lines[i])
+        i += 1
+    else:
+        lines[i] = "\t".join(fields[change])
+    target.write_text("".join(lines), encoding="utf-8")
+    return i + 1
+
+
+def full_read(path):
+    return load_model(path, range(1, 8))
+
+
+class TestPartialReads:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("count", "count must be positive"),
+            ("duplicate", "duplicate record"),
+            ("mirror", None),
+            ("length", "field lengths disagree with order"),
+        ],
+    )
+    def test_corruption_counts_only_in_the_orders_read(self, synth_file, tmp_path, change, message):
+        # the read order's error is the full read's, line included; an order
+        # that is not read skips the corrupt record, and the tables it does
+        # read are the clean file's
+        path = tmp_path / "m.tsv"
+        line = changed_copy(synth_file, path, 3, change)
+        expected = f"{path}:{line}: {message}" if message else f"{path}: backward records do not mirror the forward records"
+        for orders in (range(1, 8), (3,), (1, 3, 7)):
+            with pytest.raises(ModelFormatError) as raised:
+                load_model(path, orders)
+            assert str(raised.value) == expected
+        clean = full_read(synth_file)
+        for orders in ((5,), (1, 7), ()):
+            assert load_model(path, orders) == (7, {n: clean.windows[n] for n in orders})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("fields", "expected 5 tab-separated fields, got 4"),
+            ("tag", "unknown direction tag 'g'"),
+            ("order one", "non-integer field"),
+            ("order 9", "order 9 outside 1..7"),
+        ],
+    )
+    def test_framing_is_checked_in_every_order(self, synth_file, tmp_path, change, message):
+        path = tmp_path / "m.tsv"
+        line = changed_copy(synth_file, path, 5, change)
+        for orders in (range(1, 8), (3,), ()):
+            with pytest.raises(ModelFormatError) as raised:
+                load_model(path, orders)
+            assert str(raised.value) == f"{path}:{line}: {message}"
+
+    def test_order_fields_of_any_text_int_reads(self, synth_file, tmp_path):
+        # "03" is order 3 in its own run, whether that order is read or skipped
+        path = tmp_path / "m.tsv"
+        text = synth_file.read_text(encoding="utf-8")
+        path.write_text(text.replace("\nb\t3\t", "\nb\t03\t"), encoding="utf-8")
+        clean = full_read(synth_file)
+        assert path.read_text(encoding="utf-8").count("\nb\t03\t") == len(clean.windows[3])
+        assert full_read(path) == clean
+        for orders in ((3,), (2, 4)):
+            assert load_model(path, orders) == (7, {n: clean.windows[n] for n in orders})
+
+    def test_a_partial_read_runs_lines_per_read_record_skipped_run_and_chunk(self, synth_file):
+        # the records of an order that is not read are skipped a run at a time
+        # by one regex match, so reading order 1 (286 of about 46,000 records)
+        # runs Python lines for its own records, once per run of other
+        # records and once per chunk of text; a skim of each skipped line in
+        # Python runs at least one line event per record
+        text = synth_file.read_text(encoding="utf-8")
+        fields = [record.split("\t")[1] for record in text.splitlines()[1:]]
+        records = fields.count("1")
+        runs = 1 + sum(a != b for a, b in zip(fields, fields[1:]))
+        chunks = len(text) // 2**14 + 1
+        load_model(synth_file, (1,))  # the skipping regexes compiled once, and cached by re
+        model, events = line_events(load_model, synth_file, (1,))
+        assert model == (7, {1: full_read(synth_file).windows[1]})
+        assert events < 25 * records + 50 * (runs + chunks) < len(fields) / 4
+
+    def test_partial_load_peak_memory_is_the_utf8_check(self, synth_file):
+        # checking that the whole file is UTF-8 holds its bytes and their
+        # text at once, twice an ASCII file; reading one order adds little
+        peak = traced_peak(lambda: load_model(synth_file, (1,)))
+        assert peak < 2.1 * synth_file.stat().st_size
